@@ -124,9 +124,14 @@ class NeighborhoodStats:
             raise ValueError("neighbor counts must be nonnegative")
 
 
-def _sq_diffs(values: np.ndarray) -> np.ndarray:
-    """Pairwise squared differences of a single variable, (N, N)."""
-    return (values[:, None] - values[None, :]) ** 2
+def _sq_diffs(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise squared differences of a single variable, (N, N).
+
+    Written into ``out`` when given; the two ufuncs give the same bits
+    as ``(values[:, None] - values[None, :]) ** 2``.
+    """
+    out = np.subtract(values[:, None], values[None, :], out=out)
+    return np.square(out, out=out)
 
 
 def _x_sq_dists(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -137,21 +142,42 @@ def _x_sq_dists(columns: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reusable (dz2, comparison mask) buffers for ``_neighborhood_arrays``."""
+    return np.empty((n, n)), np.empty((n, n), dtype=bool)
+
+
+def _count_below(mat: np.ndarray, limits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Per row, how many entries of ``mat`` are strictly below the row's limit."""
+    mask = np.less(mat, limits[:, None], out=mask)
+    # Counts never exceed N, so 32 bits suffice, and the narrower
+    # accumulator makes the row reduction about twice as fast.
+    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+
+
 def _neighborhood_arrays(
-    dx2: np.ndarray, dy2: np.ndarray, k: int
+    dx2: np.ndarray,
+    dy2: np.ndarray,
+    k: int,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eps^2, n_x, n_y) for every sample, from squared distance matrices.
 
     Comparisons stay in the squared domain: squaring is monotone on
     nonnegative distances, so strict inequalities are preserved.
+    ``work`` (from :func:`_workspace`) holds the joint distances and the
+    comparison mask; without it both are allocated. Neither input
+    matrix is modified.
     """
-    dz2 = np.maximum(dx2, dy2)
-    np.fill_diagonal(dz2, np.inf)
-    eps2 = np.partition(dz2, k - 1, axis=1)[:, k - 1]
+    dz2, mask = work if work is not None else (None, None)
+    dz2 = np.maximum(dx2, dy2, out=dz2)
+    dz2.reshape(-1)[:: dz2.shape[0] + 1] = np.inf
+    dz2.partition(k - 1, axis=1)
+    eps2 = dz2[:, k - 1].copy()
     # The self distance 0 is counted by the comparison whenever eps2 > 0.
     self_hit = eps2 > 0.0
-    n_x = (dx2 < eps2[:, None]).sum(axis=1) - self_hit
-    n_y = (dy2 < eps2[:, None]).sum(axis=1) - self_hit
+    n_x = _count_below(dx2, eps2, mask) - self_hit
+    n_y = _count_below(dy2, eps2, mask) - self_hit
     return eps2, n_x, n_y
 
 
@@ -176,23 +202,26 @@ def _mi_value(
     dx2: np.ndarray,
     dy2: np.ndarray,
     x: np.ndarray,
+    columns: Sequence[int],
     y: np.ndarray,
     k: int,
     jitter_seed: int,
     psi: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Estimator core shared by every MI entry point.
 
     ``dx2``/``dy2`` must have been accumulated in ascending column
-    order from the columns of ``x``; the raw columns are only needed to
-    recompute distances when duplicate joint points force jittering.
+    order from ``x[:, columns]``; those raw columns are only read when
+    duplicate joint points force jittering and the distances are
+    recomputed. ``work`` is passed on to :func:`_neighborhood_arrays`.
     """
-    eps2, n_x, n_y = _neighborhood_arrays(dx2, dy2, k)
-    if np.any(eps2 == 0.0):
-        xj, yj = _jittered(x, y, jitter_seed)
+    eps2, n_x, n_y = _neighborhood_arrays(dx2, dy2, k, work)
+    if not eps2.all():
+        xj, yj = _jittered(x[:, columns], y, jitter_seed)
         dx2 = _x_sq_dists([xj[:, j] for j in range(xj.shape[1])])
         dy2 = _sq_diffs(yj)
-        eps2, n_x, n_y = _neighborhood_arrays(dx2, dy2, k)
+        eps2, n_x, n_y = _neighborhood_arrays(dx2, dy2, k, work)
     contributions = psi[n_x + 1] + psi[n_y + 1]
     # Sorting makes the average independent of sample order.
     mean_contribution = float(np.mean(np.sort(contributions)))
@@ -294,9 +323,13 @@ class MiSession:
         dx2 = self._var_matrix(idx[0]).copy()
         for j in idx[1:]:
             dx2 += self._var_matrix(j)
+        return self._value(dx2, idx)
+
+    def _value(self, dx2: np.ndarray, columns: Sequence[int], work=None) -> float:
+        """MI of ``columns`` (sorted) from their accumulated ``dx2``."""
         return _mi_value(
-            dx2, self._dy2, self._x[:, idx], self._y,
-            self.k, self.jitter_seed, self._psi,
+            dx2, self._dy2, self._x, columns, self._y,
+            self.k, self.jitter_seed, self._psi, work,
         )
 
     def estimate(self, subset) -> MiEstimate:
@@ -328,7 +361,8 @@ def estimate_mi(
     value = _mi_value(
         _x_sq_dists(columns),
         _sq_diffs(d.y),
-        d.X[:, idx],
+        d.X,
+        idx,
         d.y,
         k,
         jitter_seed,

@@ -25,20 +25,21 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset
+from .errors import ConfigError, DataError
 from .mi import (
     DEFAULT_K,
     MiEstimate,
     MiSession,
-    _mi_value,
     _sq_diffs,
     _subset_indices,
-    digamma_table,
+    _workspace,
 )
 
 PROVENANCES = ("ranking", "greedy", "pooled", "exhaustive")
@@ -194,9 +195,13 @@ def rank_by_individual_mi(
         count = m
     if not 1 <= count <= m:
         raise ValueError(f"count must be in 1..{m}, got {count}")
-    values = individual_mis(d, k, jitter_seed, session)
+    return _ranking(individual_mis(d, k, jitter_seed, session), count)
+
+
+def _ranking(values: np.ndarray, count: int) -> VariableSubset:
+    """The ``count`` highest of the individual MIs ``values``, as a ranking."""
     # lexsort: primary key last -> descending MI, then ascending index.
-    order = np.lexsort((np.arange(m), -values))
+    order = np.lexsort((np.arange(len(values)), -values))
     return VariableSubset(tuple(int(j) for j in order[:count]), "ranking")
 
 
@@ -362,54 +367,97 @@ def build_candidate_pool(ranking, selected, pool_size: int) -> VariableSubset:
 # ---------------------------------------------------------------------------
 # Exhaustive subset search.
 #
-# Each bitmask over the sorted candidate columns is evaluated
-# independently with the shared estimator core, accumulating squared
-# distances in ascending column order exactly like estimate_mi does, so
-# the values are bit-identical to standalone estimates and independent
-# of chunking or worker count. The winner is reduced under the total
-# order (higher MI, then fewer variables, then lexicographically
-# smaller index tuple).
+# Enumeration order. With the pool's columns sorted and numbered by
+# position 0..P-1, subsets are visited as sorted position tuples in
+# lexicographic order: (0), (0, 1), (0, 1, 2), ..., (0, ..., P-1),
+# (0, ..., P-3, P-1), ... This is a depth-first walk of the subset
+# tree in which every child is its parent plus one higher column, so a
+# child's squared X-distances are its parent's plus one column matrix:
+# one addition, in the ascending column order that estimate_mi uses,
+# which keeps every value bit-identical to a standalone estimate.
+# Subsets ending in position P-1 are leaves; every other subset is
+# followed by its first child.
+#
+# Range split. Indices 1 .. 2^P - 1 of that order (0 is the empty set)
+# are cut into contiguous ranges, 8 per worker. A range starts by
+# unranking its first index into a subset and rebuilding that subset's
+# prefix sums, at most P - 1 additions, then walks forward. Each range
+# reduces its subsets under the total order of _better (higher MI,
+# then fewer variables, then the lexicographically smaller tuple), and
+# so do the ranges' results, so the winner does not depend on the
+# worker count or on where the ranges are cut.
+#
+# Buffer budget, in N x N float64 matrices, per process: P - 1 prefix
+# sums (no non-leaf subset is longer than P - 1), the target distances
+# and the highest pool column's matrix (added by every leaf), one
+# scratch matrix that takes each other column's matrix before it is
+# added, or a leaf's sum, and the joint-distance buffer of the
+# estimator, plus its N x N boolean mask: P + 3 matrices and an
+# eighth, below the P + 4 of building every column's matrix up front.
+# Only the jitter path allocates more, while it recomputes distances.
 
 
-def _build_search_state(
-    x_cand: np.ndarray, y: np.ndarray, k: int, jitter_seed: int
-) -> dict:
-    return {
-        "x": x_cand,
-        "y": y,
-        "mats": [_sq_diffs(x_cand[:, p]) for p in range(x_cand.shape[1])],
-        "dy2": _sq_diffs(y),
-        "psi": digamma_table(y.shape[0]),
-        "k": k,
-        "seed": jitter_seed,
-    }
+def _unrank(index: int, p: int) -> list[int]:
+    """The subset at ``index`` in the enumeration order; 0 is the empty set."""
+    subset: list[int] = []
+    j = 0
+    while index:
+        index -= 1
+        # Skip whole subtrees: the one rooted at j holds 2^(p-1-j) subsets.
+        while index >= 1 << (p - 1 - j):
+            index -= 1 << (p - 1 - j)
+            j += 1
+        subset.append(j)
+        j += 1
+    return subset
 
 
-def _mask_positions(mask: int) -> tuple[int, ...]:
-    positions = []
-    while mask:
-        low = mask & -mask
-        positions.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(positions)
+class _SubsetWalk:
+    """Evaluates ranges of the enumeration, each subset from its parent's distances."""
 
+    def __init__(self, x_pool: np.ndarray, y: np.ndarray, k: int, jitter_seed: int) -> None:
+        self.session = MiSession(x_pool, y, k=k, jitter_seed=jitter_seed)
+        n, self.p = x_pool.shape
+        self.columns = np.ascontiguousarray(x_pool.T)
+        self.prefix = np.empty((self.p - 1, n, n))
+        self.scratch = np.empty((n, n))
+        self.work = _workspace(n)
+        self.highest = self.session._var_matrix(self.p - 1)
 
-def _mask_mi(state: dict, mask: int) -> tuple[float, tuple[int, ...]]:
-    positions = _mask_positions(mask)
-    mats = state["mats"]
-    dx2 = mats[positions[0]].copy()
-    for p in positions[1:]:
-        dx2 += mats[p]
-    value = _mi_value(
-        dx2,
-        state["dy2"],
-        state["x"][:, positions],
-        state["y"],
-        state["k"],
-        state["seed"],
-        state["psi"],
-    )
-    return value, positions
+    def _push(self, depth: int, position: int) -> np.ndarray:
+        """Store the sum of prefix ``depth - 1`` and a column's matrix as prefix ``depth``."""
+        slot = self.prefix[depth]
+        if depth == 0:
+            return _sq_diffs(self.columns[position], out=slot)
+        column = _sq_diffs(self.columns[position], out=self.scratch)
+        return np.add(self.prefix[depth - 1], column, out=slot)
+
+    def _dx2(self, subset: list[int]) -> np.ndarray:
+        depth = len(subset) - 1
+        if subset[-1] < self.p - 1:
+            return self._push(depth, subset[-1])
+        if depth == 0:
+            return self.highest
+        return np.add(self.prefix[depth - 1], self.highest, out=self.scratch)
+
+    def walk(self, lo: int, hi: int):
+        """Yield (MI, positions) for enumeration indices lo .. hi - 1, in order."""
+        subset = _unrank(lo, self.p)
+        for depth, position in enumerate(subset[:-1]):
+            self._push(depth, position)
+        for _ in range(hi - lo):
+            yield self.session._value(self._dx2(subset), subset, self.work), tuple(subset)
+            if subset[-1] < self.p - 1:
+                subset.append(subset[-1] + 1)
+            else:
+                subset.pop()
+                if not subset:
+                    return
+                subset[-1] += 1
+
+    def best_in_range(self, lo: int, hi: int) -> tuple[float, tuple[int, ...]]:
+        """The _better-maximal (MI, positions) over enumeration indices lo .. hi - 1."""
+        return reduce(_better, self.walk(lo, hi))
 
 
 def _better(
@@ -422,23 +470,16 @@ def _better(
     return a if a[1] < b[1] else b
 
 
-def _search_range(state: dict, lo: int, hi: int) -> tuple[float, tuple[int, ...]]:
-    best = _mask_mi(state, lo)
-    for mask in range(lo + 1, hi):
-        best = _better(best, _mask_mi(state, mask))
-    return best
+_WORKER_WALK: _SubsetWalk | None = None
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_search_worker(x_cand, y, k, jitter_seed) -> None:
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(_build_search_state(x_cand, y, k, jitter_seed))
+def _init_search_worker(x_pool, y, k, jitter_seed) -> None:
+    global _WORKER_WALK
+    _WORKER_WALK = _SubsetWalk(x_pool, y, k, jitter_seed)
 
 
 def _search_worker_range(bounds: tuple[int, int]) -> tuple[float, tuple[int, ...]]:
-    return _search_range(_WORKER_STATE, bounds[0], bounds[1])
+    return _WORKER_WALK.best_in_range(*bounds)
 
 
 def exhaustive_search(
@@ -474,8 +515,7 @@ def exhaustive_search(
     x_cand = np.ascontiguousarray(d.X[:, cand])
     total = 1 << len(cand)
     if workers <= 1:
-        state = _build_search_state(x_cand, d.y, k, jitter_seed)
-        best = _search_range(state, 1, total)
+        best = _SubsetWalk(x_cand, d.y, k, jitter_seed).best_in_range(1, total)
     else:
         bounds = [
             (int(lo), int(hi))
@@ -544,12 +584,28 @@ def select_variables(
     Ranking and greedy search each produce a subset; their union forms
     a pool of ``pool_size`` variables (capped at the variable count),
     and the exhaustive subset search over that pool picks the winner.
+
+    Pool size rule: every greedy variable stays a candidate. When the
+    greedy subset holds more variables than the pool, the pool grows
+    to the greedy size, as long as that is at most ``MAX_POOL_SIZE``;
+    past it a ConfigError names both sizes. A constant target carries
+    no information to select on and raises DataError before any
+    estimate is made.
     """
+    if d.y.min() == d.y.max():
+        raise DataError("the target is constant; there is nothing to select variables for")
     session = MiSession(d.X, d.y, k=k, jitter_seed=jitter_seed)
     values = individual_mis(d, k, jitter_seed, session)
-    ranking = rank_by_individual_mi(d, None, k, jitter_seed, session)
+    ranking = _ranking(values, d.n_variables)
     greedy, trace = greedy_select(d, k, jitter_seed, iterate_backward, session)
     effective = min(pool_size, d.n_variables)
+    if len(greedy) > effective:
+        if len(greedy) > MAX_POOL_SIZE:
+            raise ConfigError(
+                f"greedy search kept {len(greedy)} variables, more than the pool size "
+                f"{effective}, and a pool of more than {MAX_POOL_SIZE} cannot be searched"
+            )
+        effective = len(greedy)
     pool = build_candidate_pool(ranking, greedy, effective)
     best, best_mi = exhaustive_search(d, pool, k, jitter_seed, workers)
     return SelectionResult(

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from mivarsel import selector
 from mivarsel.dataset import Dataset
-from mivarsel.mi import MiSession, estimate_mi
+from mivarsel.errors import ConfigError, DataError
+from mivarsel.mi import MiSession, _neighborhood_arrays, _sq_diffs, estimate_mi
 from mivarsel.selector import (
     VariableSubset,
     backward_step,
@@ -309,7 +315,116 @@ class TestExhaustiveSearch:
             exhaustive_search(d, (0, 5), k=4)
 
 
+def _integer_dataset(n=90, p=6, seed=21) -> Dataset:
+    """Integer-valued data with repeated joint points: forces the jitter path."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=(n, p)).astype(float)
+    y = x[:, 0] + x[:, 2] + rng.integers(0, 2, size=n)
+    return Dataset(x, y)
+
+
+class TestSubsetWalk:
+    """The incremental kernel behind exhaustive_search."""
+
+    @staticmethod
+    def _walk(d, p, lo=1, hi=None, k=5):
+        walk = selector._SubsetWalk(np.ascontiguousarray(d.X[:, :p]), d.y, k, 0)
+        return list(walk.walk(lo, (1 << p) if hi is None else hi))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 6])
+    @pytest.mark.parametrize("kind", ["continuous", "integer"])
+    def test_every_subset_bit_equal_to_estimate_mi(self, p, kind):
+        d = _additive_dataset(n=90, decoys=4, seed=3) if kind == "continuous" else _integer_dataset()
+        if kind == "integer":
+            eps2, _, _ = _neighborhood_arrays(_sq_diffs(d.X[:, 0]), _sq_diffs(d.y), 5)
+            assert (eps2 == 0.0).any()  # the jitter path is exercised
+        visited = self._walk(d, p)
+        expected_order = sorted(
+            c for size in range(1, p + 1) for c in itertools.combinations(range(p), size)
+        )
+        assert [positions for _, positions in visited] == expected_order
+        for value, positions in visited:
+            assert value == estimate_mi(d, positions, k=5).value
+
+    def test_contiguous_ranges_reproduce_the_full_pass(self):
+        d = _additive_dataset(n=80, decoys=4, seed=7)
+        p = 6
+        total = 1 << p
+        full = self._walk(d, p)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            cuts = sorted(set(rng.integers(2, total, size=rng.integers(1, 8)).tolist()))
+            bounds = list(zip([1] + cuts, cuts + [total]))
+            pieces = [self._walk(d, p, lo, hi) for lo, hi in bounds]
+            assert [item for piece in pieces for item in piece] == full
+            winners = [reduce(selector._better, piece) for piece in pieces]
+            assert reduce(selector._better, winners) == reduce(selector._better, full)
+
+    def test_workers_one_two_three_agree(self):
+        d = _integer_dataset(n=70, p=7, seed=5)
+        results = [exhaustive_search(d, range(7), k=4, workers=w) for w in (1, 2, 3)]
+        for subset, est in results[1:]:
+            assert subset.indices == results[0][0].indices
+            assert est.value == results[0][1].value
+
+    def test_traced_peak_within_buffer_budget(self):
+        n, p = 300, 8
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(n, p))
+        d = Dataset(x, x[:, 0] + x[:, 1] ** 2 + 0.1 * rng.normal(size=n))
+        tracemalloc.start()
+        try:
+            exhaustive_search(d, range(p), k=6, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > (p + 1) * n * n * 8  # numpy buffers are traced
+        assert peak <= (p + 4) * n * n * 8
+
+
 class TestSelectionPipeline:
+    def test_individual_mis_computed_once(self, monkeypatch):
+        calls = []
+        inner = selector.individual_mis
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(selector, "individual_mis", counted)
+        d = _additive_dataset(n=120, decoys=3, seed=4)
+        result = select_variables(d, k=5, pool_size=4)
+        assert len(calls) == 1
+        assert result.ranking == rank_by_individual_mi(d, k=5)
+        direct = individual_mis(d, k=5)
+        assert result.ranking_mis == tuple(float(direct[j]) for j in result.ranking.indices)
+
+    def test_constant_target_is_data_error(self):
+        rng = np.random.default_rng(0)
+        d = Dataset(rng.normal(size=(40, 5)), np.full(40, 2.5))
+        with pytest.raises(DataError, match="constant"):
+            select_variables(d, k=4, pool_size=3)
+
+    @staticmethod
+    def _wide_signal_dataset() -> Dataset:
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(200, 6))
+        y = x[:, 0] + x[:, 1] + x[:, 2] + 0.05 * rng.normal(size=200)
+        return Dataset(x, y)
+
+    def test_pool_grows_to_a_larger_greedy_subset(self):
+        d = self._wide_signal_dataset()
+        greedy, _ = greedy_select(d, k=6)
+        assert len(greedy) == 3
+        grown = select_variables(d, k=6, pool_size=2)
+        assert grown.pool.indices == greedy.indices
+        assert grown == select_variables(d, k=6, pool_size=3)
+
+    def test_greedy_beyond_the_largest_pool_is_config_error(self, monkeypatch):
+        monkeypatch.setattr(selector, "MAX_POOL_SIZE", 2)
+        with pytest.raises(ConfigError, match="3 variables.*pool size 2"):
+            select_variables(self._wide_signal_dataset(), k=6, pool_size=2)
+
     def test_full_pipeline_recovers_signals(self):
         d = _additive_dataset(n=250, decoys=6, seed=11)
         result = select_variables(d, k=6, pool_size=6)
