@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Dataset
+from .errors import NumericalError
 
 DEFAULT_K = 6
 
@@ -38,6 +39,8 @@ EULER_GAMMA = 0.577215664901532860606512090082
 
 # Relative amplitude of the tie-breaking jitter, per variable range.
 _JITTER_SCALE = 1e-10
+
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def digamma(t: float) -> float:
@@ -134,17 +137,20 @@ def _sq_diffs(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.square(out, out=out)
 
 
-def _x_sq_dists(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Pairwise squared Euclidean X-distances, accumulated column by column."""
-    out = _sq_diffs(columns[0])
+def _x_sq_dists(
+    columns: Sequence[np.ndarray],
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Pairwise squared Euclidean X-distances, accumulated column by column.
+
+    Written into ``out`` when given, with every later column's matrix
+    computed in ``scratch``; the buffers do not change the bits.
+    """
+    out = _sq_diffs(columns[0], out)
     for col in columns[1:]:
-        out += _sq_diffs(col)
+        out += _sq_diffs(col, scratch)
     return out
-
-
-def _workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reusable (dz2, comparison mask) buffers for ``_neighborhood_arrays``."""
-    return np.empty((n, n)), np.empty((n, n), dtype=bool)
 
 
 def _count_below(mat: np.ndarray, limits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -153,6 +159,13 @@ def _count_below(mat: np.ndarray, limits: np.ndarray, mask: np.ndarray | None) -
     # Counts never exceed N, so 32 bits suffice, and the narrower
     # accumulator makes the row reduction about twice as fast.
     return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+
+
+def _kth_smallest(dz2: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the k-th smallest joint distance to another sample; partitions ``dz2``."""
+    dz2.reshape(-1)[:: dz2.shape[0] + 1] = np.inf
+    dz2.partition(k - 1, axis=1)
+    return dz2[:, k - 1].copy()
 
 
 def _neighborhood_arrays(
@@ -165,15 +178,11 @@ def _neighborhood_arrays(
 
     Comparisons stay in the squared domain: squaring is monotone on
     nonnegative distances, so strict inequalities are preserved.
-    ``work`` (from :func:`_workspace`) holds the joint distances and the
-    comparison mask; without it both are allocated. Neither input
-    matrix is modified.
+    ``work`` is a (joint distances, boolean mask) pair of N x N buffers;
+    without it both are allocated. Neither input matrix is modified.
     """
     dz2, mask = work if work is not None else (None, None)
-    dz2 = np.maximum(dx2, dy2, out=dz2)
-    dz2.reshape(-1)[:: dz2.shape[0] + 1] = np.inf
-    dz2.partition(k - 1, axis=1)
-    eps2 = dz2[:, k - 1].copy()
+    eps2 = _kth_smallest(np.maximum(dx2, dy2, out=dz2), k)
     # The self distance 0 is counted by the comparison whenever eps2 > 0.
     self_hit = eps2 > 0.0
     n_x = _count_below(dx2, eps2, mask) - self_hit
@@ -196,36 +205,6 @@ def _jittered(
     xj = x + rng.uniform(-1.0, 1.0, x.shape) * amp_x
     yj = y + rng.uniform(-1.0, 1.0, y.shape) * amp_y
     return xj, yj
-
-
-def _mi_value(
-    dx2: np.ndarray,
-    dy2: np.ndarray,
-    x: np.ndarray,
-    columns: Sequence[int],
-    y: np.ndarray,
-    k: int,
-    jitter_seed: int,
-    psi: np.ndarray,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Estimator core shared by every MI entry point.
-
-    ``dx2``/``dy2`` must have been accumulated in ascending column
-    order from ``x[:, columns]``; those raw columns are only read when
-    duplicate joint points force jittering and the distances are
-    recomputed. ``work`` is passed on to :func:`_neighborhood_arrays`.
-    """
-    eps2, n_x, n_y = _neighborhood_arrays(dx2, dy2, k, work)
-    if not eps2.all():
-        xj, yj = _jittered(x[:, columns], y, jitter_seed)
-        dx2 = _x_sq_dists([xj[:, j] for j in range(xj.shape[1])])
-        dy2 = _sq_diffs(yj)
-        eps2, n_x, n_y = _neighborhood_arrays(dx2, dy2, k, work)
-    contributions = psi[n_x + 1] + psi[n_y + 1]
-    # Sorting makes the average independent of sample order.
-    mean_contribution = float(np.mean(np.sort(contributions)))
-    return float(psi[k] + psi[len(y)] - mean_contribution)
 
 
 def _as_columns(x: np.ndarray) -> np.ndarray:
@@ -285,55 +264,117 @@ def _validate_subset(indices: Iterable[int], n_variables: int) -> list[int]:
 class MiSession:
     """Reusable MI evaluator over one dataset.
 
-    Caches the per-variable squared-difference matrices, the target
-    distance matrix and the digamma table, so that repeated subset
-    queries (as issued by the selection procedures) cost one matrix
-    accumulation each. ``mi`` returns exactly the same floats as
-    :func:`estimate_mi` on the same inputs.
+    Holds the columns (one contiguous row per variable), the target
+    distance matrix, the digamma table and each variable's range.
+    Every evaluation runs in the same few N x N buffers, made on
+    first use: the accumulated X-distances, one column's matrix, the
+    joint distances and a boolean mask, 4 1/8 N x N float64 with the
+    target's, whatever the variable count. Data with duplicate joint
+    points adds one buffer for the jittered distances. ``mi`` memoises
+    each subset's value, so a repeated query costs a dictionary lookup;
+    the memo grows by one small entry per distinct subset. ``mi``
+    returns exactly the same floats as :func:`estimate_mi` on the same
+    inputs.
+
+    The shared buffers make a session non-reentrant: give each thread
+    or process its own.
     """
 
     def __init__(self, x, y, k: int = DEFAULT_K, jitter_seed: int = 0) -> None:
-        self._x = np.ascontiguousarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
         self._y = np.ascontiguousarray(y, dtype=np.float64)
-        if self._x.ndim != 2:
+        if x.ndim != 2:
             raise ValueError("x must be a 2-d sample matrix")
         n = self._y.shape[0]
-        if self._x.shape[0] != n:
+        if x.shape[0] != n:
             raise ValueError("x and y disagree on the sample count")
         if not 1 <= k < n:
             raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
         self.k = int(k)
         self.jitter_seed = int(jitter_seed)
         self.n_samples = n
-        self.n_variables = self._x.shape[1]
+        self.n_variables = x.shape[1]
+        self._columns = np.ascontiguousarray(x.T)
+        self._ranges = (self._columns.max(axis=1) - self._columns.min(axis=1)).tolist()
+        _check_ranges([float(self._y.max() - self._y.min())], "the target")
         self._dy2 = _sq_diffs(self._y)
         self._psi = digamma_table(n)
-        self._dx2_cache: dict[int, np.ndarray] = {}
+        self._buffers: dict[str, np.ndarray] = {}
+        self._values: dict[tuple[int, ...], float] = {}
 
-    def _var_matrix(self, j: int) -> np.ndarray:
-        mat = self._dx2_cache.get(j)
-        if mat is None:
-            mat = _sq_diffs(self._x[:, j])
-            self._dx2_cache[j] = mat
-        return mat
+    def _buffer(self, name: str) -> np.ndarray:
+        """The N x N buffer ``name``, made on first use and reused by every later call."""
+        buf = self._buffers.get(name)
+        if buf is None:
+            n = self.n_samples
+            buf = np.empty((n, n), dtype=bool if name == "mask" else np.float64)
+            self._buffers[name] = buf
+        return buf
+
+    def _check_scale(self, columns: Sequence[int]) -> None:
+        """NumericalError unless the squared X-distances over ``columns`` are normal floats."""
+        _check_ranges([self._ranges[j] for j in columns], f"variables {list(columns)}")
 
     def mi(self, subset) -> float:
         """Joint MI between the subset's variables and the target, in nats."""
-        idx = _validate_subset(_subset_indices(subset), self.n_variables)
-        dx2 = self._var_matrix(idx[0]).copy()
-        for j in idx[1:]:
-            dx2 += self._var_matrix(j)
-        return self._value(dx2, idx)
+        idx = tuple(_validate_subset(_subset_indices(subset), self.n_variables))
+        value = self._values.get(idx)
+        if value is None:
+            self._check_scale(idx)
+            dx2 = _x_sq_dists(
+                [self._columns[j] for j in idx], self._buffer("sum"), self._buffer("column")
+            )
+            value = self._values[idx] = self._value(dx2, idx)
+        return value
 
-    def _value(self, dx2: np.ndarray, columns: Sequence[int], work=None) -> float:
-        """MI of ``columns`` (sorted) from their accumulated ``dx2``."""
-        return _mi_value(
-            dx2, self._dy2, self._x, columns, self._y,
-            self.k, self.jitter_seed, self._psi, work,
-        )
+    def _value(self, dx2: np.ndarray, columns: Sequence[int]) -> float:
+        """MI of ``columns`` (sorted) from their accumulated ``dx2``, which is not modified.
+
+        ``dx2`` must have been accumulated in ascending column order.
+        The value is not memoised, and the caller checks the scale.
+        The raw columns are only read when duplicate joint points force
+        jittering. The jittered X-distances then go to one more session
+        buffer, with the joint-distance buffer as column scratch; the
+        jittered target distances go to the joint-distance buffer, which
+        takes the maximum in place, and later over the X-distances to
+        count n_y.
+        """
+        dz2, mask = self._buffer("dz2"), self._buffer("mask")
+        eps2, n_x, n_y = _neighborhood_arrays(dx2, self._dy2, self.k, (dz2, mask))
+        if not eps2.all():
+            xj, yj = _jittered(self._columns[list(columns)].T, self._y, self.jitter_seed)
+            dx2 = _x_sq_dists(xj.T, self._buffer("jitter"), dz2)
+            eps2 = _kth_smallest(np.maximum(dx2, _sq_diffs(yj, dz2), out=dz2), self.k)
+            self_hit = eps2 > 0.0
+            n_x = _count_below(dx2, eps2, mask) - self_hit
+            n_y = _count_below(_sq_diffs(yj, dx2), eps2, mask) - self_hit
+        psi = self._psi
+        contributions = psi[n_x + 1] + psi[n_y + 1]
+        # Sorting makes the average independent of sample order.
+        mean_contribution = float(np.mean(np.sort(contributions)))
+        return float(psi[self.k] + psi[self.n_samples] - mean_contribution)
 
     def estimate(self, subset) -> MiEstimate:
         return MiEstimate(self.mi(subset), self.k, self.n_samples)
+
+
+def _check_ranges(ranges: Sequence[float], what: str) -> None:
+    """NumericalError unless squared distances over ``ranges`` are normal floats.
+
+    The largest squared distance is at most the sum of the squared
+    ranges; a non-zero range that squares below the smallest normal
+    float leaves every squared difference of its variable subnormal or 0.
+    """
+    squares = [r * r for r in ranges]
+    if not math.isfinite(sum(squares)):
+        problem = "overflow"
+    elif any(r and sq < _TINY for r, sq in zip(ranges, squares)):
+        problem = "underflow"
+    else:
+        return
+    raise NumericalError(
+        f"squared distances over {what} {problem} float64 (ranges {ranges}); rescale the data"
+    )
 
 
 def _subset_indices(subset) -> Sequence[int]:
@@ -351,21 +392,7 @@ def estimate_mi(
     Deterministic for fixed inputs: the estimator itself is
     deterministic and the duplicate-breaking jitter, applied only when
     some sample's k-th joint neighbor is at distance zero, is drawn
-    from ``jitter_seed``.
+    from ``jitter_seed``. Runs a one-off :class:`MiSession`, so both
+    give the same bits.
     """
-    idx = _validate_subset(_subset_indices(subset), d.n_variables)
-    n = d.n_samples
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
-    columns = [d.X[:, j] for j in idx]
-    value = _mi_value(
-        _x_sq_dists(columns),
-        _sq_diffs(d.y),
-        d.X,
-        idx,
-        d.y,
-        k,
-        jitter_seed,
-        digamma_table(n),
-    )
-    return MiEstimate(value, k, n)
+    return MiSession(d.X, d.y, k=k, jitter_seed=jitter_seed).estimate(subset)

@@ -39,7 +39,6 @@ from .mi import (
     MiSession,
     _sq_diffs,
     _subset_indices,
-    _workspace,
 )
 
 PROVENANCES = ("ranking", "greedy", "pooled", "exhaustive")
@@ -389,12 +388,12 @@ def build_candidate_pool(ranking, selected, pool_size: int) -> VariableSubset:
 #
 # Buffer budget, in N x N float64 matrices, per process: P - 1 prefix
 # sums (no non-leaf subset is longer than P - 1), the target distances
-# and the highest pool column's matrix (added by every leaf), one
-# scratch matrix that takes each other column's matrix before it is
-# added, or a leaf's sum, and the joint-distance buffer of the
-# estimator, plus its N x N boolean mask: P + 3 matrices and an
-# eighth, below the P + 4 of building every column's matrix up front.
-# Only the jitter path allocates more, while it recomputes distances.
+# and the highest pool column's matrix (added by every leaf), the
+# session's column buffer, which takes each other column's matrix
+# before it is added, or a leaf's sum, and the session's joint-distance
+# buffer plus its N x N boolean mask: P + 3 matrices and an eighth,
+# below the P + 4 of building every column's matrix up front. The
+# jitter path adds the session's buffer for jittered distances.
 
 
 def _unrank(index: int, p: int) -> list[int]:
@@ -418,11 +417,12 @@ class _SubsetWalk:
     def __init__(self, x_pool: np.ndarray, y: np.ndarray, k: int, jitter_seed: int) -> None:
         self.session = MiSession(x_pool, y, k=k, jitter_seed=jitter_seed)
         n, self.p = x_pool.shape
-        self.columns = np.ascontiguousarray(x_pool.T)
+        # Every subset's squared ranges sum to no more than the pool's.
+        self.session._check_scale(range(self.p))
+        self.columns = self.session._columns
         self.prefix = np.empty((self.p - 1, n, n))
-        self.scratch = np.empty((n, n))
-        self.work = _workspace(n)
-        self.highest = self.session._var_matrix(self.p - 1)
+        self.scratch = self.session._buffer("column")
+        self.highest = _sq_diffs(self.columns[self.p - 1])
 
     def _push(self, depth: int, position: int) -> np.ndarray:
         """Store the sum of prefix ``depth - 1`` and a column's matrix as prefix ``depth``."""
@@ -446,7 +446,7 @@ class _SubsetWalk:
         for depth, position in enumerate(subset[:-1]):
             self._push(depth, position)
         for _ in range(hi - lo):
-            yield self.session._value(self._dx2(subset), subset, self.work), tuple(subset)
+            yield self.session._value(self._dx2(subset), subset), tuple(subset)
             if subset[-1] < self.p - 1:
                 subset.append(subset[-1] + 1)
             else:

@@ -214,6 +214,15 @@ class TestExitCodes:
         ])
         assert rc == 4
 
+    def test_overflowing_distances_are_numerical_error(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(40, 3))
+        x[:, 1] *= 1e160
+        train = tmp_path / "huge.csv"
+        save_csv(Dataset(x, x[:, 0] + rng.normal(size=40)), train)
+        rc = main(["estimate", "--train", str(train), "--out", str(tmp_path / "r")])
+        assert rc == 4
+
     def test_invalid_config_file_is_config_error(self, csvs, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")

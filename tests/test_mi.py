@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mivarsel.dataset import Dataset
+from mivarsel.errors import NumericalError
 from mivarsel.mi import (
     MiEstimate,
     MiSession,
@@ -297,3 +299,87 @@ class TestMiSession:
         session = MiSession(np.random.default_rng(0).normal(size=(20, 2)), np.zeros(20), k=2)
         with pytest.raises(ValueError):
             session.mi([5])
+
+    def test_permuted_and_repeated_orders_bit_equal_to_estimate_mi(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(150, 5))
+        y = x[:, 1] - x[:, 3] ** 2 + 0.2 * rng.normal(size=150)
+        d = Dataset(x, y)
+        session = MiSession(x, y, k=5)
+        for subset in ((3, 1, 4), (1, 3, 4), (4, 3, 1), (0,), (2, 0), (0, 2), (3, 1, 4)):
+            expected = estimate_mi(d, subset, k=5).value
+            assert session.mi(subset) == expected
+            assert session.mi(sorted(subset, reverse=True)) == expected
+
+    def test_traced_peak_independent_of_variable_count(self):
+        n, m = 300, 40
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(n, m))
+        y = x[:, 0] + x[:, 1] ** 2 + 0.1 * rng.normal(size=n)
+        pairs = [tuple(p) for p in rng.choice(m, size=(20, 2), replace=False)]
+        tracemalloc.start()
+        try:
+            session = MiSession(x, y, k=6)
+            for j in range(m):
+                session.mi((j,))
+            for pair in pairs:
+                session.mi(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 4 * n * n * 8  # numpy buffers are traced
+        assert peak <= 5 * n * n * 8
+
+
+class TestDistanceScale:
+    """Squared distances that leave the normal float64 range are a NumericalError."""
+
+    @staticmethod
+    def _scaled(scale: float, target_scale: float = 1.0) -> Dataset:
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(120, 30))
+        y = x[:, 0] + x[:, 1] * x[:, 2] + 0.3 * rng.normal(size=120)
+        x[:, :3] *= scale
+        return Dataset(x, y * target_scale)
+
+    def test_unit_scale_is_estimated(self):
+        d = self._scaled(1.0)
+        value = estimate_mi(d, (0, 1, 2)).value
+        assert value > 0.3
+        assert MiSession(d.X, d.y).mi((0, 1, 2)) == value
+
+    @pytest.mark.parametrize("scale, problem", [(1e160, "overflow"), (1e-170, "underflow")])
+    def test_extreme_variable_scales_raise(self, scale, problem):
+        d = self._scaled(scale)
+        with pytest.raises(NumericalError, match=problem):
+            estimate_mi(d, (0, 1, 2))
+        session = MiSession(d.X, d.y)
+        with pytest.raises(NumericalError, match=problem):
+            session.mi((0, 1, 2))
+        with pytest.raises(NumericalError, match=problem):
+            session.mi((2,))
+        assert session.mi((3, 4)) == estimate_mi(d, (3, 4)).value  # other columns still work
+
+    def test_sum_of_squared_ranges_overflowing_raises(self):
+        # Each column alone is fine; together their squared distances overflow.
+        d = self._scaled(1.0)
+        x = d.X.copy()
+        x[:, :3] = (x[:, :3] - x[:, :3].min(axis=0)) / np.ptp(x[:, :3], axis=0) * 1e154
+        d = Dataset(x, d.y)
+        assert math.isfinite(estimate_mi(d, (0,)).value)
+        with pytest.raises(NumericalError, match="overflow"):
+            estimate_mi(d, (0, 1, 2))
+
+    @pytest.mark.parametrize("scale, problem", [(1e160, "overflow"), (1e-170, "underflow")])
+    def test_extreme_target_scales_raise(self, scale, problem):
+        d = self._scaled(1.0, target_scale=scale)
+        with pytest.raises(NumericalError, match=problem):
+            MiSession(d.X, d.y)
+        with pytest.raises(NumericalError, match=problem):
+            estimate_mi(d, (0,))
+
+    def test_constant_columns_are_not_underflow(self):
+        d = self._scaled(1.0)
+        x = d.X.copy()
+        x[:, 5] = 7.0
+        assert math.isfinite(estimate_mi(Dataset(x, d.y), (5, 6)).value)

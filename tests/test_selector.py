@@ -381,6 +381,34 @@ class TestSubsetWalk:
         assert peak > (p + 1) * n * n * 8  # numpy buffers are traced
         assert peak <= (p + 4) * n * n * 8
 
+    def test_traced_peak_within_budget_on_jittered_data(self):
+        n, p = 300, 8
+        d = _integer_dataset(n=n, p=p, seed=9)
+        eps2, _, _ = _neighborhood_arrays(_sq_diffs(d.X[:, 0]), _sq_diffs(d.y), 6)
+        assert (eps2 == 0.0).any()  # the jitter path is exercised
+        tracemalloc.start()
+        try:
+            exhaustive_search(d, range(p), k=6, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > (p + 1) * n * n * 8
+        # P + 3 1/8 matrices and the session's one jitter buffer.
+        assert peak <= (p + 5) * n * n * 8
+
+
+def _select_variables_without_memo(monkeypatch, d, **kwargs):
+    """select_variables with every MiSession.mi call recomputed from scratch."""
+    inner = MiSession.mi
+
+    def fresh(self, subset):
+        self._values.clear()
+        return inner(self, subset)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MiSession, "mi", fresh)
+        return select_variables(d, **kwargs)
+
 
 class TestSelectionPipeline:
     def test_individual_mis_computed_once(self, monkeypatch):
@@ -398,6 +426,29 @@ class TestSelectionPipeline:
         assert result.ranking == rank_by_individual_mi(d, k=5)
         direct = individual_mis(d, k=5)
         assert result.ranking_mis == tuple(float(direct[j]) for j in result.ranking.indices)
+
+    def test_each_distinct_subset_estimated_once(self, monkeypatch):
+        d = _additive_dataset(n=120, decoys=28, seed=4)
+        pool_size = 5
+        unmemoised = _select_variables_without_memo(monkeypatch, d, k=5, pool_size=pool_size)
+        requested, estimated = [], []
+        inner_mi, inner_value = MiSession.mi, MiSession._value
+
+        def mi(self, subset):
+            requested.append(tuple(sorted(subset)))
+            return inner_mi(self, subset)
+
+        def value(self, dx2, columns):
+            estimated.append(tuple(columns))
+            return inner_value(self, dx2, columns)
+
+        monkeypatch.setattr(MiSession, "mi", mi)
+        monkeypatch.setattr(MiSession, "_value", value)
+        result = select_variables(d, k=5, pool_size=pool_size)
+        assert result == unmemoised
+        assert len(set(requested)) < len(requested)  # greedy repeats subsets
+        searched = (1 << len(result.pool)) - 1  # the search's own session
+        assert len(estimated) - searched == len(set(requested))
 
     def test_constant_target_is_data_error(self):
         rng = np.random.default_rng(0)
