@@ -27,11 +27,11 @@ from .models import (
     LinearModel,
     _cluster_widths,
     _kernel_from_sq,
+    _lstsq_with_bias,
     fit_linear,
     fit_lssvm,
     fit_rbfn,
     kmeans,
-    solve_rbf_weights,
     sq_dists,
 )
 
@@ -125,9 +125,13 @@ def trim_outliers(errors) -> np.ndarray:
     e = np.asarray(errors, dtype=np.float64).ravel()
     if e.size == 0:
         raise ValueError("cannot trim an empty error vector")
-    dev = np.abs(e - np.median(e))
-    threshold = np.percentile(dev, TRIM_PERCENTILE)
-    return np.flatnonzero(dev <= threshold)
+    return np.flatnonzero(_kept(e))
+
+
+def _kept(errors: np.ndarray) -> np.ndarray:
+    """Mask of the errors :func:`trim_outliers` keeps, along the last axis."""
+    dev = np.abs(errors - np.median(errors, axis=-1, keepdims=True))
+    return dev <= np.percentile(dev, TRIM_PERCENTILE, axis=-1, keepdims=True)
 
 
 def _point_nmse(errors: np.ndarray, var_y: float, trim: bool) -> float:
@@ -136,13 +140,24 @@ def _point_nmse(errors: np.ndarray, var_y: float, trim: bool) -> float:
     return float(np.mean(errors**2) / var_y)
 
 
+def _rows_nmse(errors: np.ndarray, var_y: float, trim: bool) -> list[float]:
+    """:func:`_point_nmse` of each row of a (rows, samples) error matrix.
+
+    The median and the percentile are taken along the rows in one call
+    each, giving the same values as one call per row, and each row's
+    kept errors are averaged on their own, so every score has the bits
+    :func:`_point_nmse` gives it (:func:`_batch_nmse` does not).
+    """
+    if not trim:
+        return [float(np.mean(e**2) / var_y) for e in errors]
+    return [float(np.mean(e[m] ** 2) / var_y) for e, m in zip(errors, _kept(errors))]
+
+
 def _batch_nmse(errors: np.ndarray, var_y: float, trim: bool) -> np.ndarray:
     """Row-wise NMSE for a (grid, samples) error matrix, optionally trimmed."""
     if not trim:
         return (errors**2).mean(axis=1) / var_y
-    dev = np.abs(errors - np.median(errors, axis=1, keepdims=True))
-    threshold = np.percentile(dev, TRIM_PERCENTILE, axis=1, keepdims=True)
-    mask = dev <= threshold
+    mask = _kept(errors)
     return (errors**2 * mask).sum(axis=1) / mask.sum(axis=1) / var_y
 
 
@@ -385,9 +400,13 @@ class ComponentSweep:
 class RbfnSweep:
     """Centroid-count and width-factor search for RBF networks.
 
-    k-means depends only on the inputs and the centroid count, so each
-    count is clustered once per fold and every width factor reuses the
-    centroids, the unscaled widths, and the distance matrices.
+    k-means depends only on the inputs and the centroid count, so per
+    fold each count is clustered once, and its unscaled widths and its
+    learning and validation distance matrices to the centroids are
+    computed once. Per width factor the learning kernel matrix is built
+    once and serves both the least-squares solve and the learning
+    error. The errors of all width factors of one count are trimmed
+    together, with the same bits as scoring each cell on its own.
     """
 
     def __init__(self, centroid_counts, wsf_values, seed: int = 0) -> None:
@@ -412,36 +431,40 @@ class RbfnSweep:
             try:
                 centers, assign = kmeans(learn.X, k, self.seed)
                 unit_widths = _cluster_widths(learn.X, centers, assign, 1.0)
+                d2_learn = sq_dists(learn.X, centers)
                 d2_valid = sq_dists(valid.X, centers)
             except _SWEEP_ERRORS as exc:
                 for wi in range(len(self._ws)):
                     messages[base + wi] = str(exc)
                 continue
+            solved, errs_l, errs_v = [], [], []
             for wi, wsf in enumerate(self._ws):
                 widths = wsf * unit_widths
+                phi_l = _kernel_from_sq(d2_learn, widths)
                 try:
-                    weights, bias = solve_rbf_weights(
-                        learn.X, learn.y, centers, widths
-                    )
+                    weights, bias = _lstsq_with_bias(phi_l, learn.y)
                 except _SWEEP_ERRORS as exc:
                     messages[base + wi] = str(exc)
                     continue
-                phi_l = _kernel_from_sq(sq_dists(learn.X, centers), widths)
                 phi_v = _kernel_from_sq(d2_valid, widths)
-                err_l = phi_l @ weights + bias - learn.y
-                err_v = phi_v @ weights + bias - valid.y
-                nmse_l[base + wi] = _point_nmse(err_l, var_y, trim_learn)
-                nmse_v[base + wi] = _point_nmse(err_v, var_y, trim_valid)
+                solved.append(base + wi)
+                errs_l.append(phi_l @ weights + bias - learn.y)
+                errs_v.append(phi_v @ weights + bias - valid.y)
+            if solved:
+                nmse_l[solved] = _rows_nmse(np.stack(errs_l), var_y, trim_learn)
+                nmse_v[solved] = _rows_nmse(np.stack(errs_v), var_y, trim_valid)
         return nmse_l, nmse_v, messages
 
 
 class LssvmSweep:
     """Kernel-width and regularization search for LS-SVM.
 
-    For a fixed width the dual matrix differs across gamma only on its
-    diagonal, so one eigendecomposition per (width, fold) serves the whole
-    gamma axis: with kernel eigenpairs (V, D) the dual solve reduces to
-    elementwise work on 1/(D + 1/gamma).
+    The learning-learning and validation-learning distance matrices are
+    computed once per fold and serve every width. For a fixed width the
+    dual matrix differs across gamma only on its diagonal, so one
+    eigendecomposition per (width, fold) serves the whole gamma axis:
+    with kernel eigenpairs (V, D) the dual solve reduces to elementwise
+    work on 1/(D + 1/gamma).
     """
 
     def __init__(self, sigma_values, gamma_values) -> None:
@@ -463,10 +486,12 @@ class LssvmSweep:
         messages: dict[int, str] = {}
         y = learn.y
         ones = np.ones(learn.n_samples)
+        d2_learn = sq_dists(learn.X, learn.X)
+        d2_valid = sq_dists(valid.X, learn.X)
         for si, sigma in enumerate(self._sigmas):
             base = si * n_gamma
-            omega = _kernel_from_sq(sq_dists(learn.X, learn.X), sigma)
-            k_valid = _kernel_from_sq(sq_dists(valid.X, learn.X), sigma)
+            omega = _kernel_from_sq(d2_learn, sigma)
+            k_valid = _kernel_from_sq(d2_valid, sigma)
             try:
                 evals, vecs = np.linalg.eigh(omega)
             except np.linalg.LinAlgError as exc:
@@ -779,8 +804,8 @@ def cross_validate(
             GridPointResult(
                 index=i,
                 params=params,
-                nmse_l=tuple(float(v) for v in mat_l[i]),
-                nmse_v=tuple(float(v) for v in mat_v[i]),
+                nmse_l=tuple(mat_l[i].tolist()),
+                nmse_v=tuple(mat_v[i].tolist()),
                 error=error,
             )
         )

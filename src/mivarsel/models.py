@@ -202,8 +202,23 @@ def kmeans(
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        centers = np.stack([x[assign == c].mean(axis=0) for c in range(n_clusters)])
+        centers = _cluster_means(x, assign, counts)
     return centers, assign
+
+
+def _cluster_means(x: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each cluster's rows; every count must be positive.
+
+    A stable sort groups the rows by cluster in index order, so each
+    cluster's slice holds the same rows in the same layout as
+    ``x[assign == c]``. ``np.mean`` is ``np.add.reduce`` divided by the
+    count, so summing each slice and dividing once gives the bits of
+    ``x[assign == c].mean(axis=0)``, without one boolean mask per cluster.
+    """
+    grouped = x[np.argsort(assign, kind="stable")]
+    ends = np.cumsum(counts)
+    sums = np.stack([np.add.reduce(grouped[end - n : end]) for n, end in zip(counts, ends)])
+    return sums / counts[:, None]
 
 
 def _cluster_widths(
@@ -211,35 +226,42 @@ def _cluster_widths(
 ) -> np.ndarray:
     """Per-centroid widths: wsf times the mean member distance.
 
-    Clusters whose mean member distance is zero (singletons, duplicated
-    points) fall back to the nearest other centroid's distance, then to
-    1.0, keeping every width strictly positive.
+    A distance at or below 1e-8 times the inputs' RMS spread (the root
+    mean squared distance of the rows from their mean) counts as zero.
+    Clusters whose mean member distance is zero in that sense
+    (singletons, duplicated or near-duplicated points) fall back to the
+    nearest other centroid's distance, then to 1.0, so no width is
+    rounding noise and every width is strictly positive.
     """
     k = centers.shape[0]
     member_dist = np.sqrt(((x - centers[assign]) ** 2).sum(axis=1))
+    tol = 1e-8 * float(np.sqrt(((x - x.mean(axis=0)) ** 2).sum(axis=1).mean()))
     center_d2 = sq_dists(centers, centers)
     np.fill_diagonal(center_d2, np.inf)
     widths = np.empty(k)
     for c in range(k):
         members = member_dist[assign == c]
         local = float(members.mean()) if members.size else 0.0
-        if local <= 0.0:
+        if local <= tol:
             local = float(np.sqrt(center_d2[c].min())) if k > 1 else 0.0
-            if local <= 0.0 or not np.isfinite(local):
+            if local <= tol or not np.isfinite(local):
                 local = 1.0
         widths[c] = wsf * local
     return widths
+
+
+def _lstsq_with_bias(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares weights and bias for y ~ design @ weights + bias."""
+    augmented = np.hstack([design, np.ones((len(y), 1))])
+    solution = np.linalg.lstsq(augmented, y, rcond=None)[0]
+    return solution[:-1], float(solution[-1])
 
 
 def solve_rbf_weights(
     x: np.ndarray, y: np.ndarray, centroids: np.ndarray, widths: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Least-squares output weights and bias for fixed centroids/widths."""
-    design = np.hstack(
-        [_kernel_from_sq(sq_dists(x, centroids), widths), np.ones((len(y), 1))]
-    )
-    solution = np.linalg.lstsq(design, y, rcond=None)[0]
-    return solution[:-1], float(solution[-1])
+    return _lstsq_with_bias(_kernel_from_sq(sq_dists(x, centroids), widths), y)
 
 
 def fit_rbfn(train: Dataset, n_centroids: int, wsf: float, seed: int = 0) -> RbfnModel:
@@ -297,9 +319,7 @@ def predict_lssvm(m: LssvmModel, x):
 
 
 def fit_linear(train: Dataset) -> LinearModel:
-    design = np.hstack([train.X, np.ones((train.n_samples, 1))])
-    solution = np.linalg.lstsq(design, train.y, rcond=None)[0]
-    return LinearModel(solution[:-1], float(solution[-1]))
+    return LinearModel(*_lstsq_with_bias(train.X, train.y))
 
 
 def predict_linear(m: LinearModel, x):

@@ -607,6 +607,8 @@ def select_variables(
             )
         effective = len(greedy)
     pool = build_candidate_pool(ranking, greedy, effective)
+    # The search builds its own buffers; free this session's first.
+    del session
     best, best_mi = exhaustive_search(d, pool, k, jitter_seed, workers)
     return SelectionResult(
         ranking=ranking,

@@ -6,6 +6,11 @@ the production code is meaningful. The distance accumulation follows
 the same canonical convention as production, ascending variable order
 with one addition per variable, which is what makes bit-level
 comparisons on eps and the neighbor counts legitimate.
+
+The k-means and sweep references at the end are the package's earlier
+loops, kept to pin down that later restructurings of them change no
+bit. They call the package's distance, kernel and width primitives, so
+agreement checks the restructuring, not those primitives.
 """
 
 from __future__ import annotations
@@ -84,3 +89,139 @@ def best_subset_by_enumeration(session, candidates, max_size=None):
             if best is None or key < best[0]:
                 best = (key, combo, value)
     return best[1], best[2]
+
+
+def kmeans_by_masks(x, n_clusters, seed, max_iter=100):
+    """models.kmeans with one boolean mask per cluster in the centroid update.
+
+    Returns (centers, assignments, number of empty-cluster re-seeds).
+    """
+    from mivarsel.models import sq_dists
+
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = x[rng.choice(n, size=n_clusters, replace=False)].copy()
+    assign = np.full(n, -1, dtype=np.intp)
+    reseeds = 0
+    for _ in range(max_iter):
+        d2 = sq_dists(x, centers)
+        new_assign = d2.argmin(axis=1)
+        counts = np.bincount(new_assign, minlength=n_clusters)
+        moved = set()
+        while np.any(counts == 0):
+            empty = int(np.flatnonzero(counts == 0)[0])
+            own = d2[np.arange(n), new_assign].copy()
+            if moved:
+                own[list(moved)] = -1.0
+            far = int(own.argmax())
+            counts[new_assign[far]] -= 1
+            new_assign[far] = empty
+            counts[empty] += 1
+            moved.add(far)
+            reseeds += 1
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        centers = np.stack([x[assign == c].mean(axis=0) for c in range(n_clusters)])
+    return centers, assign, reseeds
+
+
+_SWEEP_ERRORS = (ValueError, np.linalg.LinAlgError)
+
+
+def _trimmed_nmse(errors, var_y, trim):
+    """Mean squared error over var_y, after the 99th-percentile trim if asked."""
+    if trim:
+        dev = np.abs(errors - np.median(errors))
+        errors = errors[np.flatnonzero(dev <= np.percentile(dev, 99.0))]
+    return float(np.mean(errors**2) / var_y)
+
+
+def rbfn_sweep_fold(learn, valid, var_y, trim_learn, trim_valid, ks, ws, seed):
+    """RbfnSweep.evaluate_fold as one solve and two scores per grid cell."""
+    from mivarsel.models import _cluster_widths, _kernel_from_sq, kmeans, sq_dists
+
+    nmse_l = np.full(len(ks) * len(ws), np.nan)
+    nmse_v = np.full(len(ks) * len(ws), np.nan)
+    messages = {}
+    for ki, k in enumerate(ks):
+        base = ki * len(ws)
+        try:
+            centers, assign = kmeans(learn.X, k, seed)
+            unit_widths = _cluster_widths(learn.X, centers, assign, 1.0)
+            d2_valid = sq_dists(valid.X, centers)
+        except _SWEEP_ERRORS as exc:
+            for wi in range(len(ws)):
+                messages[base + wi] = str(exc)
+            continue
+        for wi, wsf in enumerate(ws):
+            widths = wsf * unit_widths
+            try:
+                design = np.hstack([
+                    _kernel_from_sq(sq_dists(learn.X, centers), widths),
+                    np.ones((len(learn.y), 1)),
+                ])
+                solution = np.linalg.lstsq(design, learn.y, rcond=None)[0]
+                weights, bias = solution[:-1], float(solution[-1])
+            except _SWEEP_ERRORS as exc:
+                messages[base + wi] = str(exc)
+                continue
+            phi_l = _kernel_from_sq(sq_dists(learn.X, centers), widths)
+            phi_v = _kernel_from_sq(d2_valid, widths)
+            err_l = phi_l @ weights + bias - learn.y
+            err_v = phi_v @ weights + bias - valid.y
+            nmse_l[base + wi] = _trimmed_nmse(err_l, var_y, trim_learn)
+            nmse_v[base + wi] = _trimmed_nmse(err_v, var_y, trim_valid)
+    return nmse_l, nmse_v, messages
+
+
+def _masked_rows_nmse(errors, var_y, trim):
+    """Row-wise NMSE of an error matrix, trimmed through a mask sum."""
+    if not trim:
+        return (errors**2).mean(axis=1) / var_y
+    dev = np.abs(errors - np.median(errors, axis=1, keepdims=True))
+    mask = dev <= np.percentile(dev, 99.0, axis=1, keepdims=True)
+    return (errors**2 * mask).sum(axis=1) / mask.sum(axis=1) / var_y
+
+
+def lssvm_sweep_fold(learn, valid, var_y, trim_learn, trim_valid, sigmas, gammas):
+    """LssvmSweep.evaluate_fold with the distance matrices rebuilt per width."""
+    from mivarsel.models import _kernel_from_sq, sq_dists
+
+    gammas = np.asarray(gammas, dtype=np.float64)
+    n_gamma = gammas.size
+    nmse_l = np.full(len(sigmas) * n_gamma, np.nan)
+    nmse_v = np.full(len(sigmas) * n_gamma, np.nan)
+    messages = {}
+    y = learn.y
+    ones = np.ones(learn.n_samples)
+    for si, sigma in enumerate(sigmas):
+        base = si * n_gamma
+        omega = _kernel_from_sq(sq_dists(learn.X, learn.X), sigma)
+        k_valid = _kernel_from_sq(sq_dists(valid.X, learn.X), sigma)
+        try:
+            evals, vecs = np.linalg.eigh(omega)
+        except np.linalg.LinAlgError as exc:
+            for gi in range(n_gamma):
+                messages[base + gi] = str(exc)
+            continue
+        vy = vecs.T @ y
+        v1 = vecs.T @ ones
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = 1.0 / (evals[None, :] + 1.0 / gammas[:, None])
+            bias = (w @ (v1 * vy)) / (w @ (v1 * v1))
+            coeff = w * (vy[None, :] - bias[:, None] * v1[None, :])
+            lam = coeff @ vecs.T
+            err_l = lam @ omega + bias[:, None] - y[None, :]
+            err_v = lam @ k_valid.T + bias[:, None] - valid.y[None, :]
+            row_l = _masked_rows_nmse(err_l, var_y, trim_learn)
+            row_v = _masked_rows_nmse(err_v, var_y, trim_valid)
+        ok = np.isfinite(row_l) & np.isfinite(row_v)
+        nmse_l[base : base + n_gamma] = np.where(ok, row_l, np.nan)
+        nmse_v[base : base + n_gamma] = np.where(ok, row_v, np.nan)
+        for gi in np.flatnonzero(~ok):
+            messages[base + int(gi)] = (
+                f"dual solve left non-finite scores for sigma={sigma}, "
+                f"gamma={gammas[gi]}"
+            )
+    return nmse_l, nmse_v, messages

@@ -33,6 +33,7 @@ from mivarsel.evaluation import (
     trim_outliers,
 )
 from mivarsel.models import fit_linear, fit_lssvm, fit_rbfn, predict_linear
+from oracles import lssvm_sweep_fold, rbfn_sweep_fold
 
 
 class TestNmse:
@@ -445,3 +446,58 @@ class TestCrossValidate:
         assert report.var_y == var_y
         assert (report.n_train, report.n_test) == (30, 6)
         assert isinstance(report, CvReport)
+
+
+def _sweep_fold_data(seed: int):
+    """A 36/12 learn/valid split of a 3-input curve with two planted outliers."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(48, 3))
+    y = np.sin(2 * x[:, 0]) + x[:, 1] * x[:, 2] + 0.05 * rng.normal(size=48)
+    y[[5, 40]] += 6.0
+    d = Dataset(x, y)
+    return d.take_rows(np.arange(36)), d.take_rows(np.arange(36, 48))
+
+
+def _same_fold_scores(got, want) -> bool:
+    nl, nv, msg = got
+    rl, rv, rmsg = want
+    return nl.tobytes() == rl.tobytes() and nv.tobytes() == rv.tobytes() and msg == rmsg
+
+
+class TestSweepsMatchCellByCellLoops:
+    """The sweeps' shared per-fold work leaves every score's bits unchanged."""
+
+    @pytest.mark.parametrize("trim_learn, trim_valid", [(False, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rbfn_sweep(self, seed, trim_learn, trim_valid):
+        learn, valid = _sweep_fold_data(seed)
+        ks = (1, 2, 5, 17, 36, 37)  # 37 centroids exceed the 36 learning rows
+        ws = tuple(default_wsf_values(7))
+        sweep = RbfnSweep(ks, ws, seed=3)
+        got = sweep.evaluate_fold(learn, valid, 0.7, trim_learn, trim_valid)
+        want = rbfn_sweep_fold(learn, valid, 0.7, trim_learn, trim_valid, ks, ws, 3)
+        assert _same_fold_scores(got, want)
+        failed = set(range(5 * len(ws), 6 * len(ws)))
+        assert set(got[2]) == failed
+        assert np.isnan(got[1][sorted(failed)]).all()
+        assert np.isfinite(np.delete(got[1], sorted(failed))).all()
+
+    @pytest.mark.parametrize("trim_learn, trim_valid", [(False, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lssvm_sweep(self, seed, trim_learn, trim_valid):
+        learn, valid = _sweep_fold_data(seed)
+        sigmas = tuple(default_sigma_values(learn.X, 6))
+        gammas = tuple(default_gamma_values(9))
+        sweep = LssvmSweep(sigmas, gammas)
+        got = sweep.evaluate_fold(learn, valid, 0.7, trim_learn, trim_valid)
+        want = lssvm_sweep_fold(
+            learn, valid, 0.7, trim_learn, trim_valid, sigmas, gammas
+        )
+        assert _same_fold_scores(got, want)
+
+    def test_trimming_drops_the_planted_outlier(self):
+        learn, valid = _sweep_fold_data(0)
+        sweep = RbfnSweep((3,), (1.0,), seed=3)
+        _, trimmed, _ = sweep.evaluate_fold(learn, valid, 1.0, False, True)
+        _, untrimmed, _ = sweep.evaluate_fold(learn, valid, 1.0, False, False)
+        assert trimmed[0] < 0.5 * untrimmed[0]

@@ -11,6 +11,8 @@ from mivarsel.dataset import Dataset
 from mivarsel.models import (
     LssvmModel,
     RbfnModel,
+    _cluster_means,
+    _cluster_widths,
     fit_linear,
     fit_lssvm,
     fit_rbfn,
@@ -27,6 +29,7 @@ from mivarsel.models import (
     solve_rbf_weights,
     sq_dists,
 )
+from oracles import kmeans_by_masks
 
 
 def _nmse_train(pred: np.ndarray, y: np.ndarray) -> float:
@@ -95,6 +98,79 @@ class TestKmeans:
             kmeans(x, 0, seed=0)
         with pytest.raises(ValueError):
             kmeans(x, 6, seed=0)
+
+
+class TestKmeansCentroidUpdate:
+    """The grouped centroid update has the bits of one boolean mask per cluster."""
+
+    def test_cluster_means_equal_masked_means_on_random_assignments(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            n = int(rng.integers(1, 60))
+            k = int(rng.integers(1, n + 1))
+            x = rng.normal(size=(n, int(rng.integers(1, 9)))) * 10.0 ** rng.integers(-3, 4)
+            assign = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+            rng.shuffle(assign)
+            counts = np.bincount(assign, minlength=k)
+            want = np.stack([x[assign == c].mean(axis=0) for c in range(k)])
+            assert _cluster_means(x, assign, counts).tobytes() == want.tobytes(), trial
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kmeans_equals_masked_update_with_empty_cluster_reseeding(self, seed):
+        rng = np.random.default_rng(seed)
+        # 16 distinct rows for 18 clusters: duplicate centers leave clusters empty.
+        x = np.vstack([rng.normal(size=(14, 3)), np.repeat(rng.normal(size=(2, 3)), 5, axis=0)])
+        x = x[rng.permutation(len(x))]
+        centers, assign = kmeans(x, 18, seed)
+        want_centers, want_assign, reseeds = kmeans_by_masks(x, 18, seed)
+        assert centers.tobytes() == want_centers.tobytes()
+        assert np.array_equal(assign, want_assign)
+        assert reseeds > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmeans_equals_masked_update_on_spread_data(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        x = rng.normal(size=(130, 5))
+        for k in (1, 4, 17, 30):
+            centers, assign = kmeans(x, k, seed)
+            want_centers, want_assign, _ = kmeans_by_masks(x, k, seed)
+            assert centers.tobytes() == want_centers.tobytes()
+            assert np.array_equal(assign, want_assign)
+
+
+class TestClusterWidths:
+    def test_width_is_mean_member_distance_times_wsf(self):
+        x = np.array([[0.0], [2.0], [10.0], [11.0], [13.0]])
+        assign = np.array([0, 0, 1, 1, 1])
+        centers = np.array([[1.0], [11.0]])
+        assert _cluster_widths(x, centers, assign, 1.0).tolist() == [1.0, 1.0]
+        assert _cluster_widths(x, centers, assign, 2.5).tolist() == [2.5, 2.5]
+
+    def test_near_duplicate_clusters_get_centroid_spacing(self):
+        # Members 1e-15 apart: their mean distance is rounding noise, not a width.
+        x = np.array([[0.0], [1e-15], [1.0], [1.0 + 1e-15]])
+        centers, assign = kmeans(x, 2, seed=0)
+        widths = _cluster_widths(x, centers, assign, 1.0)
+        spacing = abs(float(centers[0, 0] - centers[1, 0]))
+        assert widths.tolist() == [spacing, spacing]
+        m = fit_rbfn(Dataset(x, np.array([0.0, 0.0, 1.0, 1.0])), 2, 1.0, seed=0)
+        assert np.all(m.widths > 0.5)
+
+    def test_singleton_and_exact_duplicates_fall_back(self):
+        x = np.array([[0.0], [0.0], [3.0]])
+        widths = _cluster_widths(x, np.array([[0.0], [3.0]]), np.array([0, 0, 1]), 1.0)
+        assert widths.tolist() == [3.0, 3.0]
+        same = np.zeros((4, 2))
+        assert _cluster_widths(same, same[:1], np.zeros(4, dtype=np.intp), 2.0).tolist() == [2.0]
+
+    def test_floor_is_relative_to_the_input_spread(self):
+        # The same geometry shrunk by 1e-12 keeps its widths, scaled.
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(40, 2))
+        centers, assign = kmeans(x, 5, seed=1)
+        widths = _cluster_widths(x, centers, assign, 1.0)
+        tiny = _cluster_widths(x * 1e-12, centers * 1e-12, assign, 1.0)
+        np.testing.assert_allclose(tiny, widths * 1e-12, rtol=1e-12)
 
 
 class TestRbfn:

@@ -493,6 +493,19 @@ class TestSelectionPipeline:
         for j, v in zip(result.ranking.indices, values):
             assert v == direct[j]
 
+    def test_search_peak_excludes_the_ranking_session(self):
+        # The ranking/greedy session is released before the search builds its own.
+        n, p = 300, 6
+        d = _additive_dataset(n=n, decoys=18, seed=3)
+        tracemalloc.start()
+        try:
+            result = select_variables(d, k=6, pool_size=p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.pool) == p
+        assert peak <= (p + 4) * n * n * 8
+
     def test_result_serializes(self):
         d = _additive_dataset(n=100, decoys=2, seed=5)
         result = select_variables(d, k=4, pool_size=4)
