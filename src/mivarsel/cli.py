@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import fetch_tecator, load_csv, normalize_spectra
+from .dataset import fetch_tecator, load_csv, load_input_rows, normalize_spectra
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
     default_centroid_counts,
@@ -28,14 +29,12 @@ from .methods import (
     METHOD_TABLE,
     ExperimentConfig,
     MethodResult,
-    as_pipeline,
     best_methods,
     build_method_sweep,
-    load_pipeline,
     reproduce,
     run_method,
-    save_pipeline,
 )
+from .models import load_pipeline, save_pipeline
 from .selector import individual_mis, select_variables
 
 __all__ = ["main", "DATA_DIR_ENV"]
@@ -263,7 +262,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     winner = select_winner(mat_l, mat_v)
     params = sweep.grid.points()[winner]
-    model = as_pipeline(sweep.fit(train, params), cfg.preprocessing)
+    model = replace(sweep.fit(train, params), preprocessing=cfg.preprocessing)
 
     out = _out_dir(cfg, f"method-{cfg.method:02d}", f"seed-{cfg.seed}")
     save_pipeline(model, out / "model.json")
@@ -293,7 +292,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     model = load_pipeline(args.model)
-    rows = _load_feature_rows(args.data, cfg.target_column)
+    rows = load_input_rows(args.data, cfg.target_column)
     _progress(f"predicting {rows.shape[0]} rows with {args.model}")
     predictions = model.predict(rows)
     lines = "prediction\n" + "".join(repr(float(v)) + "\n" for v in predictions)
@@ -304,38 +303,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(lines)
     return 0
-
-
-def _load_feature_rows(path: str, target_column) -> np.ndarray:
-    """Feature matrix from a CSV; a target column, when present, is dropped."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise DataError(f"{path} is empty")
-    header: list[str] | None = None
-    try:
-        for cell in rows[0]:
-            float(cell)
-    except ValueError:
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-    if not rows:
-        raise DataError(f"{path} has a header but no data rows")
-    drop = None
-    if header is not None and isinstance(target_column, str) and target_column in header:
-        drop = header.index(target_column)
-    try:
-        matrix = np.array(
-            [[float(cell) for cell in row] for row in rows], dtype=np.float64
-        )
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if drop is not None:
-        matrix = np.delete(matrix, drop, axis=1)
-    return matrix
 
 
 def _write_method_artifacts(out: Path, cfg: ExperimentConfig, result, labels) -> None:

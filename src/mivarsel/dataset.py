@@ -11,7 +11,7 @@ rows would corrupt train/test splits downstream.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 import urllib.request
 from dataclasses import dataclass
@@ -94,58 +94,6 @@ class Dataset:
         return Dataset(self.X[:, idx], self.y, labels)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Disjoint train/test row indices into a Dataset."""
-
-    train_indices: tuple[int, ...]
-    test_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        train = tuple(int(i) for i in self.train_indices)
-        test = tuple(int(i) for i in self.test_indices)
-        if not train or not test:
-            raise DataError("both train and test index lists must be non-empty")
-        if set(train) & set(test):
-            raise DataError("train and test indices overlap")
-        if min(train + test) < 0:
-            raise DataError("negative sample index in split")
-        object.__setattr__(self, "train_indices", train)
-        object.__setattr__(self, "test_indices", test)
-
-    def validate_for(self, n_samples: int) -> None:
-        top = max(self.train_indices + self.test_indices)
-        if top >= n_samples:
-            raise DataError(
-                f"split references sample {top} but dataset has {n_samples} rows"
-            )
-
-
-def load_split(path: str | Path) -> SplitSpec:
-    """Read a JSON split file: {"train": [...], "test": [...]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read split file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"split file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "train" not in doc or "test" not in doc:
-        raise DataError(f"split file {path} must map 'train' and 'test' to index lists")
-    return SplitSpec(tuple(doc["train"]), tuple(doc["test"]))
-
-
-def save_split(split: SplitSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {"train": list(split.train_indices), "test": list(split.test_indices)},
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
-        handle.write("\n")
-
-
 def _parse_cell(text: str, row: int, column: int) -> float:
     try:
         value = float(text)
@@ -158,23 +106,30 @@ def _parse_cell(text: str, row: int, column: int) -> float:
     return value
 
 
-def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
-    """Load a Dataset from CSV.
+def _read_table(path: str | Path) -> tuple[list[str] | None, int, list]:
+    """Header, width and data rows of a CSV file.
 
-    The first row is treated as a header when any of its cells fails to
-    parse as a number. ``target_column`` selects the target by header
-    name or by 0-based column position.
+    The first row is a header when any of its cells fails to parse as a
+    number; the header is None otherwise. Blank lines are skipped. A
+    file with no quote and no lone carriage return comes back as text
+    lines, since for it the csv rules reduce to splitting each line at
+    its commas; any other file comes back as the csv module's rows.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
+            text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    plain = text.replace("\r\n", "\n")
+    if '"' in plain or "\r" in plain:
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    else:
+        rows = [line for line in plain.split("\n") if line]
     if not rows:
         raise DataError(f"{path} is empty")
 
     header: list[str] | None = None
-    first = rows[0]
+    first = _cells(rows[0])
     try:
         for cell in first:
             float(cell)
@@ -184,12 +139,54 @@ def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
 
-    width = len(rows[0])
+    width = len(_cells(rows[0]))
     if header is not None and len(header) != width:
         raise DataError(
             f"header has {len(header)} columns but data rows have {width}"
         )
+    return header, width, rows
 
+
+def _cells(row: str | list[str]) -> list[str]:
+    return row.split(",") if isinstance(row, str) else row
+
+
+def _parse_rows(rows: list, width: int) -> np.ndarray:
+    """The cells of ``rows`` as a float64 matrix; each must be a finite number.
+
+    Text lines go to ``np.loadtxt`` first. It reads a number with the
+    parser ``float`` uses but accepts fewer spellings, so its matrix is
+    kept only when it has every row and only finite values. Otherwise
+    each cell is parsed in turn, which names the first bad row and column.
+    """
+    if isinstance(rows[0], str):
+        try:
+            matrix = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if matrix.shape == (len(rows), width) and np.isfinite(matrix).all():
+                return matrix
+    matrix = np.empty((len(rows), width), dtype=np.float64)
+    for i, row in enumerate(rows):
+        cells = _cells(row)
+        if len(cells) != width:
+            raise DataError(
+                f"row {i}: expected {width} columns, found {len(cells)}"
+            )
+        for j, cell in enumerate(cells):
+            matrix[i, j] = _parse_cell(cell, i, j)
+    return matrix
+
+
+def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
+    """Load a Dataset from CSV.
+
+    The first row is treated as a header when any of its cells fails to
+    parse as a number. ``target_column`` selects the target by header
+    name or by 0-based column position.
+    """
+    header, width, rows = _read_table(path)
     if isinstance(target_column, str) and header is not None and target_column in header:
         target_idx = header.index(target_column)
     else:
@@ -205,15 +202,7 @@ def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
             )
         target_idx %= width
 
-    matrix = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(
-                f"row {i}: expected {width} columns, found {len(row)}"
-            )
-        for j, cell in enumerate(row):
-            matrix[i, j] = _parse_cell(cell, i, j)
-
+    matrix = _parse_rows(rows, width)
     keep = [j for j in range(width) if j != target_idx]
     if not keep:
         raise DataError("dataset has no input variables besides the target")
@@ -221,6 +210,19 @@ def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
     if header is not None:
         labels = tuple(header[j] for j in keep)
     return Dataset(matrix[:, keep], matrix[:, target_idx], labels)
+
+
+def load_input_rows(path: str | Path, target_column: str | int = "target") -> np.ndarray:
+    """Input rows of a CSV read by :func:`load_csv`'s rules, for prediction.
+
+    A column the header names ``target_column`` is dropped; without one,
+    every column is an input.
+    """
+    header, width, rows = _read_table(path)
+    matrix = _parse_rows(rows, width)
+    if header is not None and target_column in header:
+        matrix = np.delete(matrix, header.index(target_column), axis=1)
+    return matrix
 
 
 def save_csv(d: Dataset, path: str | Path, target_label: str = "target") -> None:
@@ -297,18 +299,6 @@ def fit_column_whitener(train: Dataset) -> ColumnWhitener:
     means.flags.writeable = False
     stds.flags.writeable = False
     return ColumnWhitener(means, stds)
-
-
-def whiten_columns(d: Dataset, whitener: ColumnWhitener | None = None) -> Dataset:
-    """Whiten columns; statistics come from ``whitener`` when given.
-
-    Call with just ``d`` to fit on the same rows being transformed, or
-    pass a whitener fitted on the training rows to transform test rows
-    with the training statistics.
-    """
-    if whitener is None:
-        whitener = fit_column_whitener(d)
-    return whitener.apply(d)
 
 
 def parse_tecator(raw: str) -> tuple[Dataset, Dataset]:

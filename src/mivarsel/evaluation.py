@@ -11,12 +11,10 @@ plain single-model entry points.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +23,7 @@ from .dataset import Dataset
 from .errors import DataError, NumericalError
 from .models import (
     LinearModel,
+    PipelineModel,
     _cluster_widths,
     _kernel_from_sq,
     _lstsq_with_bias,
@@ -40,7 +39,6 @@ __all__ = [
     "GridPointResult",
     "CvReport",
     "TestSetGuard",
-    "ProjectedLinear",
     "LinearSweep",
     "ComponentSweep",
     "RbfnSweep",
@@ -58,8 +56,6 @@ __all__ = [
     "default_wsf_values",
     "default_sigma_values",
     "default_gamma_values",
-    "save_report",
-    "load_report",
     "grid_csv",
 ]
 
@@ -223,19 +219,6 @@ class MetaGrid:
         grids = [values for _, values in self.axes]
         return [dict(zip(names, combo)) for combo in product(*grids)]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "axes": [[name, list(values)] for name, values in self.axes],
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "MetaGrid":
-        return MetaGrid(
-            kind=doc["kind"],
-            axes=tuple((name, tuple(values)) for name, values in doc["axes"]),
-        )
-
 
 def median_pairwise_distance(x: np.ndarray) -> float:
     """Median Euclidean distance over all distinct row pairs."""
@@ -290,17 +273,6 @@ def default_gamma_values(count: int = 300) -> tuple[float, ...]:
 _SWEEP_ERRORS = (ValueError, DataError, NumericalError, np.linalg.LinAlgError)
 
 
-@dataclass(frozen=True)
-class ProjectedLinear:
-    """Linear regression on the scores of a fitted projection."""
-
-    projection: Projection
-    model: LinearModel
-
-    def predict(self, x):
-        return self.model.predict(project_rows(self.projection, np.atleast_2d(x)))
-
-
 class LinearSweep:
     """Degenerate grid: ordinary least squares has no meta-parameters."""
 
@@ -348,9 +320,9 @@ class ComponentSweep:
         fit = fit_pca if self.projection == "pca" else fit_pls
         return fit(d, n_components, scale=self.scale)
 
-    def fit(self, train: Dataset, params: dict) -> ProjectedLinear:
+    def fit(self, train: Dataset, params: dict) -> PipelineModel:
         p = self._fit_projection(train, int(params["components"]))
-        return ProjectedLinear(p, fit_linear(transform(p, train)))
+        return PipelineModel(model=fit_linear(transform(p, train)), projection=p)
 
     def evaluate_fold(self, learn, valid, var_y, trim_learn, trim_valid):
         g = len(self._counts)
@@ -607,56 +579,9 @@ class CvReport:
             "trim_test": self.trim_test,
         }
 
-    @staticmethod
-    def from_dict(doc: dict) -> "CvReport":
-        rows = tuple(
-            GridPointResult(
-                index=int(r["index"]),
-                params=dict(r["params"]),
-                nmse_l=tuple(_nan_if_none(v) for v in r["nmse_l"]),
-                nmse_v=tuple(_nan_if_none(v) for v in r["nmse_v"]),
-                error=r.get("error"),
-            )
-            for r in doc["grid"]
-        )
-        return CvReport(
-            kind=doc["kind"],
-            l=int(doc["l"]),
-            seed=int(doc["seed"]),
-            var_y=float(doc["var_y"]),
-            n_train=int(doc["n_train"]),
-            n_test=int(doc["n_test"]),
-            folds=tuple(tuple(int(i) for i in f) for f in doc["folds"]),
-            rows=rows,
-            winner_index=int(doc["winner_index"]),
-            winner_params=dict(doc["winner_params"]),
-            winner_fold_nmse_l=tuple(float(v) for v in doc["winner_fold_nmse_l"]),
-            winner_fold_nmse_v=tuple(float(v) for v in doc["winner_fold_nmse_v"]),
-            trimmed_per_fold=tuple(
-                tuple(int(i) for i in t) for t in doc["trimmed_per_fold"]
-            ),
-            nmse_t=float(doc["nmse_t"]),
-            test_reads=int(doc["test_reads"]),
-            trim_learn=bool(doc["trim_learn"]),
-            trim_valid=bool(doc["trim_valid"]),
-            trim_test=bool(doc["trim_test"]),
-        )
-
 
 def _none_if_nan(v: float):
     return None if math.isnan(v) else float(v)
-
-
-def _nan_if_none(v) -> float:
-    return math.nan if v is None else float(v)
-
-
-def save_report(report: CvReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-
-
-def load_report(path: str | Path) -> CvReport:
-    return CvReport.from_dict(json.loads(Path(path).read_text()))
 
 
 def grid_csv(report: CvReport) -> str:

@@ -11,28 +11,12 @@ columns.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .baselines import (
-    Projection,
-    fit_pca,
-    fit_pls,
-    project_rows,
-    projection_from_dict,
-    projection_to_dict,
-    transform,
-)
-from .dataset import (
-    ColumnWhitener,
-    Dataset,
-    fit_column_whitener,
-    normalize_spectra,
-    normalize_spectrum_rows,
-)
+from .baselines import fit_pca, fit_pls, transform
+from .dataset import Dataset, fit_column_whitener, normalize_spectra
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
     ComponentSweep,
@@ -51,7 +35,14 @@ from .evaluation import (
     sweep_folds,
 )
 from .mi import DEFAULT_K
-from .models import MODEL_FORMAT, MODEL_FORMAT_VERSION, model_from_dict, model_to_dict
+# The pipeline type and its save/load stay importable from here for perfbench.
+from .models import (
+    PREPROCESSINGS,
+    PipelineModel,
+    load_pipeline,
+    pipeline_to_dict,
+    save_pipeline,
+)
 from .selector import MAX_POOL_SIZE, SelectionResult, select_variables
 
 __all__ = [
@@ -65,17 +56,12 @@ __all__ = [
     "MethodFailure",
     "component_count_cv",
     "build_method_sweep",
-    "as_pipeline",
     "run_method",
     "reproduce",
     "best_methods",
-    "pipeline_to_dict",
-    "pipeline_from_dict",
     "save_pipeline",
     "load_pipeline",
 ]
-
-PREPROCESSINGS = ("none", "spectrum-normalize")
 
 
 @dataclass(frozen=True)
@@ -169,24 +155,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "preprocessing": self.preprocessing,
-            "k": self.k,
-            "pool_size": self.pool_size,
-            "folds": self.folds,
-            "seed": self.seed,
-            "workers": self.workers,
-            "dataset": self.dataset,
-            "train_path": self.train_path,
-            "test_path": self.test_path,
-            "target_column": self.target_column,
-            "out_dir": self.out_dir,
-            "gamma_count": self.gamma_count,
-            "sigma_count": self.sigma_count,
-            "wsf_count": self.wsf_count,
-            "max_centroids": self.max_centroids,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -195,104 +164,6 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return ExperimentConfig(**doc)
-
-
-# ---------------------------------------------------------------------------
-# Composite model
-
-
-@dataclass(frozen=True)
-class PipelineModel:
-    """A fitted model bundled with every input transformation it needs.
-
-    predict accepts rows in the space the experiment started from:
-    raw spectra when the pipeline normalizes them itself, otherwise the
-    training matrix's space.
-    """
-
-    model: object
-    preprocessing: str = "none"
-    variables: tuple[int, ...] | None = None
-    projection: Projection | None = None
-    whitener: ColumnWhitener | None = None
-
-    def __post_init__(self) -> None:
-        if self.preprocessing not in PREPROCESSINGS:
-            raise ValueError(f"unknown preprocessing {self.preprocessing!r}")
-        if self.variables is not None:
-            object.__setattr__(
-                self, "variables", tuple(int(j) for j in self.variables)
-            )
-
-    def transform_rows(self, x) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.preprocessing == "spectrum-normalize":
-            pts = normalize_spectrum_rows(pts)
-        if self.variables is not None:
-            pts = pts[:, list(self.variables)]
-        if self.projection is not None:
-            pts = project_rows(self.projection, pts)
-        if self.whitener is not None:
-            pts = (pts - self.whitener.means) / self.whitener.stds
-        return pts
-
-    def predict(self, x):
-        single = np.asarray(x).ndim == 1
-        out = np.asarray(self.model.predict(self.transform_rows(x)))
-        return float(out[0]) if single else out
-
-
-def pipeline_to_dict(m: PipelineModel) -> dict:
-    data = {
-        "preprocessing": m.preprocessing,
-        "variables": None if m.variables is None else list(m.variables),
-        "projection": None if m.projection is None else projection_to_dict(m.projection),
-        "whitener": None
-        if m.whitener is None
-        else {"means": m.whitener.means.tolist(), "stds": m.whitener.stds.tolist()},
-        "model": model_to_dict(m.model),
-    }
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_FORMAT_VERSION,
-        "kind": "pipeline",
-        "data": data,
-    }
-
-
-def pipeline_from_dict(doc: dict) -> PipelineModel:
-    if doc.get("kind") != "pipeline":
-        # plain single-model documents load as a pipeline with no mapping
-        return PipelineModel(model=model_from_dict(doc))
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a model document: format={doc.get('format')!r}")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model document version {doc.get('version')!r}")
-    data = doc["data"]
-    whitener = None
-    if data["whitener"] is not None:
-        means = np.array(data["whitener"]["means"], dtype=np.float64)
-        stds = np.array(data["whitener"]["stds"], dtype=np.float64)
-        means.flags.writeable = False
-        stds.flags.writeable = False
-        whitener = ColumnWhitener(means, stds)
-    return PipelineModel(
-        model=model_from_dict(data["model"]),
-        preprocessing=data["preprocessing"],
-        variables=None if data["variables"] is None else tuple(data["variables"]),
-        projection=None
-        if data["projection"] is None
-        else projection_from_dict(data["projection"]),
-        whitener=whitener,
-    )
-
-
-def save_pipeline(m: PipelineModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(pipeline_to_dict(m)) + "\n")
-
-
-def load_pipeline(path: str | Path) -> PipelineModel:
-    return pipeline_from_dict(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +369,6 @@ def build_method_sweep(
     return PipelineSweep(inner, f"mi+{spec.model}", variables=chosen), selection, None
 
 
-def as_pipeline(fitted, preprocessing: str) -> PipelineModel:
-    """Wrap any fitted sweep output as a self-contained pipeline model."""
-    if isinstance(fitted, PipelineModel):
-        return replace(fitted, preprocessing=preprocessing)
-    if hasattr(fitted, "projection"):  # projected linear, methods 1 and 2
-        return PipelineModel(
-            model=fitted.model,
-            preprocessing=preprocessing,
-            projection=fitted.projection,
-        )
-    return PipelineModel(model=fitted, preprocessing=preprocessing)
-
-
 def run_method(
     train: Dataset, test: Dataset, cfg: ExperimentConfig, _shared: dict | None = None
 ) -> MethodResult:
@@ -526,7 +384,7 @@ def run_method(
     report, fitted = cross_validate(
         train, test, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
     )
-    model = as_pipeline(fitted, cfg.preprocessing)
+    model = replace(fitted, preprocessing=cfg.preprocessing)
     if spec.projection is not None and spec.model == "linear":
         components = int(report.winner_params["components"])
 

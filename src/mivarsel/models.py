@@ -15,7 +15,9 @@ i.e. exp(-||x - c||^2 / (2 sigma^2)), shared by both kernel models.
   inputs get the minimum-norm solution.
 
 Models are immutable after fitting; prediction is a pure function of
-(model, x). Each model serializes to a versioned JSON document.
+(model, x). Each model serializes to a versioned JSON document. A
+:class:`PipelineModel` bundles a fitted model with the input mapping it
+was trained behind and serializes to the same document format.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .baselines import Projection, project_rows, projection_from_dict, projection_to_dict
+from .dataset import ColumnWhitener, Dataset, normalize_spectrum_rows
 from .errors import NumericalError
 
 MODEL_FORMAT = "mivarsel-model"
 MODEL_FORMAT_VERSION = 1
+
+PREPROCESSINGS = ("none", "spectrum-normalize")
 
 _KMEANS_MAX_ITER = 100
 
@@ -251,7 +256,13 @@ def _cluster_widths(
 
 
 def _lstsq_with_bias(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares weights and bias for y ~ design @ weights + bias."""
+    """Least-squares weights and bias for y ~ design @ weights + bias.
+
+    A design with a non-finite entry raises NumericalError before LAPACK
+    sees it.
+    """
+    if not np.isfinite(design).all():
+        raise NumericalError("least-squares design matrix has non-finite entries")
     augmented = np.hstack([design, np.ones((len(y), 1))])
     solution = np.linalg.lstsq(augmented, y, rcond=None)[0]
     return solution[:-1], float(solution[-1])
@@ -389,12 +400,100 @@ def model_from_dict(doc: dict):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def save_model(model, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle)
-        handle.write("\n")
+
+# ---------------------------------------------------------------------------
+# Composite model
 
 
-def load_model(path: str | Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+@dataclass(frozen=True)
+class PipelineModel:
+    """A fitted model bundled with every input transformation it needs.
+
+    predict accepts rows in the space the experiment started from:
+    raw spectra when the pipeline normalizes them itself, otherwise the
+    training matrix's space.
+    """
+
+    model: object
+    preprocessing: str = "none"
+    variables: tuple[int, ...] | None = None
+    projection: Projection | None = None
+    whitener: ColumnWhitener | None = None
+
+    def __post_init__(self) -> None:
+        if self.preprocessing not in PREPROCESSINGS:
+            raise ValueError(f"unknown preprocessing {self.preprocessing!r}")
+        if self.variables is not None:
+            object.__setattr__(
+                self, "variables", tuple(int(j) for j in self.variables)
+            )
+
+    def transform_rows(self, x) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if self.preprocessing == "spectrum-normalize":
+            pts = normalize_spectrum_rows(pts)
+        if self.variables is not None:
+            pts = pts[:, list(self.variables)]
+        if self.projection is not None:
+            pts = project_rows(self.projection, pts)
+        if self.whitener is not None:
+            pts = (pts - self.whitener.means) / self.whitener.stds
+        return pts
+
+    def predict(self, x):
+        single = np.asarray(x).ndim == 1
+        out = np.asarray(self.model.predict(self.transform_rows(x)))
+        return float(out[0]) if single else out
+
+
+def pipeline_to_dict(m: PipelineModel) -> dict:
+    data = {
+        "preprocessing": m.preprocessing,
+        "variables": None if m.variables is None else list(m.variables),
+        "projection": None if m.projection is None else projection_to_dict(m.projection),
+        "whitener": None
+        if m.whitener is None
+        else {"means": m.whitener.means.tolist(), "stds": m.whitener.stds.tolist()},
+        "model": model_to_dict(m.model),
+    }
+    return {
+        "format": MODEL_FORMAT,
+        "version": MODEL_FORMAT_VERSION,
+        "kind": "pipeline",
+        "data": data,
+    }
+
+
+def pipeline_from_dict(doc: dict) -> PipelineModel:
+    if doc.get("kind") != "pipeline":
+        # plain single-model documents load as a pipeline with no mapping
+        return PipelineModel(model=model_from_dict(doc))
+    if doc.get("format") != MODEL_FORMAT:
+        raise ValueError(f"not a model document: format={doc.get('format')!r}")
+    if doc.get("version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model document version {doc.get('version')!r}")
+    data = doc["data"]
+    whitener = None
+    if data["whitener"] is not None:
+        means = np.array(data["whitener"]["means"], dtype=np.float64)
+        stds = np.array(data["whitener"]["stds"], dtype=np.float64)
+        means.flags.writeable = False
+        stds.flags.writeable = False
+        whitener = ColumnWhitener(means, stds)
+    return PipelineModel(
+        model=model_from_dict(data["model"]),
+        preprocessing=data["preprocessing"],
+        variables=None if data["variables"] is None else tuple(data["variables"]),
+        projection=None
+        if data["projection"] is None
+        else projection_from_dict(data["projection"]),
+        whitener=whitener,
+    )
+
+
+def save_pipeline(m: PipelineModel, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(pipeline_to_dict(m)) + "\n")
+
+
+def load_pipeline(path: str | Path) -> PipelineModel:
+    return pipeline_from_dict(json.loads(Path(path).read_text()))

@@ -22,11 +22,9 @@ entry points exposed in :mod:`mivarsel.mi`, bit for bit.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -125,33 +123,6 @@ class SelectionTrace:
             ]
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SelectionTrace":
-        return cls(
-            tuple(
-                TraceStep(
-                    kind=s["kind"],
-                    candidate=s["candidate"],
-                    subset=tuple(s["subset"]),
-                    mi=float(s["mi"]),
-                    decision=s["decision"],
-                )
-                for s in doc["steps"]
-            )
-        )
-
-
-def save_trace(trace: SelectionTrace, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace.to_dict(), handle, indent=2)
-        handle.write("\n")
-
-
-def load_trace(path: str | Path) -> SelectionTrace:
-    with open(path, "r", encoding="utf-8") as handle:
-        return SelectionTrace.from_dict(json.load(handle))
-
-
 def subset_to_dict(subset: VariableSubset, labels: Sequence[str] | None = None) -> dict:
     doc: dict = {"indices": list(subset.indices), "provenance": subset.provenance}
     if labels is not None:
@@ -207,6 +178,7 @@ def _ranking(values: np.ndarray, count: int) -> VariableSubset:
 def _best_addition(
     session: MiSession, current: tuple[int, ...]
 ) -> tuple[int, float]:
+    """Best single addition (candidate, resulting MI); ties go to the lower index."""
     best_j = -1
     best_mi = -np.inf
     for j in range(session.n_variables):
@@ -223,7 +195,11 @@ def _best_addition(
 def _best_removal(
     session: MiSession, current: tuple[int, ...], protected: int
 ) -> tuple[int, float] | None:
-    """Best single removal (candidate, resulting MI), or None if nothing is removable."""
+    """Best single removal (candidate, resulting MI), or None if nothing is removable.
+
+    ``protected`` (the most recent addition) is never removed, and ties
+    go to the lower column index.
+    """
     best: tuple[int, float] | None = None
     for j in sorted(current):
         if j == protected:
@@ -233,57 +209,6 @@ def _best_removal(
         if best is None or value > best[1]:
             best = (j, value)
     return best
-
-
-def forward_step(
-    d: Dataset,
-    current,
-    k: int = DEFAULT_K,
-    jitter_seed: int = 0,
-    session: MiSession | None = None,
-) -> tuple[VariableSubset, MiEstimate]:
-    """Add the variable that maximizes the joint MI with the target.
-
-    With an empty ``current`` this reduces to picking the top of the
-    individual ranking. Ties break toward the ascending column index.
-    """
-    session = _session_for(d, k, jitter_seed, session)
-    cur = tuple(int(j) for j in _subset_indices(current))
-    best_j, best_mi = _best_addition(session, cur)
-    subset = VariableSubset(cur + (best_j,), "greedy")
-    return subset, MiEstimate(best_mi, session.k, session.n_samples)
-
-
-def backward_step(
-    d: Dataset,
-    current,
-    protected: int,
-    k: int = DEFAULT_K,
-    jitter_seed: int = 0,
-    session: MiSession | None = None,
-) -> VariableSubset:
-    """Remove at most one variable, if that strictly increases joint MI.
-
-    Every variable except ``protected`` (the most recent addition) is a
-    removal candidate; the one whose removal raises the MI the most is
-    removed, with ties broken toward the lower column index. When no
-    removal strictly improves on the current MI the subset is returned
-    unchanged.
-    """
-    session = _session_for(d, k, jitter_seed, session)
-    cur = tuple(int(j) for j in _subset_indices(current))
-    if len(cur) < 2:
-        raise ValueError("backward step needs at least 2 variables")
-    protected = int(protected)
-    if protected not in cur:
-        raise ValueError(f"protected variable {protected} is not in {cur}")
-    provenance = getattr(current, "provenance", "greedy")
-    current_mi = session.mi(cur)
-    best = _best_removal(session, cur, protected)
-    if best is not None and best[1] > current_mi:
-        removed = best[0]
-        return VariableSubset(tuple(c for c in cur if c != removed), provenance)
-    return VariableSubset(cur, provenance)
 
 
 def greedy_select(
@@ -577,7 +502,6 @@ def select_variables(
     pool_size: int = 16,
     jitter_seed: int = 0,
     workers: int = 1,
-    iterate_backward: bool = False,
 ) -> SelectionResult:
     """Run the complete selection pipeline on one dataset.
 
@@ -597,7 +521,7 @@ def select_variables(
     session = MiSession(d.X, d.y, k=k, jitter_seed=jitter_seed)
     values = individual_mis(d, k, jitter_seed, session)
     ranking = _ranking(values, d.n_variables)
-    greedy, trace = greedy_select(d, k, jitter_seed, iterate_backward, session)
+    greedy, trace = greedy_select(d, k, jitter_seed, False, session)
     effective = min(pool_size, d.n_variables)
     if len(greedy) > effective:
         if len(greedy) > MAX_POOL_SIZE:

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mivarsel.cli import main
+from mivarsel.cli import build_parser, main
 from mivarsel.dataset import Dataset, load_csv, save_csv
 from mivarsel.evaluation import nmse
-from mivarsel.methods import load_pipeline
+from mivarsel.models import load_pipeline
 
 
 @pytest.fixture()
@@ -118,6 +120,25 @@ class TestTrainPredict:
         ]) == 0
         got = [float(v) for v in dest.read_text().splitlines()[1:]]
         assert len(got) == rows.shape[0]
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("0.1,nan,0.3,0.4,0.5,0.6", "row 1, column 1: non-finite value 'nan'"),
+            ("0.1,0.2", "row 1: expected 6 columns, found 2"),
+        ],
+        ids=["nan", "ragged"],
+    )
+    def test_predict_rejects_bad_rows_as_data_error(self, csvs, tmp_path, capsys, bad_row, message):
+        main(["train", *_args(csvs), *_GRIDS, "--method", "13"])
+        model_path = csvs[2] / "custom" / "method-13" / "seed-0" / "model.json"
+        rows = tmp_path / "rows.csv"
+        rows.write_text("x0,x1,x2,x3,x4,x5\n0.1,0.2,0.3,0.4,0.5,0.6\n" + bad_row + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(rows)]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestRunMethod:
@@ -234,6 +255,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [
+            shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mivarsel ")
+        ]
+        assert len(commands) >= 8
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: mivarsel {shlex.join(argv)}")
 
 
 class TestConfigMerging:

@@ -1,22 +1,22 @@
-"""Dataset container, CSV/split IO, spectrum normalization, whitening."""
+"""Dataset container, CSV IO, spectrum normalization, whitening."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from mivarsel import dataset
 from mivarsel.dataset import (
     ColumnWhitener,
     Dataset,
-    SplitSpec,
+    _parse_rows,
+    _read_table,
     fit_column_whitener,
     load_csv,
-    load_split,
+    load_input_rows,
     normalize_spectra,
     parse_tecator,
     save_csv,
-    save_split,
-    whiten_columns,
 )
 from mivarsel.errors import DataError
 
@@ -121,26 +121,86 @@ class TestCsvIo:
             load_csv(tmp_path / "absent.csv")
 
 
-class TestSplitIo:
-    def test_round_trip(self, tmp_path):
-        split = SplitSpec((0, 1, 2), (3, 4))
-        path = tmp_path / "split.json"
-        save_split(split, path)
-        assert load_split(path) == split
+class TestCsvReader:
+    """One reader for load_csv and load_input_rows, with a numpy fast path."""
 
-    def test_overlap_rejected(self):
-        with pytest.raises(DataError):
-            SplitSpec((0, 1), (1, 2))
+    # Spellings float() and numpy may treat differently, plus non-numbers.
+    ODD_CELLS = (
+        " 7 ", "1_0", "+.5", "5.", "1e-400", "1e400", "nan", "inf", "-inf",
+        "", " ", "#3", "0x10", "\u0661", "1e", "--1", "1.0\t", "\x0c2", "1e-310",
+    )
 
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            SplitSpec((), (0,))
+    @staticmethod
+    def _outcome(parse):
+        try:
+            matrix = parse()
+        except DataError as exc:
+            return "error", str(exc)
+        return matrix.shape, matrix.tobytes()
 
-    def test_validate_for_range(self):
-        split = SplitSpec((0, 1), (5,))
-        split.validate_for(6)
-        with pytest.raises(DataError):
-            split.validate_for(5)
+    @pytest.mark.parametrize("seed", range(60))
+    def test_fast_path_gives_the_cell_loops_matrix_or_error(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 4))
+        lines = ["c0" + "".join(f",c{j}" for j in range(1, width))]
+        for i in range(int(rng.integers(1, 5))):
+            w = width + int(i > 0 and rng.random() < 0.1)
+            lines.append(",".join(
+                str(rng.choice(self.ODD_CELLS)) if rng.random() < 0.2 else repr(float(v))
+                for v in rng.normal(size=w) * 10.0 ** rng.integers(-300, 300, size=w)
+            ))
+        path = tmp_path / "d.csv"
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+        header, width, rows = _read_table(path)
+        assert isinstance(rows[0], str)  # plain text lines take the fast path
+        fast = self._outcome(lambda: _parse_rows(rows, width))
+        loop = self._outcome(lambda: _parse_rows([r.split(",") for r in rows], width))
+        assert fast == loop
+
+    def test_plain_numbers_skip_the_cell_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-300, 300, size=(50, 7))
+        path = tmp_path / "d.csv"
+        save_csv(Dataset(x, rng.normal(size=50)), path)
+
+        def refuse(text, row, column):
+            raise AssertionError("the cell loop ran")
+
+        monkeypatch.setattr(dataset, "_parse_cell", refuse)
+        assert np.array_equal(load_csv(path).X, x)
+        assert np.array_equal(load_input_rows(path), x)
+
+    def test_quoted_cells_follow_csv_rules(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"a,1",target\n"1.5",2.0\n')
+        d = load_csv(path)
+        assert d.labels == ("a,1",) and d.X.tolist() == [[1.5]]
+        path.write_text('x,target\n"1,5",2.0\n')
+        with pytest.raises(DataError, match="row 0, column 0"):
+            load_csv(path)
+
+    def test_hash_is_a_bad_cell_not_a_comment(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,target\n1.0,2.0 # note\n")
+        with pytest.raises(DataError, match="row 0, column 1"):
+            load_csv(path)
+
+    def test_input_rows_drop_a_named_target_only(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("fat,x0\n10.0,1.0\n\n20.0,3.0\n")
+        assert load_input_rows(path, "fat").tolist() == [[1.0], [3.0]]
+        assert load_input_rows(path, "protein").tolist() == [[10.0, 1.0], [20.0, 3.0]]
+        path.write_text("10.0,1.0\n20.0,3.0\n")
+        assert load_input_rows(path, "fat").tolist() == [[10.0, 1.0], [20.0, 3.0]]
+
+    def test_input_rows_reject_non_finite_and_ragged_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,x1\n1.0,2.0\n3.0,nan\n")
+        with pytest.raises(DataError, match="row 1, column 1: non-finite"):
+            load_input_rows(path)
+        path.write_text("x0,x1\n1.0,2.0\n3.0\n")
+        with pytest.raises(DataError, match="row 1: expected 2 columns, found 1"):
+            load_input_rows(path)
 
 
 class TestNormalizeSpectra:
@@ -184,7 +244,7 @@ class TestNormalizeSpectra:
 class TestWhitening:
     def test_worked_example(self):
         train = Dataset(np.array([[1.0], [3.0]]), np.zeros(2))
-        out = whiten_columns(train)
+        out = fit_column_whitener(train).apply(train)
         root_half = 1.0 / np.sqrt(2.0)
         assert np.allclose(out.X[:, 0], [-root_half, root_half])
 

@@ -19,18 +19,22 @@ from mivarsel.methods import (
     ExperimentConfig,
     MethodFailure,
     MethodResult,
-    PipelineModel,
     PipelineSweep,
     best_methods,
     component_count_cv,
-    load_pipeline,
-    pipeline_from_dict,
-    pipeline_to_dict,
     reproduce,
     run_method,
+)
+from mivarsel.models import (
+    PipelineModel,
+    fit_linear,
+    fit_rbfn,
+    load_pipeline,
+    model_to_dict,
+    pipeline_from_dict,
+    pipeline_to_dict,
     save_pipeline,
 )
-from mivarsel.models import fit_linear, fit_rbfn, model_to_dict
 
 
 SMALL = dict(

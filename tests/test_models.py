@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from mivarsel.dataset import Dataset
+from mivarsel.errors import NumericalError
 from mivarsel.models import (
     LssvmModel,
+    PipelineModel,
     RbfnModel,
     _cluster_means,
     _cluster_widths,
@@ -18,14 +20,14 @@ from mivarsel.models import (
     fit_rbfn,
     kkt_residual,
     kmeans,
-    load_model,
+    load_pipeline,
     model_from_dict,
     model_to_dict,
     predict_linear,
     predict_lssvm,
     predict_rbfn,
     rbf_kernel,
-    save_model,
+    save_pipeline,
     solve_rbf_weights,
     sq_dists,
 )
@@ -226,6 +228,13 @@ class TestRbfn:
             assert err <= previous + 1e-12
             previous = err
 
+    def test_overflowing_inputs_are_a_numerical_error(self, capfd):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(40, 3)) * 1e160  # squared distances overflow
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_rbfn(Dataset(x, rng.normal(size=40)), 5, 1.0, seed=0)
+        assert "DLASCL" not in capfd.readouterr().err  # LAPACK never saw the design
+
     def test_hand_evaluated_three_centroid_sum(self):
         m = RbfnModel(
             centroids=np.array([[0.0], [1.0], [2.0]]),
@@ -414,8 +423,8 @@ class TestSerialization:
         probe = rng.normal(size=(10, 2))
         for i, model in enumerate(self._models()):
             path = tmp_path / f"m{i}.json"
-            save_model(model, path)
-            back = load_model(path)
+            save_pipeline(PipelineModel(model=model), path)
+            back = load_pipeline(path).model
             assert type(back) is type(model)
             assert np.array_equal(back.predict(probe), model.predict(probe))
 

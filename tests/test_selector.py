@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import tracemalloc
 from functools import reduce
 
@@ -15,15 +16,13 @@ from mivarsel.errors import ConfigError, DataError
 from mivarsel.mi import MiSession, _neighborhood_arrays, _sq_diffs, estimate_mi
 from mivarsel.selector import (
     VariableSubset,
-    backward_step,
+    _best_addition,
+    _best_removal,
     build_candidate_pool,
     exhaustive_search,
-    forward_step,
     greedy_select,
     individual_mis,
-    load_trace,
     rank_by_individual_mi,
-    save_trace,
     select_variables,
     subset_to_dict,
 )
@@ -98,19 +97,25 @@ class TestRanking:
             rank_by_individual_mi(d, count=d.n_variables + 1, k=4)
 
 
+def _session(d: Dataset, k: int) -> MiSession:
+    return MiSession(d.X, d.y, k=k)
+
+
 class TestForwardStep:
+    """greedy_select's forward step: the addition with the highest joint MI."""
+
     def test_empty_current_matches_ranking_top(self):
         d = _additive_dataset()
         top = rank_by_individual_mi(d, count=1, k=6).indices[0]
-        subset, est = forward_step(d, (), k=6)
-        assert subset.indices == (top,)
-        assert est.value == estimate_mi(d, [top], k=6).value
+        j, value = _best_addition(_session(d, 6), ())
+        assert j == top
+        assert value == estimate_mi(d, [top], k=6).value
 
     def test_xor_partner_is_found(self):
         d = _xor_dataset()
-        subset, est = forward_step(d, (0,), k=6)
-        assert subset.indices == (0, 1)
-        assert est.value > estimate_mi(d, [0], k=6).value
+        j, value = _best_addition(_session(d, 6), (0,))
+        assert j == 1
+        assert value > estimate_mi(d, [0], k=6).value
 
     def test_matches_direct_candidate_sweep(self):
         rng = np.random.default_rng(7)
@@ -118,63 +123,65 @@ class TestForwardStep:
         y = x[:, 2] - 0.5 * x[:, 1] + 0.2 * rng.normal(size=30)
         d = Dataset(x, y)
         current = (2,)
-        subset, est = forward_step(d, current, k=4)
+        j, value = _best_addition(_session(d, 4), current)
         sweep = {
             j: estimate_mi(d, current + (j,), k=4).value
             for j in range(4)
             if j not in current
         }
         best = max(sorted(sweep), key=lambda j: sweep[j])
-        assert subset.indices == current + (best,)
-        assert est.value == sweep[best]
+        assert j == best
+        assert value == sweep[best]
 
     def test_error_when_exhausted(self):
         d = _xor_dataset(n=60)
         with pytest.raises(ValueError):
-            forward_step(d, (0, 1), k=4)
+            _best_addition(_session(d, 4), (0, 1))
 
 
 class TestBackwardStep:
+    """greedy_select's backward step: the removal with the highest joint MI.
+
+    The walk removes it only when that MI is strictly above the current one.
+    """
+
     def test_duplicate_column_removed_with_index_tiebreak(self):
         rng = np.random.default_rng(2)
         base = rng.normal(size=(200, 2))
         x = np.column_stack([base[:, 0], base[:, 1], base[:, 0]])
         y = base[:, 0] + base[:, 1] + 0.1 * rng.normal(size=200)
-        d = Dataset(x, y)
+        session = _session(Dataset(x, y), 6)
         # Removing either duplicate (0 or 2) raises MI identically; the
         # tie must resolve to the lower column index.
-        out = backward_step(d, (0, 2, 1), protected=1, k=6)
-        assert out.indices == (2, 1)
+        removed, value = _best_removal(session, (0, 2, 1), protected=1)
+        assert removed == 0
+        assert value == session.mi((2, 1)) == session.mi((0, 1))
+        assert value > session.mi((0, 2, 1))
 
     def test_jointly_necessary_pair_is_kept(self):
-        d = _xor_dataset()
-        out = backward_step(d, (0, 1), protected=1, k=6)
-        assert out.indices == (0, 1)
+        session = _session(_xor_dataset(), 6)
+        removed, value = _best_removal(session, (0, 1), protected=1)
+        assert removed == 0
+        assert not value > session.mi((0, 1))
 
     def test_two_variable_boundary_collapses_to_protected(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(300, 2))
         y = x[:, 1] + 0.05 * rng.normal(size=300)
-        d = Dataset(x, y)
-        out = backward_step(d, (0, 1), protected=1, k=6)
-        assert out.indices == (1,)
+        session = _session(Dataset(x, y), 6)
+        removed, value = _best_removal(session, (0, 1), protected=1)
+        assert removed == 0
+        assert value > session.mi((0, 1))
 
     def test_never_removes_protected(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(150, 3))
         y = x[:, 0] + 0.05 * rng.normal(size=150)
-        d = Dataset(x, y)
+        session = _session(Dataset(x, y), 6)
         # Variable 2 is a decoy, yet protected: only 0 or 1 may go.
-        out = backward_step(d, (0, 1, 2), protected=2, k=6)
-        assert 2 in out.indices
-        assert len(out.indices) >= 2
-
-    def test_validation(self):
-        d = _xor_dataset(n=50)
-        with pytest.raises(ValueError):
-            backward_step(d, (0,), protected=0, k=4)
-        with pytest.raises(ValueError):
-            backward_step(d, (0, 1), protected=5, k=4)
+        removed, _ = _best_removal(session, (0, 1, 2), protected=2)
+        assert removed in (0, 1)
+        assert _best_removal(session, (2,), protected=2) is None
 
 
 class TestGreedySelect:
@@ -516,13 +523,13 @@ class TestSelectionPipeline:
 
 
 class TestTraceSerialization:
-    def test_round_trip_preserves_floats_exactly(self, tmp_path):
+    def test_round_trip_preserves_floats_exactly(self):
         d = _additive_dataset(n=120, decoys=2, seed=6)
         _, trace = greedy_select(d, k=5)
-        path = tmp_path / "trace.json"
-        save_trace(trace, path)
-        back = load_trace(path)
-        assert back == trace
+        doc = trace.to_dict()
+        back = json.loads(json.dumps(doc, indent=2))  # as trace.json is written
+        assert back == doc
+        assert [s["mi"] for s in back["steps"]] == [s.mi for s in trace.steps]
 
     def test_subset_to_dict(self):
         s = VariableSubset((2, 0), "exhaustive")
