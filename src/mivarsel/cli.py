@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import blas_threads
 from .dataset import fetch_tecator, load_csv, load_input_rows, normalize_spectra
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
@@ -54,6 +55,13 @@ _EXIT_NUMERICAL = 4
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _parallelism(workers: int) -> str:
+    pin = blas_threads()
+    if pin["pinned"]:
+        return f"workers {workers}, BLAS threads {pin['threads']}"
+    return f"workers {workers}, BLAS {pin['blas']} not pinned"
 
 
 def data_dir() -> Path:
@@ -226,7 +234,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     labels = _labels(train)
     _progress(
         f"selecting variables (k={cfg.k}, pool up to {cfg.pool_size}, "
-        f"workers {cfg.workers})"
+        f"{_parallelism(cfg.workers)})"
     )
     result = select_variables(
         train,
@@ -249,6 +257,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, _ = _load_data(cfg, need_test=False)
+    raw_width = train.n_variables
     if cfg.preprocessing == "spectrum-normalize":
         train = normalize_spectra(train)
     labels = _labels(train)
@@ -262,7 +271,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     winner = select_winner(mat_l, mat_v)
     params = sweep.grid.points()[winner]
-    model = replace(sweep.fit(train, params), preprocessing=cfg.preprocessing)
+    model = replace(
+        sweep.fit(train, params), preprocessing=cfg.preprocessing, n_inputs=raw_width
+    )
 
     out = _out_dir(cfg, f"method-{cfg.method:02d}", f"seed-{cfg.seed}")
     save_pipeline(model, out / "model.json")
@@ -324,7 +335,7 @@ def cmd_run_method(args: argparse.Namespace) -> int:
         print("\n".join(_plan_lines(shown, cfg, [cfg.method])))
         return 0
     spec = METHOD_TABLE[cfg.method]
-    _progress(f"running method {cfg.method} ({spec.label}), workers {cfg.workers}")
+    _progress(f"running method {cfg.method} ({spec.label}), {_parallelism(cfg.workers)}")
     result = run_method(train, test, cfg)
     labels = _labels(
         normalize_spectra(train) if cfg.preprocessing == "spectrum-normalize" else train
@@ -363,7 +374,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         shown = normalize_spectra(train) if cfg.preprocessing == "spectrum-normalize" else train
         print("\n".join(_plan_lines(shown, cfg, methods)))
         return 0
-    _progress(f"running all {len(methods)} methods, workers {cfg.workers}")
+    _progress(f"running all {len(methods)} methods, {_parallelism(cfg.workers)}")
     results = reproduce(train, test, cfg)
     best = best_methods(results)
     labels = _labels(

@@ -122,7 +122,13 @@ def _read_table(path: str | Path) -> tuple[list[str] | None, int, list]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     plain = text.replace("\r\n", "\n")
     if '"' in plain or "\r" in plain:
-        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise DataError(
+                f"{path}: cannot read the CSV row ending at line {reader.line_num}: {exc}"
+            ) from None
     else:
         rows = [line for line in plain.split("\n") if line]
     if not rows:

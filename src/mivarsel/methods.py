@@ -375,6 +375,7 @@ def run_method(
     """Execute one benchmark method end to end on a train/test split."""
     spec = METHOD_TABLE[cfg.method]
     shared = {} if _shared is None else _shared
+    raw_width = train.n_variables
     if cfg.preprocessing == "spectrum-normalize":
         train = normalize_spectra(train)
         test = normalize_spectra(test)
@@ -384,7 +385,7 @@ def run_method(
     report, fitted = cross_validate(
         train, test, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
     )
-    model = replace(fitted, preprocessing=cfg.preprocessing)
+    model = replace(fitted, preprocessing=cfg.preprocessing, n_inputs=raw_width)
     if spec.projection is not None and spec.model == "linear":
         components = int(report.winner_params["components"])
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .baselines import Projection, project_rows, projection_from_dict, projection_to_dict
 from .dataset import ColumnWhitener, Dataset, normalize_spectrum_rows
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 MODEL_FORMAT = "mivarsel-model"
 MODEL_FORMAT_VERSION = 1
@@ -411,7 +411,9 @@ class PipelineModel:
 
     predict accepts rows in the space the experiment started from:
     raw spectra when the pipeline normalizes them itself, otherwise the
-    training matrix's space.
+    training matrix's space. ``n_inputs`` is that space's width; rows of
+    another width raise DataError. Documents written before the width
+    was recorded load with ``n_inputs=None`` and skip the check.
     """
 
     model: object
@@ -419,6 +421,7 @@ class PipelineModel:
     variables: tuple[int, ...] | None = None
     projection: Projection | None = None
     whitener: ColumnWhitener | None = None
+    n_inputs: int | None = None
 
     def __post_init__(self) -> None:
         if self.preprocessing not in PREPROCESSINGS:
@@ -430,6 +433,10 @@ class PipelineModel:
 
     def transform_rows(self, x) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if self.n_inputs is not None and pts.shape[1] != self.n_inputs:
+            raise DataError(
+                f"model was trained on {self.n_inputs} input columns, rows have {pts.shape[1]}"
+            )
         if self.preprocessing == "spectrum-normalize":
             pts = normalize_spectrum_rows(pts)
         if self.variables is not None:
@@ -455,6 +462,7 @@ def pipeline_to_dict(m: PipelineModel) -> dict:
         if m.whitener is None
         else {"means": m.whitener.means.tolist(), "stds": m.whitener.stds.tolist()},
         "model": model_to_dict(m.model),
+        "n_inputs": m.n_inputs,
     }
     return {
         "format": MODEL_FORMAT,
@@ -488,6 +496,7 @@ def pipeline_from_dict(doc: dict) -> PipelineModel:
         if data["projection"] is None
         else projection_from_dict(data["projection"]),
         whitener=whitener,
+        n_inputs=data.get("n_inputs"),
     )
 
 

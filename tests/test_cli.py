@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import multiprocessing
+import os
 import shlex
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mivarsel
 from mivarsel.cli import build_parser, main
 from mivarsel.dataset import Dataset, load_csv, save_csv
 from mivarsel.evaluation import nmse
@@ -141,6 +148,34 @@ class TestTrainPredict:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("method", [13, 1], ids=["variables", "projection"])
+    def test_predict_rejects_wrong_width_as_data_error(self, csvs, tmp_path, capsys, method):
+        main(["train", *_args(csvs), *_GRIDS, "--method", str(method)])
+        model_path = csvs[2] / "custom" / f"method-{method:02d}" / "seed-0" / "model.json"
+        assert json.loads(model_path.read_text())["data"]["n_inputs"] == 6
+        rows = tmp_path / "narrow.csv"
+        rows.write_text("x0,x1\n0.1,0.2\n0.3,0.4\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(rows)]) == 3
+        captured = capsys.readouterr()
+        assert "trained on 6 input columns, rows have 2" in captured.err
+        assert captured.out == ""
+
+    def test_document_without_width_still_predicts(self, csvs, capsys):
+        train, test, out = csvs
+        main(["train", *_args(csvs), *_GRIDS, "--method", "13"])
+        model_path = out / "custom" / "method-13" / "seed-0" / "model.json"
+        want = load_pipeline(model_path).predict(load_csv(test).X)
+        doc = json.loads(model_path.read_text())
+        del doc["data"]["n_inputs"]  # as written before the width was recorded
+        model_path.write_text(json.dumps(doc) + "\n")
+        assert load_pipeline(model_path).n_inputs is None
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(test)]) == 0
+        got = np.array([float(v) for v in capsys.readouterr().out.splitlines()[1:]])
+        assert np.array_equal(got, want)
+
+
 class TestRunMethod:
     def test_report_directory_layout(self, csvs, capsys):
         assert main(["run-method", *_args(csvs), *_GRIDS, "--method", "12"]) == 0
@@ -251,6 +286,14 @@ class TestExitCodes:
         bad.write_text(json.dumps({"method": 1, "bogus": True}))
         assert main(["select", *_args(csvs), "--config", str(bad)]) == 2
 
+    def test_oversized_csv_field_is_data_error(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text('x0,target\n1.0,2.0\n"' + "1" * 200_000 + '",3.0\n')
+        rc = main(["estimate", "--train", str(big), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(big) in err and "line 3" in err and "field larger than field limit" in err
+
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -335,3 +378,55 @@ class TestWorkersIndependence:
             doc["config"]["out_dir"] = None
             docs.append(doc)
         assert docs[0] == docs[1]
+
+
+def _synth():
+    """perfbench's seeded synthetic spectra, imported from the benchmark's own file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBlasThreads:
+    def test_import_pins_one_thread(self):
+        pin = mivarsel.blas_threads()
+        if not pin["pinned"]:
+            pytest.skip(f"numpy's BLAS ({pin['blas']}) has no OpenBLAS thread-count export")
+        assert pin["threads"] == 1
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_workers_run_one_thread(self, method, monkeypatch):
+        if not mivarsel.blas_threads()["pinned"]:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread-count export")
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        # a spawned worker reads this before it imports numpy
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
+            pin = pool.submit(mivarsel.blas_threads).result(timeout=120)
+        assert pin["pinned"] and pin["threads"] == 1
+
+    def test_reports_identical_across_blas_thread_counts(self, tmp_path):
+        synth = _synth()
+        x, y, xt, yt = synth.tecator_like(7)
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        save_csv(Dataset(x, y, synth.LABELS), train)
+        save_csv(Dataset(xt, yt, synth.LABELS), test)
+        src = str(Path(mivarsel.__file__).resolve().parents[1])
+        argv = [
+            sys.executable, "-m", "mivarsel.cli", "run-method",
+            "--train", str(train), "--test", str(test), "--out", str(tmp_path / "r"),
+            "--method", "5", "--preprocessing", "spectrum-normalize",
+            "--sigma-count", "5", "--gamma-count", "10", "--workers", "1",
+        ]
+        report = tmp_path / "r" / "custom" / "method-05" / "seed-0" / "report.json"
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]

@@ -174,12 +174,14 @@ class TestPipelineModel:
             variables=None,
             projection=p,
             whitener=w,
+            n_inputs=train.n_variables,
         )
         path = tmp_path / "model.json"
         save_pipeline(m, path)
         back = load_pipeline(path)
         assert np.array_equal(back.predict(test.X), m.predict(test.X))
         assert back.preprocessing == m.preprocessing
+        assert back.n_inputs == m.n_inputs
 
     def test_plain_model_document_loads_as_pipeline(self):
         train, test = _nonlinear_split(seed=9)
