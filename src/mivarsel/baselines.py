@@ -187,27 +187,3 @@ def transform(p: Projection, d: Dataset) -> Dataset:
     prefix = "pc" if p.kind == "pca" else "lv"
     labels = tuple(f"{prefix}{i + 1}" for i in range(p.n_components))
     return Dataset(scores, d.y, labels)
-
-
-def projection_to_dict(p: Projection) -> dict:
-    return {
-        "kind": p.kind,
-        "loadings": p.loadings.tolist(),
-        "x_mean": p.x_mean.tolist(),
-        "x_scale": None if p.x_scale is None else p.x_scale.tolist(),
-        "y_center": p.y_center,
-        "n_components": p.n_components,
-    }
-
-
-def projection_from_dict(doc: dict) -> Projection:
-    return Projection(
-        kind=doc["kind"],
-        loadings=np.array(doc["loadings"], dtype=np.float64).reshape(
-            len(doc["x_mean"]), doc["n_components"]
-        ),
-        x_mean=np.array(doc["x_mean"], dtype=np.float64),
-        x_scale=None if doc["x_scale"] is None else np.array(doc["x_scale"], dtype=np.float64),
-        y_center=doc["y_center"],
-        n_components=int(doc["n_components"]),
-    )

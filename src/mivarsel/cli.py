@@ -35,8 +35,9 @@ from .methods import (
     reproduce,
     run_method,
 )
-from .models import load_pipeline, save_pipeline
-from .selector import individual_mis, select_variables
+from .mi import MiSession
+from .models import encode, load_pipeline, save_pipeline
+from .selector import individual_mis, rank_by_individual_mi, select_variables
 
 __all__ = ["main", "DATA_DIR_ENV"]
 
@@ -215,13 +216,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         train = normalize_spectra(train)
     labels = _labels(train)
     _progress(f"estimating MI for {train.n_variables} variables (k={cfg.k})")
-    mis = individual_mis(train, k=cfg.k, jitter_seed=cfg.seed)
-    order = np.lexsort((np.arange(len(mis)), -mis))  # descending MI, index tiebreak
+    session = MiSession(train.X, train.y, k=cfg.k, jitter_seed=cfg.seed)
+    mis = individual_mis(train, cfg.k, cfg.seed, session)
+    ranking = rank_by_individual_mi(train, None, cfg.k, cfg.seed, session)
     out = _out_dir(cfg) / "mi.csv"
     with open(out, "w", encoding="utf-8", newline="") as handle:
         handle.write("variable,label,mi_nats\n")
-        for j in order:
-            handle.write(f"{int(j)},{labels[j]},{repr(float(mis[j]))}\n")
+        for j in ranking.indices:
+            handle.write(f"{j},{labels[j]},{repr(float(mis[j]))}\n")
     _progress(f"wrote {out}")
     return 0
 
@@ -246,7 +248,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     out = _out_dir(cfg)
     doc = {"config": cfg.to_dict(), "selection": result.to_dict(labels)}
     (out / "selection.json").write_text(json.dumps(doc, indent=2) + "\n")
-    (out / "trace.json").write_text(json.dumps(result.trace.to_dict(), indent=2) + "\n")
+    (out / "trace.json").write_text(json.dumps(encode(result.trace), indent=2) + "\n")
     _progress(f"wrote {out / 'selection.json'}")
     _progress(f"wrote {out / 'trace.json'}")
     chosen = result.best.sorted_indices()
@@ -289,9 +291,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if selection is not None:
         doc = {"config": cfg.to_dict(), "selection": selection.to_dict(labels)}
         (out / "selection.json").write_text(json.dumps(doc, indent=2) + "\n")
-        (out / "trace.json").write_text(
-            json.dumps(selection.trace.to_dict(), indent=2) + "\n"
-        )
+        (out / "trace.json").write_text(json.dumps(encode(selection.trace), indent=2) + "\n")
     _progress(f"wrote {out / 'model.json'}")
     print(
         f"method {cfg.method} ({spec.label}): winner {params}, "
@@ -320,9 +320,7 @@ def _write_method_artifacts(out: Path, cfg: ExperimentConfig, result, labels) ->
     doc = {"config": cfg.to_dict(), "result": result.to_dict(labels)}
     (out / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
     (out / "grid.csv").write_text(grid_csv(result.report))
-    trace = None
-    if result.selection is not None:
-        trace = result.selection.trace.to_dict()
+    trace = None if result.selection is None else encode(result.selection.trace)
     (out / "trace.json").write_text(json.dumps({"selection": trace}, indent=2) + "\n")
     save_pipeline(result.model, out / "model.json")
 
@@ -391,7 +389,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             method_docs.append(r.to_dict(labels))
         else:
             _progress(f"method {r.method} ({r.label}) failed: {r.error}")
-            method_docs.append({"method": r.method, "label": r.label, "error": r.error})
+            method_docs.append(encode(r))
     doc = {"config": cfg.to_dict(), "best": best, "methods": method_docs}
     (out / "benchmark.json").write_text(json.dumps(doc, indent=2) + "\n")
     _progress(f"wrote {out / 'benchmark.json'}")

@@ -188,9 +188,10 @@ def _parse_rows(rows: list, width: int) -> np.ndarray:
 def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
     """Load a Dataset from CSV.
 
-    The first row is treated as a header when any of its cells fails to
-    parse as a number. ``target_column`` selects the target by header
-    name or by 0-based column position.
+    A first row whose cells all parse as numbers is data; a header needs
+    at least one non-numeric cell, so a row of wavelengths such as
+    ``850,852,854`` is a sample. ``target_column`` selects the target by
+    header name or by 0-based column position.
     """
     header, width, rows = _read_table(path)
     if isinstance(target_column, str) and header is not None and target_column in header:
@@ -199,9 +200,10 @@ def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
         try:
             target_idx = int(target_column)
         except (TypeError, ValueError):
-            raise DataError(
-                f"target column {target_column!r} not found in header"
-            ) from None
+            where = "in header" if header is not None else (
+                f"({path} has no header row: its first row is all numbers)"
+            )
+            raise DataError(f"target column {target_column!r} not found {where}") from None
         if not -width <= target_idx < width:
             raise DataError(
                 f"target column index {target_idx} out of range for {width} columns"
@@ -280,6 +282,12 @@ class ColumnWhitener:
     means: np.ndarray
     stds: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name in ("means", "stds"):
+            values = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
     def apply(self, d: Dataset) -> Dataset:
         if d.n_variables != self.means.shape[0]:
             raise DataError(
@@ -300,10 +308,6 @@ def fit_column_whitener(train: Dataset) -> ColumnWhitener:
         raise DataError(
             f"column {int(degenerate[0])} has zero variance on the training rows"
         )
-    means = means.copy()
-    stds = stds.copy()
-    means.flags.writeable = False
-    stds.flags.writeable = False
     return ColumnWhitener(means, stds)
 
 

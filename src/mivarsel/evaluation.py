@@ -27,6 +27,7 @@ from .models import (
     _cluster_widths,
     _kernel_from_sq,
     _lstsq_with_bias,
+    encode,
     fit_linear,
     fit_lssvm,
     fit_rbfn,
@@ -547,41 +548,14 @@ class CvReport:
         return float(np.mean(self.winner_fold_nmse_v))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "l": self.l,
-            "seed": self.seed,
-            "var_y": self.var_y,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "folds": [list(f) for f in self.folds],
-            "grid": [
-                {
-                    "index": r.index,
-                    "params": dict(r.params),
-                    "nmse_l": [_none_if_nan(v) for v in r.nmse_l],
-                    "nmse_v": [_none_if_nan(v) for v in r.nmse_v],
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
-            "winner_index": self.winner_index,
-            "winner_params": dict(self.winner_params),
-            "winner_fold_nmse_l": list(self.winner_fold_nmse_l),
-            "winner_fold_nmse_v": list(self.winner_fold_nmse_v),
-            "mean_nmse_l": self.mean_nmse_l,
-            "mean_nmse_v": self.mean_nmse_v,
-            "trimmed_per_fold": [list(t) for t in self.trimmed_per_fold],
-            "nmse_t": self.nmse_t,
-            "test_reads": self.test_reads,
-            "trim_learn": self.trim_learn,
-            "trim_valid": self.trim_valid,
-            "trim_test": self.trim_test,
-        }
-
-
-def _none_if_nan(v: float):
-    return None if math.isnan(v) else float(v)
+        """The report's fields, with ``rows`` as ``grid`` and the winner's means."""
+        doc = {}
+        for key, value in encode(self).items():
+            doc["grid" if key == "rows" else key] = value
+            if key == "winner_fold_nmse_v":
+                doc["mean_nmse_l"] = self.mean_nmse_l
+                doc["mean_nmse_v"] = self.mean_nmse_v
+        return doc
 
 
 def grid_csv(report: CvReport) -> str:

@@ -11,7 +11,7 @@ columns.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .mi import DEFAULT_K
 from .models import (
     PREPROCESSINGS,
     PipelineModel,
+    encode,
     load_pipeline,
-    pipeline_to_dict,
     save_pipeline,
 )
 from .selector import MAX_POOL_SIZE, SelectionResult, select_variables
@@ -155,7 +155,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least 1")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return encode(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -262,16 +262,12 @@ class MethodResult:
         return self.report.nmse_t
 
     def to_dict(self, labels=None) -> dict:
-        return {
-            "method": self.method,
-            "label": self.label,
-            "preprocessing": self.preprocessing,
-            "n_inputs": self.n_inputs,
-            "components": self.components,
-            "selection": None if self.selection is None else self.selection.to_dict(labels),
-            "report": self.report.to_dict(),
-            "model": pipeline_to_dict(self.model),
-        }
+        # selection and report carry keys of their own, so they are encoded apart
+        doc = encode(replace(self, selection=None, report=None))
+        if self.selection is not None:
+            doc["selection"] = self.selection.to_dict(labels)
+        doc["report"] = self.report.to_dict()
+        return doc
 
 
 @dataclass(frozen=True)

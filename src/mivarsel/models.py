@@ -15,25 +15,26 @@ i.e. exp(-||x - c||^2 / (2 sigma^2)), shared by both kernel models.
   inputs get the minimum-norm solution.
 
 Models are immutable after fitting; prediction is a pure function of
-(model, x). Each model serializes to a versioned JSON document. A
-:class:`PipelineModel` bundles a fitted model with the input mapping it
-was trained behind and serializes to the same document format.
+(model, x). A :class:`PipelineModel` bundles a fitted model with the
+input mapping it was trained behind. :func:`encode` and :func:`decode`
+are the one JSON codec: every model, and every result record the CLI
+writes, is its dataclass fields in declaration order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .baselines import Projection, project_rows, projection_from_dict, projection_to_dict
+from .baselines import Projection, project_rows
 from .dataset import ColumnWhitener, Dataset, normalize_spectrum_rows
 from .errors import DataError, NumericalError
-
-MODEL_FORMAT = "mivarsel-model"
-MODEL_FORMAT_VERSION = 1
 
 PREPROCESSINGS = ("none", "spectrum-normalize")
 
@@ -345,67 +346,11 @@ def kkt_residual(m: LssvmModel, train: Dataset) -> float:
     return float(np.max(np.abs(m.coefficients - m.gamma * residuals)))
 
 
-def model_to_dict(model) -> dict:
-    if isinstance(model, RbfnModel):
-        kind, data = "rbfn", {
-            "centroids": model.centroids.tolist(),
-            "widths": model.widths.tolist(),
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "wsf": model.wsf,
-        }
-    elif isinstance(model, LssvmModel):
-        kind, data = "lssvm", {
-            "support_points": model.support_points.tolist(),
-            "coefficients": model.coefficients.tolist(),
-            "bias": model.bias,
-            "sigma": model.sigma,
-            "gamma": model.gamma,
-        }
-    elif isinstance(model, LinearModel):
-        kind, data = "linear", {
-            "coefficients": model.coefficients.tolist(),
-            "intercept": model.intercept,
-        }
-    else:
-        raise ValueError(f"cannot serialize {type(model).__name__}")
-    return {"format": MODEL_FORMAT, "version": MODEL_FORMAT_VERSION, "kind": kind, "data": data}
-
-
-def model_from_dict(doc: dict):
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a model document: format={doc.get('format')!r}")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model document version {doc.get('version')!r}")
-    kind = doc.get("kind")
-    data = doc["data"]
-    if kind == "rbfn":
-        return RbfnModel(
-            np.array(data["centroids"]),
-            np.array(data["widths"]),
-            np.array(data["weights"]),
-            float(data["bias"]),
-            float(data["wsf"]),
-        )
-    if kind == "lssvm":
-        return LssvmModel(
-            np.array(data["support_points"]),
-            np.array(data["coefficients"]),
-            float(data["bias"]),
-            float(data["sigma"]),
-            float(data["gamma"]),
-        )
-    if kind == "linear":
-        return LinearModel(np.array(data["coefficients"]), float(data["intercept"]))
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-
 # ---------------------------------------------------------------------------
 # Composite model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PipelineModel:
     """A fitted model bundled with every input transformation it needs.
 
@@ -416,11 +361,11 @@ class PipelineModel:
     was recorded load with ``n_inputs=None`` and skip the check.
     """
 
-    model: object
     preprocessing: str = "none"
     variables: tuple[int, ...] | None = None
     projection: Projection | None = None
     whitener: ColumnWhitener | None = None
+    model: object
     n_inputs: int | None = None
 
     def __post_init__(self) -> None:
@@ -453,56 +398,109 @@ class PipelineModel:
         return float(out[0]) if single else out
 
 
-def pipeline_to_dict(m: PipelineModel) -> dict:
-    data = {
-        "preprocessing": m.preprocessing,
-        "variables": None if m.variables is None else list(m.variables),
-        "projection": None if m.projection is None else projection_to_dict(m.projection),
-        "whitener": None
-        if m.whitener is None
-        else {"means": m.whitener.means.tolist(), "stds": m.whitener.stds.tolist()},
-        "model": model_to_dict(m.model),
-        "n_inputs": m.n_inputs,
-    }
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_FORMAT_VERSION,
-        "kind": "pipeline",
-        "data": data,
-    }
+# ---------------------------------------------------------------------------
+# Documents
+
+MODEL_FORMAT = "mivarsel-model"
+MODEL_FORMAT_VERSION = 1
+
+# Fitted-model classes by document kind; encode wraps these in a document.
+_KINDS = {"rbfn": RbfnModel, "lssvm": LssvmModel, "linear": LinearModel, "pipeline": PipelineModel}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
 
-def pipeline_from_dict(doc: dict) -> PipelineModel:
-    if doc.get("kind") != "pipeline":
-        # plain single-model documents load as a pipeline with no mapping
-        return PipelineModel(model=model_from_dict(doc))
+def encode(obj):
+    """The JSON-ready form of ``obj``.
+
+    A dataclass becomes a dict of its fields in declaration order, and a
+    fitted model (a class in ``_KINDS``) is wrapped in a
+    ``{format, version, kind, data}`` document. Arrays, tuples and lists
+    become lists, dict values are encoded in turn, and a NaN float
+    becomes None; other values pass through.
+    """
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else obj
+    if isinstance(obj, (tuple, list)):
+        return [encode(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: encode(v) for key, v in obj.items()}
+    if is_dataclass(obj):
+        data = {f.name: encode(getattr(obj, f.name)) for f in fields(obj)}
+        kind = _KIND_OF.get(type(obj))
+        if kind is None:
+            return data
+        return {"format": MODEL_FORMAT, "version": MODEL_FORMAT_VERSION, "kind": kind,
+                "data": data}
+    return obj
+
+
+def decode(doc):
+    """The fitted model a document written by :func:`encode` holds.
+
+    The format, version and kind are checked. Each field is read from
+    ``data`` and coerced by its annotation: arrays as float64, nested
+    dataclasses from their fields, a field annotated ``object`` as a
+    nested document. A missing field with a default takes the default.
+    Anything else raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a model document: a JSON {type(doc).__name__}")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model document: format={doc.get('format')!r}")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model document version {doc.get('version')!r}")
-    data = doc["data"]
-    whitener = None
-    if data["whitener"] is not None:
-        means = np.array(data["whitener"]["means"], dtype=np.float64)
-        stds = np.array(data["whitener"]["stds"], dtype=np.float64)
-        means.flags.writeable = False
-        stds.flags.writeable = False
-        whitener = ColumnWhitener(means, stds)
-    return PipelineModel(
-        model=model_from_dict(data["model"]),
-        preprocessing=data["preprocessing"],
-        variables=None if data["variables"] is None else tuple(data["variables"]),
-        projection=None
-        if data["projection"] is None
-        else projection_from_dict(data["projection"]),
-        whitener=whitener,
-        n_inputs=data.get("n_inputs"),
-    )
+    cls = _KINDS.get(doc.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown model kind {doc.get('kind')!r}")
+    return _from_fields(cls, doc.get("data"))
+
+
+@cache
+def _annotations(cls) -> dict:
+    return get_type_hints(cls)
+
+
+def _from_fields(cls, data):
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} data is not a JSON object")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            try:
+                kwargs[f.name] = _coerce(_annotations(cls)[f.name], data[f.name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{cls.__name__} field {f.name!r}: {exc}") from None
+        elif f.default is MISSING:
+            raise ValueError(f"{cls.__name__} document has no {f.name!r}")
+    return cls(**kwargs)
+
+
+def _coerce(hint, value):
+    arms = get_args(hint)
+    if type(None) in arms:  # an optional field
+        if value is None:
+            return None
+        hint = next(arm for arm in arms if arm is not type(None))
+    if hint is np.ndarray:
+        return np.array(value, dtype=np.float64)
+    if hint in (float, int):
+        return hint(value)
+    if hint is object:
+        return decode(value)
+    if is_dataclass(hint):
+        return _from_fields(hint, value)
+    if get_origin(hint) is tuple:
+        return tuple(value)
+    return value
 
 
 def save_pipeline(m: PipelineModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(pipeline_to_dict(m)) + "\n")
+    Path(path).write_text(json.dumps(encode(m)) + "\n")
 
 
 def load_pipeline(path: str | Path) -> PipelineModel:
-    return pipeline_from_dict(json.loads(Path(path).read_text()))
+    """The pipeline a document holds; a plain model document loads without a mapping."""
+    model = decode(json.loads(Path(path).read_text()))
+    return model if isinstance(model, PipelineModel) else PipelineModel(model=model)

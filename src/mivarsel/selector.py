@@ -38,6 +38,7 @@ from .mi import (
     _sq_diffs,
     _subset_indices,
 )
+from .models import encode
 
 PROVENANCES = ("ranking", "greedy", "pooled", "exhaustive")
 
@@ -108,26 +109,6 @@ class SelectionTrace:
     """Ordered audit log of forward, backward and stop decisions."""
 
     steps: tuple[TraceStep, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "kind": s.kind,
-                    "candidate": s.candidate,
-                    "subset": list(s.subset),
-                    "mi": s.mi,
-                    "decision": s.decision,
-                }
-                for s in self.steps
-            ]
-        }
-
-def subset_to_dict(subset: VariableSubset, labels: Sequence[str] | None = None) -> dict:
-    doc: dict = {"indices": list(subset.indices), "provenance": subset.provenance}
-    if labels is not None:
-        doc["labels"] = [labels[j] for j in subset.indices]
-    return doc
 
 
 def _session_for(d: Dataset, k: int, jitter_seed: int, session: MiSession | None) -> MiSession:
@@ -475,25 +456,18 @@ class SelectionResult:
     ranking: VariableSubset
     ranking_mis: tuple[float, ...]
     greedy: VariableSubset
-    trace: SelectionTrace
     pool: VariableSubset
     best: VariableSubset
     best_mi: MiEstimate
+    trace: SelectionTrace
 
     def to_dict(self, labels: Sequence[str] | None = None) -> dict:
-        return {
-            "ranking": subset_to_dict(self.ranking, labels),
-            "ranking_mis": list(self.ranking_mis),
-            "greedy": subset_to_dict(self.greedy, labels),
-            "pool": subset_to_dict(self.pool, labels),
-            "best": subset_to_dict(self.best, labels),
-            "best_mi": {
-                "value": self.best_mi.value,
-                "k": self.best_mi.k,
-                "n_samples": self.best_mi.n_samples,
-            },
-            "trace": self.trace.to_dict(),
-        }
+        """The encoded fields; ``labels`` adds each subset's variable names."""
+        doc = encode(self)
+        if labels is not None:
+            for key in ("ranking", "greedy", "pool", "best"):
+                doc[key]["labels"] = [labels[j] for j in getattr(self, key).indices]
+        return doc
 
 
 def select_variables(

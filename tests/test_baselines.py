@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,10 @@ from mivarsel.baselines import (
     Projection,
     fit_pca,
     fit_pls,
-    projection_from_dict,
-    projection_to_dict,
     transform,
 )
 from mivarsel.dataset import Dataset, fit_column_whitener
-from mivarsel.models import fit_linear, predict_linear
+from mivarsel.models import LinearModel, PipelineModel, decode, encode, fit_linear, predict_linear
 
 
 def _random_dataset(n=40, m=6, seed=0) -> Dataset:
@@ -203,7 +203,9 @@ class TestIntegration:
     def test_serialization_round_trip(self):
         d = _random_dataset(n=25, m=4, seed=21)
         for p in (fit_pca(d, 3), fit_pls(d, 2), fit_pca(d, 2, scale=True)):
-            back = projection_from_dict(projection_to_dict(p))
+            inner = LinearModel(np.zeros(p.n_components), 0.0)
+            doc = json.loads(json.dumps(encode(PipelineModel(model=inner, projection=p))))
+            back = decode(doc).projection
             assert back.kind == p.kind
             assert np.array_equal(back.loadings, p.loadings)
             assert np.array_equal(back.x_mean, p.x_mean)

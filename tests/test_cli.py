@@ -20,6 +20,7 @@ from mivarsel.cli import build_parser, main
 from mivarsel.dataset import Dataset, load_csv, save_csv
 from mivarsel.evaluation import nmse
 from mivarsel.models import load_pipeline
+from mivarsel.selector import rank_by_individual_mi
 
 
 @pytest.fixture()
@@ -65,6 +66,21 @@ class TestEstimate:
         first = (csvs[2] / "custom" / "mi.csv").read_bytes()
         main(["estimate", *_args(csvs)])
         assert (csvs[2] / "custom" / "mi.csv").read_bytes() == first
+
+    def test_order_is_the_selector_ranking(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(50, 4))
+        x = np.column_stack([x, x[:, 1]])  # column 4 repeats column 1: an exact MI tie
+        y = x[:, 1] + 0.5 * x[:, 3] + 0.05 * rng.normal(size=50)
+        train = tmp_path / "dup.csv"
+        save_csv(Dataset(x, y), train)
+        assert main(["estimate", "--train", str(train), "--out", str(tmp_path / "r")]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "r" / "custom" / "mi.csv").read_text().splitlines()[1:]]
+        order = [int(r[0]) for r in rows]
+        assert order == list(rank_by_individual_mi(load_csv(train)).indices)
+        mi = {int(r[0]): r[2] for r in rows}
+        assert mi[1] == mi[4] and order.index(1) < order.index(4)
 
     def test_normalization_extends_the_table(self, csvs):
         assert main(["estimate", *_args(csvs), "--preprocessing", "spectrum-normalize"]) == 0
@@ -293,6 +309,26 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert str(big) in err and "line 3" in err and "field larger than field limit" in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"format": "mivarsel-model", "version": 1, "kind": "pipeline", "data": {}}, "'model'"),
+            ([1, 2], "not a model document"),
+            (
+                {"format": "mivarsel-model", "version": 1, "kind": "linear",
+                 "data": {"coefficients": [1.0, 2.0]}},
+                "'intercept'",
+            ),
+        ],
+        ids=["empty-pipeline", "array", "linear-without-intercept"],
+    )
+    def test_malformed_model_document_is_config_error(self, csvs, tmp_path, capsys, doc, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(path), "--data", str(csvs[1])]) == 2
+        err = capsys.readouterr().err
+        assert "invalid value" in err and message in err
 
     def test_missing_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

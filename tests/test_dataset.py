@@ -120,6 +120,20 @@ class TestCsvIo:
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv")
 
+    def test_all_numeric_first_row_is_data(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("850,852,854,0\n1.0,2.0,3.0,4.5\n")  # wavelengths, not a header
+        d = load_csv(path, 3)
+        assert d.labels is None
+        assert d.X.tolist() == [[850.0, 852.0, 854.0], [1.0, 2.0, 3.0]]
+        assert d.y.tolist() == [0.0, 4.5]
+
+    def test_target_name_without_header_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("850,852,854,0\n1.0,2.0,3.0,4.5\n")
+        with pytest.raises(DataError, match="has no header row"):
+            load_csv(path, "target")
+
 
 class TestCsvReader:
     """One reader for load_csv and load_input_rows, with a numpy fast path."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -27,12 +29,11 @@ from mivarsel.methods import (
 )
 from mivarsel.models import (
     PipelineModel,
+    decode,
+    encode,
     fit_linear,
     fit_rbfn,
     load_pipeline,
-    model_to_dict,
-    pipeline_from_dict,
-    pipeline_to_dict,
     save_pipeline,
 )
 
@@ -183,18 +184,20 @@ class TestPipelineModel:
         assert back.preprocessing == m.preprocessing
         assert back.n_inputs == m.n_inputs
 
-    def test_plain_model_document_loads_as_pipeline(self):
+    def test_plain_model_document_loads_as_pipeline(self, tmp_path):
         train, test = _nonlinear_split(seed=9)
         inner = fit_rbfn(train, 3, 1.0, seed=0)
-        back = pipeline_from_dict(model_to_dict(inner))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(encode(inner)))
+        back = load_pipeline(path)
         assert isinstance(back, PipelineModel)
         assert np.array_equal(back.predict(test.X), inner.predict(test.X))
 
     def test_foreign_document_rejected(self):
-        doc = pipeline_to_dict(PipelineModel(model=fit_linear(_nonlinear_split()[0])))
+        doc = encode(PipelineModel(model=fit_linear(_nonlinear_split()[0])))
         doc["format"] = "something-else"
         with pytest.raises(ValueError, match="not a model document"):
-            pipeline_from_dict(doc)
+            decode(doc)
 
 
 class TestPipelineSweep:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mivarsel.dataset import Dataset
+from mivarsel.dataset import Dataset, load_input_rows
 from mivarsel.errors import NumericalError
 from mivarsel.models import (
     LssvmModel,
@@ -15,14 +17,14 @@ from mivarsel.models import (
     RbfnModel,
     _cluster_means,
     _cluster_widths,
+    decode,
+    encode,
     fit_linear,
     fit_lssvm,
     fit_rbfn,
     kkt_residual,
     kmeans,
     load_pipeline,
-    model_from_dict,
-    model_to_dict,
     predict_linear,
     predict_lssvm,
     predict_rbfn,
@@ -429,18 +431,18 @@ class TestSerialization:
             assert np.array_equal(back.predict(probe), model.predict(probe))
 
     def test_document_is_versioned(self):
-        doc = model_to_dict(self._models()[2])
+        doc = encode(self._models()[2])
         assert doc["format"] == "mivarsel-model"
         assert doc["version"] == 1
         assert doc["kind"] == "linear"
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
-            model_from_dict({"format": "other", "version": 1})
+            decode({"format": "other", "version": 1})
         with pytest.raises(ValueError):
-            model_from_dict({"format": "mivarsel-model", "version": 99, "kind": "linear", "data": {}})
+            decode({"format": "mivarsel-model", "version": 99, "kind": "linear", "data": {}})
         with pytest.raises(ValueError):
-            model_from_dict({"format": "mivarsel-model", "version": 1, "kind": "tree", "data": {}})
+            decode({"format": "mivarsel-model", "version": 1, "kind": "tree", "data": {}})
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -451,3 +453,42 @@ class TestSerialization:
             LssvmModel(np.zeros((2, 1)), np.zeros(3), 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             LssvmModel(np.zeros((2, 1)), np.zeros(2), 0.0, -1.0, 1.0)
+
+
+_DATA = Path(__file__).parent / "data"
+_GOLDEN = [
+    "pipeline-linear",
+    "pipeline-rbfn",
+    "pipeline-lssvm",
+    "pipeline-pca-whiten",
+    "pipeline-mi-normalize",
+    "pipeline-no-n-inputs",
+    "model-plain",
+]
+
+
+class TestGoldenDocuments:
+    """Committed documents pin the format: each predicts its committed values
+    and encodes back to its own bytes."""
+
+    @pytest.mark.parametrize("name", _GOLDEN)
+    def test_predicts_committed_values(self, name):
+        model = load_pipeline(_DATA / f"{name}.json")
+        lines = (_DATA / f"{name}.predictions.csv").read_text().splitlines()
+        assert lines[0] == "prediction"
+        got = model.predict(load_input_rows(_DATA / "rows.csv"))
+        assert [repr(float(v)) for v in got] == lines[1:]
+
+    @pytest.mark.parametrize("name", _GOLDEN)
+    def test_encodes_to_the_same_bytes(self, name, tmp_path):
+        text = (_DATA / f"{name}.json").read_text()
+        model = load_pipeline(_DATA / f"{name}.json")
+        if name == "model-plain":
+            assert json.dumps(encode(model.model)) + "\n" == text
+            return
+        save_pipeline(model, tmp_path / "again.json")
+        if name == "pipeline-no-n-inputs":
+            # written before the width was recorded; the key comes back as null
+            assert text.endswith("}}\n")
+            text = text[: -len("}}\n")] + ', "n_inputs": null}}\n'
+        assert (tmp_path / "again.json").read_text() == text

@@ -13,8 +13,11 @@ import pytest
 from mivarsel import selector
 from mivarsel.dataset import Dataset
 from mivarsel.errors import ConfigError, DataError
-from mivarsel.mi import MiSession, _neighborhood_arrays, _sq_diffs, estimate_mi
+from mivarsel.mi import MiEstimate, MiSession, _neighborhood_arrays, _sq_diffs, estimate_mi
+from mivarsel.models import encode
 from mivarsel.selector import (
+    SelectionResult,
+    SelectionTrace,
     VariableSubset,
     _best_addition,
     _best_removal,
@@ -24,7 +27,6 @@ from mivarsel.selector import (
     individual_mis,
     rank_by_individual_mi,
     select_variables,
-    subset_to_dict,
 )
 from oracles import best_subset_by_enumeration
 
@@ -526,14 +528,24 @@ class TestTraceSerialization:
     def test_round_trip_preserves_floats_exactly(self):
         d = _additive_dataset(n=120, decoys=2, seed=6)
         _, trace = greedy_select(d, k=5)
-        doc = trace.to_dict()
+        doc = encode(trace)
         back = json.loads(json.dumps(doc, indent=2))  # as trace.json is written
         assert back == doc
         assert [s["mi"] for s in back["steps"]] == [s.mi for s in trace.steps]
 
     def test_subset_to_dict(self):
         s = VariableSubset((2, 0), "exhaustive")
-        doc = subset_to_dict(s, labels=("a", "b", "c"))
+        result = SelectionResult(
+            ranking=VariableSubset((0, 1, 2)),
+            ranking_mis=(0.3, 0.2, 0.1),
+            greedy=VariableSubset((0,), "greedy"),
+            pool=VariableSubset((0, 1, 2), "pooled"),
+            best=s,
+            best_mi=MiEstimate(0.4, 1, 10),
+            trace=SelectionTrace(()),
+        )
+        assert encode(s) == {"indices": [2, 0], "provenance": "exhaustive"}
+        doc = result.to_dict(labels=("a", "b", "c"))["best"]
         assert doc == {
             "indices": [2, 0],
             "provenance": "exhaustive",
