@@ -316,13 +316,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_method_artifacts(out: Path, cfg: ExperimentConfig, result, labels) -> None:
-    doc = {"config": cfg.to_dict(), "result": result.to_dict(labels)}
+def _write_method_artifacts(out: Path, cfg: ExperimentConfig, result, labels) -> dict:
+    """Write one method's artifacts and return the encoded result that report.json holds."""
+    encoded = result.to_dict(labels)
+    doc = {"config": cfg.to_dict(), "result": encoded}
     (out / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
     (out / "grid.csv").write_text(grid_csv(result.report))
     trace = None if result.selection is None else encode(result.selection.trace)
     (out / "trace.json").write_text(json.dumps({"selection": trace}, indent=2) + "\n")
     save_pipeline(result.model, out / "model.json")
+    return encoded
 
 
 def cmd_run_method(args: argparse.Namespace) -> int:
@@ -385,8 +388,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         if isinstance(r, MethodResult):
             sub = out / f"method-{r.method:02d}"
             sub.mkdir(parents=True, exist_ok=True)
-            _write_method_artifacts(sub, cfg, r, labels)
-            method_docs.append(r.to_dict(labels))
+            method_docs.append(_write_method_artifacts(sub, cfg, r, labels))
         else:
             _progress(f"method {r.method} ({r.label}) failed: {r.error}")
             method_docs.append(encode(r))

@@ -17,9 +17,11 @@ Estimates can be slightly negative near independence; callers must not
 clamp them, since comparisons between subsets rely on the raw values.
 
 All distance work is exact. Squared distances accumulate per variable
-in ascending column order and the per-sample digamma contributions are
-sorted before averaging, so results are bit-reproducible and invariant
-under sample permutation (when no tie-breaking jitter is triggered).
+in ascending column order, a sample's quantities depend only on its own
+row of distances (so computing the rows in blocks changes no bit), and
+the per-sample digamma contributions are sorted before averaging, so
+results are bit-reproducible and invariant under sample permutation
+(when no tie-breaking jitter is triggered).
 """
 
 from __future__ import annotations
@@ -41,36 +43,6 @@ EULER_GAMMA = 0.577215664901532860606512090082
 _JITTER_SCALE = 1e-10
 
 _TINY = float(np.finfo(np.float64).tiny)
-
-
-def digamma(t: float) -> float:
-    """Digamma function psi(t) for t > 0, accurate to better than 1e-10.
-
-    Uses the recurrence psi(t+1) = psi(t) + 1/t to shift the argument
-    above 8, then an asymptotic expansion.
-    """
-    x = float(t)
-    if not x > 0.0:
-        raise ValueError(f"digamma requires a positive argument, got {t!r}")
-    value = 0.0
-    while x < 8.0:
-        value -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = inv2 * (
-        1.0 / 12.0
-        - inv2 * (
-            1.0 / 120.0
-            - inv2 * (
-                1.0 / 252.0
-                - inv2 * (
-                    1.0 / 240.0
-                    - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0))
-                )
-            )
-        )
-    )
-    return value + math.log(x) - 0.5 / x - series
 
 
 def digamma_table(n: int) -> np.ndarray:
@@ -108,86 +80,24 @@ class MiEstimate:
             raise ValueError(f"MI estimate is not finite: {self.value!r}")
 
 
-@dataclass(frozen=True)
-class NeighborhoodStats:
-    """Per-sample neighborhood quantities feeding the estimator.
+# A B x N distance buffer holds at most this many float64 (256 KB) once N
+# passes 181, so a block's buffers stay in a 2 MB L2 cache.
+_BLOCK_ELEMENTS = 1 << 15
 
-    eps is the max-norm distance to the k-th joint-space neighbor; n_x
-    and n_y count samples strictly inside eps in each marginal space.
+
+def block_rows(n: int) -> int:
+    """Rows per block for ``n`` samples: min(N, max(1, 2^15 // N)); N <= 181 is one block."""
+    return min(n, max(1, _BLOCK_ELEMENTS // n))
+
+
+def _sq_diffs(rows: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared differences between a block of samples and every sample, (len(rows), N).
+
+    Written into ``out`` when given. Each entry has the bits of the same
+    entry of the full matrix ``(values[:, None] - values[None, :]) ** 2``.
     """
-
-    eps: float
-    n_x: int
-    n_y: int
-
-    def __post_init__(self) -> None:
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if self.n_x < 0 or self.n_y < 0:
-            raise ValueError("neighbor counts must be nonnegative")
-
-
-def _sq_diffs(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise squared differences of a single variable, (N, N).
-
-    Written into ``out`` when given; the two ufuncs give the same bits
-    as ``(values[:, None] - values[None, :]) ** 2``.
-    """
-    out = np.subtract(values[:, None], values[None, :], out=out)
+    out = np.subtract(rows[:, None], values[None, :], out=out)
     return np.square(out, out=out)
-
-
-def _x_sq_dists(
-    columns: Sequence[np.ndarray],
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pairwise squared Euclidean X-distances, accumulated column by column.
-
-    Written into ``out`` when given, with every later column's matrix
-    computed in ``scratch``; the buffers do not change the bits.
-    """
-    out = _sq_diffs(columns[0], out)
-    for col in columns[1:]:
-        out += _sq_diffs(col, scratch)
-    return out
-
-
-def _count_below(mat: np.ndarray, limits: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Per row, how many entries of ``mat`` are strictly below the row's limit."""
-    mask = np.less(mat, limits[:, None], out=mask)
-    # Counts never exceed N, so 32 bits suffice, and the narrower
-    # accumulator makes the row reduction about twice as fast.
-    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
-
-
-def _kth_smallest(dz2: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the k-th smallest joint distance to another sample; partitions ``dz2``."""
-    dz2.reshape(-1)[:: dz2.shape[0] + 1] = np.inf
-    dz2.partition(k - 1, axis=1)
-    return dz2[:, k - 1].copy()
-
-
-def _neighborhood_arrays(
-    dx2: np.ndarray,
-    dy2: np.ndarray,
-    k: int,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eps^2, n_x, n_y) for every sample, from squared distance matrices.
-
-    Comparisons stay in the squared domain: squaring is monotone on
-    nonnegative distances, so strict inequalities are preserved.
-    ``work`` is a (joint distances, boolean mask) pair of N x N buffers;
-    without it both are allocated. Neither input matrix is modified.
-    """
-    dz2, mask = work if work is not None else (None, None)
-    eps2 = _kth_smallest(np.maximum(dx2, dy2, out=dz2), k)
-    # The self distance 0 is counted by the comparison whenever eps2 > 0.
-    self_hit = eps2 > 0.0
-    n_x = _count_below(dx2, eps2, mask) - self_hit
-    n_y = _count_below(dy2, eps2, mask) - self_hit
-    return eps2, n_x, n_y
 
 
 def _jittered(
@@ -207,46 +117,6 @@ def _jittered(
     return xj, yj
 
 
-def _as_columns(x: np.ndarray) -> np.ndarray:
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ValueError(f"points_x must be 1- or 2-dimensional, got shape {x.shape}")
-    return x
-
-
-def knn_stats(points_x, points_y, i: int, k: int) -> NeighborhoodStats:
-    """Neighborhood statistics of sample ``i`` among the given points.
-
-    The joint distance between samples is max(Euclidean X-distance,
-    absolute Y-distance); the k-th neighbor excludes the sample itself
-    and the counts use strict inequality, so boundary ties are excluded.
-    Duplicate points can make eps zero; deduplication is the estimation
-    layer's concern, the raw statistics are returned as they are.
-    """
-    x = _as_columns(np.asarray(points_x))
-    y = np.ascontiguousarray(points_y, dtype=np.float64)
-    n = y.shape[0]
-    if x.shape[0] != n:
-        raise ValueError("points_x and points_y disagree on the sample count")
-    if not 0 <= i < n:
-        raise ValueError(f"sample index {i} out of range for {n} samples")
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
-    dx2 = (x[:, 0] - x[i, 0]) ** 2
-    for j in range(1, x.shape[1]):
-        dx2 += (x[:, j] - x[i, j]) ** 2
-    dy2 = (y - y[i]) ** 2
-    dz2 = np.maximum(dx2, dy2)
-    dz2[i] = np.inf
-    eps2 = np.partition(dz2, k - 1)[k - 1]
-    self_hit = bool(eps2 > 0.0)
-    n_x = int((dx2 < eps2).sum()) - self_hit
-    n_y = int((dy2 < eps2).sum()) - self_hit
-    return NeighborhoodStats(eps=math.sqrt(eps2), n_x=n_x, n_y=n_y)
-
-
 def _validate_subset(indices: Iterable[int], n_variables: int) -> list[int]:
     idx = [int(j) for j in indices]
     if not idx:
@@ -264,17 +134,23 @@ def _validate_subset(indices: Iterable[int], n_variables: int) -> list[int]:
 class MiSession:
     """Reusable MI evaluator over one dataset.
 
-    Holds the columns (one contiguous row per variable), the target
-    distance matrix, the digamma table and each variable's range.
-    Every evaluation runs in the same few N x N buffers, made on
-    first use: the accumulated X-distances, one column's matrix, the
-    joint distances and a boolean mask, 4 1/8 N x N float64 with the
-    target's, whatever the variable count. Data with duplicate joint
-    points adds one buffer for the jittered distances. ``mi`` memoises
-    each subset's value, so a repeated query costs a dictionary lookup;
-    the memo grows by one small entry per distinct subset. ``mi``
-    returns exactly the same floats as :func:`estimate_mi` on the same
-    inputs.
+    Holds the columns (one contiguous row per variable), the target, the
+    digamma table and each variable's range. An evaluation walks the
+    samples in blocks of B = :func:`block_rows` (N) rows. A sample's
+    eps^2, n_x and n_y depend only on its own row of distances, and the
+    value is the mean of the sorted per-sample contributions, so blocks
+    give the same bits as full N x N matrices. Every block runs in the
+    same B x N buffers, made on first use: the accumulated X-distances,
+    one column's distances, the target's, the joint distances and a
+    boolean mask, 4 1/8 B x N float64 (about 1 MB once N passes 181),
+    whatever the variable count. With one block (N <= 181) the target's
+    distances are computed once per session, otherwise once per block
+    per evaluation. Data with duplicate joint points is evaluated a
+    second time, in the same buffers, on jittered copies of the subset's
+    columns and the target. ``mi`` memoises each subset's value, so a
+    repeated query costs a dictionary lookup; the memo grows by one
+    small entry per distinct subset. ``mi`` returns exactly the same
+    floats as :func:`estimate_mi` on the same inputs.
 
     The shared buffers make a session non-reentrant: give each thread
     or process its own.
@@ -294,22 +170,35 @@ class MiSession:
         self.jitter_seed = int(jitter_seed)
         self.n_samples = n
         self.n_variables = x.shape[1]
+        self.block = block_rows(n)
         self._columns = np.ascontiguousarray(x.T)
         self._ranges = (self._columns.max(axis=1) - self._columns.min(axis=1)).tolist()
         _check_ranges([float(self._y.max() - self._y.min())], "the target")
-        self._dy2 = _sq_diffs(self._y)
         self._psi = digamma_table(n)
         self._buffers: dict[str, np.ndarray] = {}
+        self._target_rows: tuple[int, int] | None = None
         self._values: dict[tuple[int, ...], float] = {}
 
-    def _buffer(self, name: str) -> np.ndarray:
-        """The N x N buffer ``name``, made on first use and reused by every later call."""
+    def _buffer(self, name: str, rows: int) -> np.ndarray:
+        """The first ``rows`` rows of the B x N buffer ``name``, made on first use."""
         buf = self._buffers.get(name)
         if buf is None:
-            n = self.n_samples
-            buf = np.empty((n, n), dtype=bool if name == "mask" else np.float64)
-            self._buffers[name] = buf
-        return buf
+            shape = (self.block, self.n_samples)
+            buf = self._buffers[name] = np.empty(shape, bool if name == "mask" else np.float64)
+        return buf[:rows]
+
+    def _blocks(self) -> list[tuple[int, int]]:
+        """(start, stop) of every block of rows, in order."""
+        n, b = self.n_samples, self.block
+        return [(start, min(n, start + b)) for start in range(0, n, b)]
+
+    def _target(self, start: int, stop: int) -> np.ndarray:
+        """The target distances of rows start .. stop - 1, kept until another block needs them."""
+        dy2 = self._buffer("target", stop - start)
+        if self._target_rows != (start, stop):
+            _sq_diffs(self._y[start:stop], self._y, dy2)
+            self._target_rows = (start, stop)
+        return dy2
 
     def _check_scale(self, columns: Sequence[int]) -> None:
         """NumericalError unless the squared X-distances over ``columns`` are normal floats."""
@@ -321,38 +210,94 @@ class MiSession:
         value = self._values.get(idx)
         if value is None:
             self._check_scale(idx)
-            dx2 = _x_sq_dists(
-                [self._columns[j] for j in idx], self._buffer("sum"), self._buffer("column")
-            )
-            value = self._values[idx] = self._value(dx2, idx)
+            value = self._values[idx] = self._estimate(idx)
         return value
 
-    def _value(self, dx2: np.ndarray, columns: Sequence[int]) -> float:
-        """MI of ``columns`` (sorted) from their accumulated ``dx2``, which is not modified.
+    def _estimate(self, columns: Sequence[int]) -> float:
+        """MI of ``columns`` (sorted); not memoised, and the caller checks the scale."""
+        index = np.empty((2, 1, self.n_samples), dtype=np.int32)
+        if self._fill([self._columns[j] for j in columns], None, index[:, 0]):
+            return self._jittered_value(columns)
+        return float(self._reduce(index)[0])
 
-        ``dx2`` must have been accumulated in ascending column order.
-        The value is not memoised, and the caller checks the scale.
-        The raw columns are only read when duplicate joint points force
-        jittering. The jittered X-distances then go to one more session
-        buffer, with the joint-distance buffer as column scratch; the
-        jittered target distances go to the joint-distance buffer, which
-        takes the maximum in place, and later over the X-distances to
-        count n_y.
+    def _jittered_value(self, columns: Sequence[int]) -> float:
+        """MI of ``columns`` (sorted) on jittered copies of their values and the target.
+
+        The fallback when duplicate joint points leave some sample's
+        k-th neighbour at distance 0.
         """
-        dz2, mask = self._buffer("dz2"), self._buffer("mask")
-        eps2, n_x, n_y = _neighborhood_arrays(dx2, self._dy2, self.k, (dz2, mask))
-        if not eps2.all():
-            xj, yj = _jittered(self._columns[list(columns)].T, self._y, self.jitter_seed)
-            dx2 = _x_sq_dists(xj.T, self._buffer("jitter"), dz2)
-            eps2 = _kth_smallest(np.maximum(dx2, _sq_diffs(yj, dz2), out=dz2), self.k)
-            self_hit = eps2 > 0.0
-            n_x = _count_below(dx2, eps2, mask) - self_hit
-            n_y = _count_below(_sq_diffs(yj, dx2), eps2, mask) - self_hit
-        psi = self._psi
-        contributions = psi[n_x + 1] + psi[n_y + 1]
-        # Sorting makes the average independent of sample order.
-        mean_contribution = float(np.mean(np.sort(contributions)))
-        return float(psi[self.k] + psi[self.n_samples] - mean_contribution)
+        xj, yj = _jittered(self._columns[list(columns)].T, self._y, self.jitter_seed)
+        index = np.empty((2, 1, self.n_samples), dtype=np.int32)
+        self._fill(xj.T, yj, index[:, 0])
+        return float(self._reduce(index)[0])
+
+    def _fill(self, columns, target: np.ndarray | None, index: np.ndarray) -> bool:
+        """Write every sample's digamma indices into ``index`` (2 x N); True if some eps^2 is 0.
+
+        ``columns`` are the subset's variables, accumulated in the given
+        order; ``target`` None stands for the session's own target.
+        """
+        tied = False
+        for start, stop in self._blocks():
+            rows = stop - start
+            dx2 = _sq_diffs(columns[0][start:stop], columns[0], self._buffer("sum", rows))
+            for col in columns[1:]:
+                dx2 += _sq_diffs(col[start:stop], col, self._buffer("column", rows))
+            if target is None:
+                dy2 = self._target(start, stop)
+            else:
+                dy2 = _sq_diffs(target[start:stop], target, self._buffer("target", rows))
+                self._target_rows = None
+            tied |= self._count_rows(dx2, dy2, start, index[0, start:stop], index[1, start:stop])
+        return tied
+
+    def _count_rows(
+        self, dx2: np.ndarray, dy2: np.ndarray, start: int, index_x: np.ndarray, index_y: np.ndarray
+    ) -> bool:
+        """Digamma indices n_x + 1 and n_y + 1 of one block's samples; True if some eps^2 is 0.
+
+        ``dx2`` and ``dy2`` hold the squared X and target distances of
+        samples start, start + 1, ... to every sample; neither is
+        modified. Comparisons stay in the squared domain: squaring is
+        monotone on nonnegative distances, so strict inequalities are
+        preserved. The counts take in the sample's own distance 0,
+        which is below any positive eps^2, so they are n + 1 as they
+        stand; a sample with eps^2 = 0 has no such hit and gets one added.
+        """
+        rows = dx2.shape[0]
+        dz2 = np.maximum(dx2, dy2, out=self._buffer("dz2", rows))
+        # Each sample's own entry, (i, start + i), is not a neighbour.
+        dz2.reshape(-1)[start :: self.n_samples + 1] = np.inf
+        dz2.partition(self.k - 1, axis=1)
+        eps2 = dz2[:, self.k - 1, None]
+        mask = self._buffer("mask", rows)
+        # Counts never exceed N, so 32 bits suffice, and the narrower
+        # accumulator makes the row reduction about twice as fast.
+        np.less(dx2, eps2, out=mask)
+        np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32, out=index_x)
+        np.less(dy2, eps2, out=mask)
+        np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32, out=index_y)
+        if eps2.all():
+            return False
+        no_self_hit = eps2[:, 0] == 0.0
+        index_x += no_self_hit
+        index_y += no_self_hit
+        return True
+
+    def _reduce(self, index: np.ndarray) -> np.ndarray:
+        """MI of each of S <= B subsets from their digamma indices, 2 x S x N.
+
+        The contributions go to the joint-distance and column buffers.
+        The indices are 1 .. N, so mode="clip" never clips; it only
+        spares np.take the temporary copy of ``out`` that mode="raise"
+        makes.
+        """
+        psi, count = self._psi, index.shape[1]
+        contributions = np.take(psi, index[0], out=self._buffer("dz2", count), mode="clip")
+        contributions += np.take(psi, index[1], out=self._buffer("column", count), mode="clip")
+        # Sorting makes each average independent of sample order.
+        contributions.sort(axis=1)
+        return psi[self.k] + psi[self.n_samples] - contributions.mean(axis=1)
 
     def estimate(self, subset) -> MiEstimate:
         return MiEstimate(self.mi(subset), self.k, self.n_samples)

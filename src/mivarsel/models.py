@@ -70,18 +70,6 @@ def _kernel_from_sq(d2: np.ndarray, widths) -> np.ndarray:
     return np.exp(-d2 / (2.0 * w2))
 
 
-def rbf_kernel(x, c, sigma: float) -> float:
-    """Gaussian kernel between two points; 1 exactly when x equals c."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    c = np.asarray(c, dtype=np.float64).ravel()
-    if x.shape != c.shape:
-        raise ValueError(f"point dimensions differ: {x.shape} vs {c.shape}")
-    d2 = float(((x - c) ** 2).sum())
-    return float(np.exp(-d2 / (2.0 * sigma * sigma)))
-
-
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     """Coerce a single point or a matrix of points to (n, dim)."""
     arr = np.asarray(x, dtype=np.float64)
@@ -340,12 +328,6 @@ def predict_linear(m: LinearModel, x):
     return float(out[0]) if single else out
 
 
-def kkt_residual(m: LssvmModel, train: Dataset) -> float:
-    """Max dual-optimality violation max_i |lambda_i - gamma (y_i - yhat_i)|."""
-    residuals = train.y - predict_lssvm(m, train.X)
-    return float(np.max(np.abs(m.coefficients - m.gamma * residuals)))
-
-
 # ---------------------------------------------------------------------------
 # Composite model
 
@@ -440,10 +422,13 @@ def decode(doc):
     """The fitted model a document written by :func:`encode` holds.
 
     The format, version and kind are checked. Each field is read from
-    ``data`` and coerced by its annotation: arrays as float64, nested
-    dataclasses from their fields, a field annotated ``object`` as a
-    nested document. A missing field with a default takes the default.
-    Anything else raises ValueError.
+    ``data`` and coerced by its annotation: arrays as float64, an int
+    from a JSON integer, a float from a JSON number, a str from a JSON
+    string, a tuple from a JSON list of its items, nested dataclasses
+    from their fields, a field annotated ``object`` as a nested
+    document. A missing field with a default takes the default.
+    Anything else, such as "02" for a tuple or 3.7 or true for an int,
+    raises ValueError naming the field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"not a model document: a JSON {type(doc).__name__}")
@@ -477,6 +462,14 @@ def _from_fields(cls, data):
     return cls(**kwargs)
 
 
+# The JSON values each scalar annotation accepts.
+_JSON_TYPES = {
+    int: (int, "a JSON integer"),
+    float: ((int, float), "a JSON number"),
+    str: (str, "a JSON string"),
+}
+
+
 def _coerce(hint, value):
     arms = get_args(hint)
     if type(None) in arms:  # an optional field
@@ -485,14 +478,20 @@ def _coerce(hint, value):
         hint = next(arm for arm in arms if arm is not type(None))
     if hint is np.ndarray:
         return np.array(value, dtype=np.float64)
-    if hint in (float, int):
+    if hint in _JSON_TYPES:
+        # true and false are Python ints, but not JSON numbers.
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint][0]):
+            raise ValueError(f"expected {_JSON_TYPES[hint][1]}, got {json.dumps(value)}")
         return hint(value)
     if hint is object:
         return decode(value)
     if is_dataclass(hint):
         return _from_fields(hint, value)
     if get_origin(hint) is tuple:
-        return tuple(value)
+        if not isinstance(value, list):
+            raise ValueError(f"expected a JSON list, got {json.dumps(value)}")
+        item = get_args(hint)[0]  # tuple fields are homogeneous, tuple[X, ...]
+        return tuple(_coerce(item, v) for v in value)
     return value
 
 

@@ -285,21 +285,38 @@ def build_candidate_pool(ranking, selected, pool_size: int) -> VariableSubset:
 #
 # Range split. Indices 1 .. 2^P - 1 of that order (0 is the empty set)
 # are cut into contiguous ranges, 8 per worker. A range starts by
-# unranking its first index into a subset and rebuilding that subset's
-# prefix sums, at most P - 1 additions, then walks forward. Each range
+# unranking its first index into a subset, then walks forward. Each range
 # reduces its subsets under the total order of _better (higher MI,
 # then fewer variables, then the lexicographically smaller tuple), and
 # so do the ranges' results, so the winner does not depend on the
 # worker count or on where the ranges are cut.
 #
-# Buffer budget, in N x N float64 matrices, per process: P - 1 prefix
-# sums (no non-leaf subset is longer than P - 1), the target distances
-# and the highest pool column's matrix (added by every leaf), the
-# session's column buffer, which takes each other column's matrix
-# before it is added, or a leaf's sum, and the session's joint-distance
-# buffer plus its N x N boolean mask: P + 3 matrices and an eighth,
-# below the P + 4 of building every column's matrix up front. The
-# jitter path adds the session's buffer for jittered distances.
+# Blocks and chunks. The walk computes distances in the session's blocks
+# of B rows (mivarsel.mi.block_rows), with the loop over blocks outside
+# and the loop over subsets inside. A range is cut into chunks of up to
+# _CHUNK_BLOCKS * B consecutive subsets. For each block, a chunk
+# computes the highest pool column's distances and rebuilds the prefix
+# sums of its first subset's ancestors, then walks its subsets and
+# writes each sample's digamma indices (n_x + 1, n_y + 1) into a
+# 2 x chunk x N int32 array. After the last block the chunk reduces B
+# subsets at a time in the session's buffers: digamma lookups, a sort
+# along each subset's row and a mean along it, the same bits as one
+# subset at a time. A subset with a duplicate joint point in any block
+# (some eps^2 = 0) is then evaluated again through the session's
+# blocked jitter path.
+#
+# Memory, in B x N float64 buffers, per process: P - 1 prefix sums (no
+# non-leaf subset is longer than P - 1), the highest column's block,
+# the session's column scratch, target distances, joint distances and
+# mask (3 1/8; its "sum" buffer only serves the jitter path) and the
+# chunk's indices (_CHUNK_BLOCKS): P + 5 1/8, and one more while a
+# slice reduces (numpy's copy of its indices). Once N passes 181 a
+# buffer holds at most 2^15 float64, so a walk takes about
+# (P + 6) * 256 KB whatever N; at N <= 181, one block, the buffers
+# are N x N.
+
+# Subsets per chunk, in units of the block's row count B.
+_CHUNK_BLOCKS = 2
 
 
 def _unrank(index: int, p: int) -> list[int]:
@@ -317,6 +334,16 @@ def _unrank(index: int, p: int) -> list[int]:
     return subset
 
 
+def _advance(subset: list[int], p: int) -> None:
+    """Step ``subset`` in place to the next subset in enumeration order; empty after the last."""
+    if subset[-1] < p - 1:
+        subset.append(subset[-1] + 1)
+    else:
+        subset.pop()
+        if subset:
+            subset[-1] += 1
+
+
 class _SubsetWalk:
     """Evaluates ranges of the enumeration, each subset from its parent's distances."""
 
@@ -326,40 +353,67 @@ class _SubsetWalk:
         # Every subset's squared ranges sum to no more than the pool's.
         self.session._check_scale(range(self.p))
         self.columns = self.session._columns
-        self.prefix = np.empty((self.p - 1, n, n))
-        self.scratch = self.session._buffer("column")
-        self.highest = _sq_diffs(self.columns[self.p - 1])
+        rows = self.session.block
+        self.prefix = np.empty((self.p - 1, rows, n))
+        self.highest = np.empty((rows, n))
+        self.chunk = _CHUNK_BLOCKS * rows
 
-    def _push(self, depth: int, position: int) -> np.ndarray:
-        """Store the sum of prefix ``depth - 1`` and a column's matrix as prefix ``depth``."""
-        slot = self.prefix[depth]
+    def _push(self, depth: int, position: int, start: int, stop: int) -> np.ndarray:
+        """Store the sum of prefix ``depth - 1`` and a column's block as prefix ``depth``."""
+        rows = stop - start
+        slot = self.prefix[depth, :rows]
+        col = self.columns[position]
         if depth == 0:
-            return _sq_diffs(self.columns[position], out=slot)
-        column = _sq_diffs(self.columns[position], out=self.scratch)
-        return np.add(self.prefix[depth - 1], column, out=slot)
+            return _sq_diffs(col[start:stop], col, out=slot)
+        column = _sq_diffs(col[start:stop], col, self.session._buffer("column", rows))
+        return np.add(self.prefix[depth - 1, :rows], column, out=slot)
 
-    def _dx2(self, subset: list[int]) -> np.ndarray:
+    def _dx2(self, subset: Sequence[int], start: int, stop: int) -> np.ndarray:
         depth = len(subset) - 1
         if subset[-1] < self.p - 1:
-            return self._push(depth, subset[-1])
+            return self._push(depth, subset[-1], start, stop)
+        rows = stop - start
         if depth == 0:
-            return self.highest
-        return np.add(self.prefix[depth - 1], self.highest, out=self.scratch)
+            return self.highest[:rows]
+        scratch = self.session._buffer("column", rows)
+        return np.add(self.prefix[depth - 1, :rows], self.highest[:rows], out=scratch)
+
+    def _chunk_values(self, chunk: list[tuple[int, ...]], index: np.ndarray) -> np.ndarray:
+        """MI of each subset of ``chunk``, consecutive subsets of the enumeration order."""
+        session = self.session
+        index = index[:, : len(chunk)]
+        tied = np.zeros(len(chunk), dtype=bool)
+        top = self.columns[self.p - 1]
+        for start, stop in session._blocks():
+            dy2 = session._target(start, stop)
+            _sq_diffs(top[start:stop], top, out=self.highest[: stop - start])
+            for depth, position in enumerate(chunk[0][:-1]):
+                self._push(depth, position, start, stop)
+            for i, subset in enumerate(chunk):
+                dx2 = self._dx2(subset, start, stop)
+                tied[i] |= session._count_rows(
+                    dx2, dy2, start, index[0, i, start:stop], index[1, i, start:stop]
+                )
+        # Reduced B subsets at a time, in the session's B x N buffers.
+        rows = session.block
+        values = np.concatenate(
+            [session._reduce(index[:, i : i + rows]) for i in range(0, len(chunk), rows)]
+        )
+        for i in np.flatnonzero(tied):
+            values[i] = session._jittered_value(chunk[i])
+        return values
 
     def walk(self, lo: int, hi: int):
         """Yield (MI, positions) for enumeration indices lo .. hi - 1, in order."""
+        size = max(1, min(self.chunk, hi - lo))
+        index = np.empty((2, size, self.session.n_samples), dtype=np.int32)
         subset = _unrank(lo, self.p)
-        for depth, position in enumerate(subset[:-1]):
-            self._push(depth, position)
-        for _ in range(hi - lo):
-            yield self.session._value(self._dx2(subset), subset), tuple(subset)
-            if subset[-1] < self.p - 1:
-                subset.append(subset[-1] + 1)
-            else:
-                subset.pop()
-                if not subset:
-                    return
-                subset[-1] += 1
+        for start in range(lo, hi, size):
+            chunk = []
+            for _ in range(min(size, hi - start)):
+                chunk.append(tuple(subset))
+                _advance(subset, self.p)
+            yield from zip(self._chunk_values(chunk, index).tolist(), chunk)
 
     def best_in_range(self, lo: int, hi: int) -> tuple[float, tuple[int, ...]]:
         """The _better-maximal (MI, positions) over enumeration indices lo .. hi - 1."""

@@ -7,15 +7,21 @@ the same canonical convention as production, ascending variable order
 with one addition per variable, which is what makes bit-level
 comparisons on eps and the neighbor counts legitimate.
 
-The k-means and sweep references at the end are the package's earlier
-loops, kept to pin down that later restructurings of them change no
-bit. They call the package's distance, kernel and width primitives, so
-agreement checks the restructuring, not those primitives.
+The full-matrix MI path, the k-means and the sweep references further
+down are the package's earlier code, kept to pin down that later
+restructurings of it change no bit. They call the package's jitter,
+digamma table, distance, kernel and width primitives, so agreement
+checks the restructuring, not those primitives.
+
+The scalar ``digamma``, ``knn_stats``, ``rbf_kernel`` and
+``kkt_residual`` are small reference definitions the tests check the
+package's vectorized code against; nothing in the package calls them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,6 +72,90 @@ def naive_mi(x: np.ndarray, y: np.ndarray, k: int, psi=None) -> float:
     return psi(k) - total / n + psi(n)
 
 
+def digamma(t: float) -> float:
+    """Digamma function psi(t) for t > 0, accurate to better than 1e-10.
+
+    Uses the recurrence psi(t+1) = psi(t) + 1/t to shift the argument
+    above 8, then an asymptotic expansion.
+    """
+    x = float(t)
+    if not x > 0.0:
+        raise ValueError(f"digamma requires a positive argument, got {t!r}")
+    value = 0.0
+    while x < 8.0:
+        value -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = inv2 * (
+        1.0 / 12.0
+        - inv2 * (
+            1.0 / 120.0
+            - inv2 * (
+                1.0 / 252.0
+                - inv2 * (
+                    1.0 / 240.0
+                    - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0))
+                )
+            )
+        )
+    )
+    return value + math.log(x) - 0.5 / x - series
+
+
+@dataclass(frozen=True)
+class NeighborhoodStats:
+    """Per-sample neighborhood quantities feeding the estimator.
+
+    eps is the max-norm distance to the k-th joint-space neighbor; n_x
+    and n_y count samples strictly inside eps in each marginal space.
+    """
+
+    eps: float
+    n_x: int
+    n_y: int
+
+    def __post_init__(self) -> None:
+        if self.eps < 0.0:
+            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if self.n_x < 0 or self.n_y < 0:
+            raise ValueError("neighbor counts must be nonnegative")
+
+
+def knn_stats(points_x, points_y, i: int, k: int) -> NeighborhoodStats:
+    """Neighborhood statistics of sample ``i`` among the given points, vectorized over samples.
+
+    The joint distance between samples is max(Euclidean X-distance,
+    absolute Y-distance); the k-th neighbor excludes the sample itself
+    and the counts use strict inequality, so boundary ties are excluded.
+    Duplicate points can make eps zero; the raw statistics are returned
+    as they are.
+    """
+    x = np.ascontiguousarray(points_x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2:
+        raise ValueError(f"points_x must be 1- or 2-dimensional, got shape {x.shape}")
+    y = np.ascontiguousarray(points_y, dtype=np.float64)
+    n = y.shape[0]
+    if x.shape[0] != n:
+        raise ValueError("points_x and points_y disagree on the sample count")
+    if not 0 <= i < n:
+        raise ValueError(f"sample index {i} out of range for {n} samples")
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
+    dx2 = (x[:, 0] - x[i, 0]) ** 2
+    for j in range(1, x.shape[1]):
+        dx2 += (x[:, j] - x[i, j]) ** 2
+    dy2 = (y - y[i]) ** 2
+    dz2 = np.maximum(dx2, dy2)
+    dz2[i] = np.inf
+    eps2 = np.partition(dz2, k - 1)[k - 1]
+    self_hit = bool(eps2 > 0.0)
+    n_x = int((dx2 < eps2).sum()) - self_hit
+    n_y = int((dy2 < eps2).sum()) - self_hit
+    return NeighborhoodStats(eps=math.sqrt(eps2), n_x=n_x, n_y=n_y)
+
+
 def gaussian_mi(rho: float) -> float:
     """Exact MI of a bivariate Gaussian with correlation rho, in nats."""
     return -0.5 * math.log(1.0 - rho * rho)
@@ -89,6 +179,52 @@ def best_subset_by_enumeration(session, candidates, max_size=None):
             if best is None or key < best[0]:
                 best = (key, combo, value)
     return best[1], best[2]
+
+
+def sq_diffs(values: np.ndarray) -> np.ndarray:
+    """Pairwise squared differences of a single variable, (N, N)."""
+    return (values[:, None] - values[None, :]) ** 2
+
+
+def x_sq_dists(columns) -> np.ndarray:
+    """Pairwise squared Euclidean X-distances, accumulated column by column, (N, N)."""
+    out = sq_diffs(columns[0])
+    for col in columns[1:]:
+        out += sq_diffs(col)
+    return out
+
+
+def neighborhood_arrays(dx2: np.ndarray, dy2: np.ndarray, k: int):
+    """(eps^2, n_x, n_y) for every sample, from full squared distance matrices."""
+    dz2 = np.maximum(dx2, dy2)
+    dz2.reshape(-1)[:: dz2.shape[0] + 1] = np.inf
+    dz2.partition(k - 1, axis=1)
+    eps2 = dz2[:, k - 1].copy()
+    # The self distance 0 is counted by the comparison whenever eps2 > 0.
+    self_hit = eps2 > 0.0
+    n_x = (dx2 < eps2[:, None]).sum(axis=1) - self_hit
+    n_y = (dy2 < eps2[:, None]).sum(axis=1) - self_hit
+    return eps2, n_x, n_y
+
+
+def full_matrix_mi(x: np.ndarray, y: np.ndarray, k: int, jitter_seed: int = 0) -> float:
+    """MI of all columns of ``x`` with ``y`` from whole N x N distance matrices.
+
+    The package's estimator before it worked in blocks of rows: the same
+    neighbour quantities, jitter fallback and sorted mean, every matrix
+    at once.
+    """
+    from mivarsel.mi import _jittered, digamma_table
+
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    eps2, n_x, n_y = neighborhood_arrays(x_sq_dists(x.T), sq_diffs(y), k)
+    if not eps2.all():
+        xj, yj = _jittered(x, y, jitter_seed)
+        eps2, n_x, n_y = neighborhood_arrays(x_sq_dists(xj.T), sq_diffs(yj), k)
+    psi = digamma_table(len(y))
+    mean_contribution = float(np.mean(np.sort(psi[n_x + 1] + psi[n_y + 1])))
+    return float(psi[k] + psi[len(y)] - mean_contribution)
 
 
 def kmeans_by_masks(x, n_clusters, seed, max_iter=100):
@@ -225,3 +361,23 @@ def lssvm_sweep_fold(learn, valid, var_y, trim_learn, trim_valid, sigmas, gammas
                 f"gamma={gammas[gi]}"
             )
     return nmse_l, nmse_v, messages
+
+
+def rbf_kernel(x, c, sigma: float) -> float:
+    """Gaussian kernel between two points; 1 exactly when x equals c."""
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    x = np.asarray(x, dtype=np.float64).ravel()
+    c = np.asarray(c, dtype=np.float64).ravel()
+    if x.shape != c.shape:
+        raise ValueError(f"point dimensions differ: {x.shape} vs {c.shape}")
+    d2 = float(((x - c) ** 2).sum())
+    return float(np.exp(-d2 / (2.0 * sigma * sigma)))
+
+
+def kkt_residual(m, train) -> float:
+    """Max dual-optimality violation max_i |lambda_i - gamma (y_i - yhat_i)| of an LS-SVM."""
+    from mivarsel.models import predict_lssvm
+
+    residuals = train.y - predict_lssvm(m, train.X)
+    return float(np.max(np.abs(m.coefficients - m.gamma * residuals)))

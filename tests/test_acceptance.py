@@ -29,15 +29,21 @@ from mivarsel.evaluation import (
     pooled_target_variance,
 )
 from mivarsel.methods import ExperimentConfig, MethodResult, reproduce
-from mivarsel.mi import MiSession, estimate_mi, knn_stats
-from mivarsel.models import fit_lssvm, predict_lssvm, _kernel_from_sq, sq_dists
+from mivarsel.mi import MiSession, estimate_mi
+from mivarsel.models import fit_lssvm, _kernel_from_sq, sq_dists
 from mivarsel.selector import (
     exhaustive_search,
     greedy_select,
     individual_mis,
     select_variables,
 )
-from oracles import best_subset_by_enumeration, gaussian_mi, naive_neighborhood
+from oracles import (
+    best_subset_by_enumeration,
+    gaussian_mi,
+    kkt_residual,
+    knn_stats,
+    naive_neighborhood,
+)
 
 
 def _detail(n: int, message: str) -> None:
@@ -148,11 +154,6 @@ def test_04_selector_recovers_planted_signals():
 # 5. LS-SVM dual optimality
 
 
-def _kkt_residual(m, d: Dataset) -> float:
-    residuals = d.y - predict_lssvm(m, d.X)
-    return float(np.max(np.abs(m.coefficients - m.gamma * residuals)))
-
-
 def test_05_lssvm_dual_optimality():
     """max_i |lambda_i - gamma (y_i - yhat_i)| < 1e-6 ||y||_inf on every fit.
 
@@ -176,7 +177,7 @@ def test_05_lssvm_dual_optimality():
         bound = 1e-6 * float(np.max(np.abs(d.y)))
         for sigma in (0.2, 0.5, 1.0, 2.0, 5.0, 20.0):
             for gamma in (1e-3, 1e-1, 10.0, 1e3):
-                residual = _kkt_residual(fit_lssvm(d, sigma, gamma), d)
+                residual = kkt_residual(fit_lssvm(d, sigma, gamma), d)
                 assert residual < bound, f"sigma={sigma} gamma={gamma}"
                 worst = max(worst, residual / bound)
                 fits += 1
@@ -190,7 +191,7 @@ def test_05_lssvm_dual_optimality():
         d = Dataset(x, kernel @ c + 0.7)
         bound = 1e-6 * float(np.max(np.abs(d.y)))
         for gamma in (1e4, 1e5, 1e6):
-            residual = _kkt_residual(fit_lssvm(d, 1.0, gamma), d)
+            residual = kkt_residual(fit_lssvm(d, 1.0, gamma), d)
             assert residual < bound, f"span target, gamma={gamma}"
             worst = max(worst, residual / bound)
             fits += 1

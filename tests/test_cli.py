@@ -19,6 +19,7 @@ import mivarsel
 from mivarsel.cli import build_parser, main
 from mivarsel.dataset import Dataset, load_csv, save_csv
 from mivarsel.evaluation import nmse
+from mivarsel.methods import MethodResult
 from mivarsel.models import load_pipeline
 from mivarsel.selector import rank_by_individual_mi
 
@@ -249,12 +250,39 @@ class TestReproduce:
         assert table.count("\n") >= 14  # header, rule, thirteen rows
         assert "*" in table  # best methods marked
 
+    def test_each_report_encoded_once(self, csvs, monkeypatch):
+        encoded = []
+        inner = MethodResult.to_dict
+
+        def counted(self, labels=None):
+            encoded.append(self.method)
+            return inner(self, labels)
+
+        monkeypatch.setattr(MethodResult, "to_dict", counted)
+        assert main(["reproduce", *_args(csvs), *_GRIDS, "--seed", "2"]) == 0
+        out = csvs[2] / "custom" / "seed-2"
+        methods = json.loads((out / "benchmark.json").read_text())["methods"]
+        succeeded = [m["method"] for m in methods if "error" not in m]
+        assert succeeded and sorted(encoded) == succeeded
+        for doc in methods:
+            if "error" not in doc:
+                report = out / f"method-{doc['method']:02d}" / "report.json"
+                assert json.loads(report.read_text())["result"] == doc
+
     def test_dry_run_plans_all_methods(self, csvs, capsys):
         assert main(["reproduce", *_args(csvs), "--dry-run"]) == 0
         plan = capsys.readouterr().out
         for i in range(1, 14):
             assert f"method {i} (" in plan
         assert "8 subsets (7 non-empty)" in plan  # pool of 3
+
+
+def _pipeline_document(**fields) -> dict:
+    """A pipeline document around a two-input linear model, with ``fields`` set as given."""
+    model = {"format": "mivarsel-model", "version": 1, "kind": "linear",
+             "data": {"coefficients": [1.0, 2.0], "intercept": 0.0}}
+    return {"format": "mivarsel-model", "version": 1, "kind": "pipeline",
+            "data": {"model": model, **fields}}
 
 
 class TestExitCodes:
@@ -320,8 +348,14 @@ class TestExitCodes:
                  "data": {"coefficients": [1.0, 2.0]}},
                 "'intercept'",
             ),
+            (_pipeline_document(variables="02"), "'variables': expected a JSON list"),
+            (_pipeline_document(n_inputs=3.7), "'n_inputs': expected a JSON integer"),
+            (_pipeline_document(n_inputs=True), "'n_inputs': expected a JSON integer"),
         ],
-        ids=["empty-pipeline", "array", "linear-without-intercept"],
+        ids=[
+            "empty-pipeline", "array", "linear-without-intercept",
+            "variables-string", "n-inputs-float", "n-inputs-bool",
+        ],
     )
     def test_malformed_model_document_is_config_error(self, csvs, tmp_path, capsys, doc, message):
         path = tmp_path / "model.json"

@@ -11,18 +11,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mivarsel import mi
 from mivarsel.dataset import Dataset
 from mivarsel.errors import NumericalError
 from mivarsel.mi import (
     MiEstimate,
     MiSession,
-    NeighborhoodStats,
-    digamma,
+    block_rows,
     digamma_table,
     estimate_mi,
-    knn_stats,
 )
-from oracles import gaussian_mi, naive_mi, naive_neighborhood
+from oracles import (
+    NeighborhoodStats,
+    digamma,
+    full_matrix_mi,
+    gaussian_mi,
+    knn_stats,
+    naive_mi,
+    naive_neighborhood,
+    neighborhood_arrays,
+    sq_diffs,
+    x_sq_dists,
+)
 
 mpmath.mp.dps = 30
 
@@ -155,14 +165,12 @@ class TestEstimateMi:
             assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_vectorized_path_bit_identical_to_per_sample_oracle(self):
-        from mivarsel.mi import _neighborhood_arrays, _sq_diffs, _x_sq_dists
-
         rng = np.random.default_rng(17)
         x = rng.normal(size=(200, 2))
         y = x[:, 0] * x[:, 1] + rng.normal(size=200)
         k = 6
-        dx2 = _x_sq_dists([x[:, 0], x[:, 1]])
-        eps2, n_x, n_y = _neighborhood_arrays(dx2, _sq_diffs(y), k)
+        dx2 = x_sq_dists([x[:, 0], x[:, 1]])
+        eps2, n_x, n_y = neighborhood_arrays(dx2, sq_diffs(y), k)
         for i in range(200):
             eps_o, nx_o, ny_o = naive_neighborhood(x, y, i, k)
             assert math.sqrt(eps2[i]) == eps_o
@@ -327,8 +335,83 @@ class TestMiSession:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak > 4 * n * n * 8  # numpy buffers are traced
+        assert peak > 4 * session.block * n * 8  # numpy buffers are traced
         assert peak <= 5 * n * n * 8
+
+
+def _blocked_case(n: int, kind: str, m: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous data, or integer data whose duplicate joint points take the jitter path."""
+    rng = np.random.default_rng(n)
+    if kind == "continuous":
+        x = rng.normal(size=(n, m))
+        return x, x[:, 0] + x[:, 1] ** 2 + 0.3 * rng.normal(size=n)
+    x = rng.integers(0, 3, size=(n, m)).astype(float)
+    return x, x[:, 0] + x[:, 2] + rng.integers(0, 2, size=n)
+
+
+class TestRowBlocks:
+    """MiSession in blocks of rows against the whole-matrix estimator."""
+
+    def test_block_rule(self):
+        assert [block_rows(n) for n in (2, 90, 172, 181)] == [2, 90, 172, 181]
+        for n, rows in ((182, 180), (255, 128), (361, 90), (1000, 32), (3000, 10), (40000, 1)):
+            assert block_rows(n) == rows
+        assert MiSession(np.zeros((361, 1)), np.arange(361.0)).block == 90
+
+    @pytest.mark.parametrize("n", [182, 255, 361, 1000])
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_bit_identical_to_whole_matrices(self, n, kind):
+        # 182 = 180 + 2 rows, 255 = 128 + 127, 361 = 4 x 90 + 1, 1000 = 31 x 32 + 8.
+        x, y = _blocked_case(n, kind)
+        if kind == "tied":
+            eps2, _, _ = neighborhood_arrays(sq_diffs(x[:, 0]), sq_diffs(y), 6)
+            assert (eps2 == 0.0).any()  # the jitter path is exercised
+        session = MiSession(x, y, k=6)
+        assert session.block < n
+        for subset in ((0,), (3,), (0, 1), (1, 3), (0, 2, 3), (0, 1, 2, 3)):
+            assert session.mi(subset) == full_matrix_mi(x[:, subset], y, 6)
+
+    @pytest.mark.parametrize("elements", [1, 150, 420, 1000])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, elements):
+        monkeypatch.setattr(mi, "_BLOCK_ELEMENTS", elements)
+        for kind in ("continuous", "tied"):
+            x, y = _blocked_case(60, kind)
+            session = MiSession(x, y, k=4, jitter_seed=3)
+            assert session.block == max(1, elements // 60)
+            for subset in ((1,), (0, 2), (0, 1, 3)):
+                assert session.mi(subset) == full_matrix_mi(x[:, subset], y, 4, 3)
+
+    @pytest.mark.parametrize("elements", [7, 10**6])
+    def test_duplicates_the_jitter_cannot_separate(self, monkeypatch, elements):
+        # Jitter of 1e-10 of the range vanishes next to an offset of 1e9,
+        # so some eps^2 stay 0 and those samples have no self hit to discount.
+        monkeypatch.setattr(mi, "_BLOCK_ELEMENTS", elements)
+        rng = np.random.default_rng(6)
+        x = 1e9 + rng.integers(0, 3, size=(60, 2)).astype(float)
+        y = 1e9 + rng.integers(0, 2, size=60).astype(float)
+        session = MiSession(x, y, k=4)
+        for subset in ((0,), (0, 1)):
+            value = session.mi(subset)
+            assert math.isfinite(value)
+            assert value == full_matrix_mi(x[:, subset], y, 4)
+
+    def test_traced_peak_is_a_few_blocks_at_n3000(self):
+        # One N x N float64 matrix would be 72 MB here.
+        n, m = 3000, 6
+        x, y = _blocked_case(n, "continuous", m)
+        tracemalloc.start()
+        try:
+            session = MiSession(x, y, k=6)
+            for j in range(m):
+                session.mi((j,))
+            for pair in ((0, 1), (2, 5), (3, 4)):
+                session.mi(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = session.block * n * 8
+        assert peak > 4 * block  # numpy buffers are traced
+        assert peak <= 8 * block + x.nbytes
 
 
 class TestDistanceScale:

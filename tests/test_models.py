@@ -22,18 +22,16 @@ from mivarsel.models import (
     fit_linear,
     fit_lssvm,
     fit_rbfn,
-    kkt_residual,
     kmeans,
     load_pipeline,
     predict_linear,
     predict_lssvm,
     predict_rbfn,
-    rbf_kernel,
     save_pipeline,
     solve_rbf_weights,
     sq_dists,
 )
-from oracles import kmeans_by_masks
+from oracles import kkt_residual, kmeans_by_masks, rbf_kernel
 
 
 def _nmse_train(pred: np.ndarray, y: np.ndarray) -> float:
@@ -492,3 +490,41 @@ class TestGoldenDocuments:
             assert text.endswith("}}\n")
             text = text[: -len("}}\n")] + ', "n_inputs": null}}\n'
         assert (tmp_path / "again.json").read_text() == text
+
+
+class TestDecodeTypes:
+    """A field of the wrong JSON type is an error naming it, never a coerced value."""
+
+    @staticmethod
+    def _edited(field, value):
+        doc = json.loads((_DATA / "pipeline-rbfn.json").read_text())
+        doc["data"][field] = value
+        return doc
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("variables", "02", "expected a JSON list"),
+            ("variables", [0, 2.0], "expected a JSON integer"),
+            ("n_inputs", 3.7, "expected a JSON integer"),
+            ("n_inputs", True, "expected a JSON integer"),
+            ("n_inputs", "3", "expected a JSON integer"),
+            ("preprocessing", 0, "expected a JSON string"),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"PipelineModel field '{field}': {message}"):
+            decode(self._edited(field, value))
+
+    @pytest.mark.parametrize("value", ["1.5", True, None, [1.5]])
+    def test_float_field_needs_a_number(self, value):
+        doc = json.loads((_DATA / "pipeline-rbfn.json").read_text())
+        doc["data"]["model"]["data"]["bias"] = value
+        with pytest.raises(ValueError, match="RbfnModel field 'bias'"):
+            decode(doc)
+
+    def test_integers_are_numbers(self):
+        doc = json.loads((_DATA / "pipeline-rbfn.json").read_text())
+        doc["data"]["model"]["data"]["bias"] = -6
+        assert decode(doc).model.bias == -6.0
+        assert type(decode(doc).model.bias) is float

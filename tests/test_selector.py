@@ -10,10 +10,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from mivarsel import selector
+from mivarsel import mi, selector
 from mivarsel.dataset import Dataset
 from mivarsel.errors import ConfigError, DataError
-from mivarsel.mi import MiEstimate, MiSession, _neighborhood_arrays, _sq_diffs, estimate_mi
+from mivarsel.mi import MiEstimate, MiSession, block_rows, estimate_mi
 from mivarsel.models import encode
 from mivarsel.selector import (
     SelectionResult,
@@ -28,7 +28,7 @@ from mivarsel.selector import (
     rank_by_individual_mi,
     select_variables,
 )
-from oracles import best_subset_by_enumeration
+from oracles import best_subset_by_enumeration, full_matrix_mi, neighborhood_arrays, sq_diffs
 
 
 def _additive_dataset(n=300, decoys=4, noise=0.05, seed=1) -> Dataset:
@@ -345,7 +345,7 @@ class TestSubsetWalk:
     def test_every_subset_bit_equal_to_estimate_mi(self, p, kind):
         d = _additive_dataset(n=90, decoys=4, seed=3) if kind == "continuous" else _integer_dataset()
         if kind == "integer":
-            eps2, _, _ = _neighborhood_arrays(_sq_diffs(d.X[:, 0]), _sq_diffs(d.y), 5)
+            eps2, _, _ = neighborhood_arrays(sq_diffs(d.X[:, 0]), sq_diffs(d.y), 5)
             assert (eps2 == 0.0).any()  # the jitter path is exercised
         visited = self._walk(d, p)
         expected_order = sorted(
@@ -387,13 +387,13 @@ class TestSubsetWalk:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak > (p + 1) * n * n * 8  # numpy buffers are traced
+        assert peak > (p + 1) * block_rows(n) * n * 8  # numpy buffers are traced
         assert peak <= (p + 4) * n * n * 8
 
     def test_traced_peak_within_budget_on_jittered_data(self):
         n, p = 300, 8
         d = _integer_dataset(n=n, p=p, seed=9)
-        eps2, _, _ = _neighborhood_arrays(_sq_diffs(d.X[:, 0]), _sq_diffs(d.y), 6)
+        eps2, _, _ = neighborhood_arrays(sq_diffs(d.X[:, 0]), sq_diffs(d.y), 6)
         assert (eps2 == 0.0).any()  # the jitter path is exercised
         tracemalloc.start()
         try:
@@ -401,9 +401,79 @@ class TestSubsetWalk:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak > (p + 1) * n * n * 8
-        # P + 3 1/8 matrices and the session's one jitter buffer.
+        assert peak > (p + 1) * block_rows(n) * n * 8
+        # The whole-matrix walk's budget, P + 3 1/8 matrices and a jitter buffer, still holds.
         assert peak <= (p + 5) * n * n * 8
+
+
+def _blocked_dataset(n: int, kind: str, p: int = 5) -> Dataset:
+    """Continuous data, or integer data whose duplicate joint points take the jitter path."""
+    if kind == "tied":
+        return _integer_dataset(n=n, p=p, seed=n)
+    return _additive_dataset(n=n, decoys=p - 2, noise=0.3, seed=n)
+
+
+class TestBlockedWalk:
+    """The walk in blocks of rows and chunks of subsets against the whole-matrix estimator."""
+
+    @staticmethod
+    def _expected(d: Dataset, p: int, k: int) -> list:
+        return [
+            (full_matrix_mi(d.X[:, list(c)], d.y, k), c)
+            for c in sorted(
+                c for size in range(1, p + 1) for c in itertools.combinations(range(p), size)
+            )
+        ]
+
+    @pytest.mark.parametrize("n", [182, 255, 361])
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_every_subset_bit_equal_to_whole_matrices(self, n, kind):
+        d = _blocked_dataset(n, kind)
+        if kind == "tied":
+            eps2, _, _ = neighborhood_arrays(sq_diffs(d.X[:, 0]), sq_diffs(d.y), 5)
+            assert (eps2 == 0.0).any()  # the jitter path is exercised
+        walk = selector._SubsetWalk(np.ascontiguousarray(d.X), d.y, 5, 0)
+        assert walk.session.block < n
+        assert list(walk.walk(1, 1 << 5)) == self._expected(d, 5, 5)
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_small_blocks_and_chunks_across_range_cuts(self, monkeypatch, kind):
+        # 70 rows in blocks of 3 (the last holds 1), chunks of 6 subsets.
+        monkeypatch.setattr(mi, "_BLOCK_ELEMENTS", 210)
+        monkeypatch.setattr(selector, "_CHUNK_BLOCKS", 2)
+        d = _blocked_dataset(70, kind, p=6)
+        expected = self._expected(d, 6, 4)
+        walk = selector._SubsetWalk(np.ascontiguousarray(d.X), d.y, 4, 0)
+        assert (walk.session.block, walk.chunk) == (3, 6)
+        assert list(walk.walk(1, 64)) == expected
+        for lo, hi in ((1, 5), (5, 6), (6, 19), (19, 40), (40, 64)):
+            assert list(walk.walk(lo, hi)) == expected[lo - 1 : hi - 1]
+
+    @pytest.mark.parametrize("n", [255, 1000])
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_search_at_one_two_three_workers(self, n, kind):
+        d = _blocked_dataset(n, kind, p=4)
+        best_mi, best = reduce(selector._better, self._expected(d, 4, 6))
+        for workers in (1, 2, 3):
+            subset, est = exhaustive_search(d, range(4), k=6, workers=workers)
+            assert subset.indices == best
+            assert est.value == best_mi
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_traced_peak_is_a_few_blocks_at_n3000(self, kind):
+        # One N x N float64 matrix would be 72 MB here.
+        n, p = 3000, 4
+        d = _blocked_dataset(n, kind, p=p)
+        tracemalloc.start()
+        try:
+            exhaustive_search(d, range(p), k=6, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = block_rows(n) * n * 8
+        assert peak > (p + 1) * block  # numpy buffers are traced
+        # P + 6 1/8 buffers (see selector.py) and the jitter path's copies.
+        assert peak <= (p + 10) * block + d.X.nbytes
 
 
 def _select_variables_without_memo(monkeypatch, d, **kwargs):
@@ -440,24 +510,31 @@ class TestSelectionPipeline:
         d = _additive_dataset(n=120, decoys=28, seed=4)
         pool_size = 5
         unmemoised = _select_variables_without_memo(monkeypatch, d, k=5, pool_size=pool_size)
-        requested, estimated = [], []
-        inner_mi, inner_value = MiSession.mi, MiSession._value
+        requested, estimated, searched = [], [], []
+        inner_mi, inner_estimate = MiSession.mi, MiSession._estimate
+        inner_chunk = selector._SubsetWalk._chunk_values
 
         def mi(self, subset):
             requested.append(tuple(sorted(subset)))
             return inner_mi(self, subset)
 
-        def value(self, dx2, columns):
+        def estimate(self, columns):
             estimated.append(tuple(columns))
-            return inner_value(self, dx2, columns)
+            return inner_estimate(self, columns)
+
+        def chunk_values(self, chunk, index):
+            searched.extend(chunk)
+            return inner_chunk(self, chunk, index)
 
         monkeypatch.setattr(MiSession, "mi", mi)
-        monkeypatch.setattr(MiSession, "_value", value)
+        monkeypatch.setattr(MiSession, "_estimate", estimate)
+        monkeypatch.setattr(selector._SubsetWalk, "_chunk_values", chunk_values)
         result = select_variables(d, k=5, pool_size=pool_size)
         assert result == unmemoised
         assert len(set(requested)) < len(requested)  # greedy repeats subsets
-        searched = (1 << len(result.pool)) - 1  # the search's own session
-        assert len(estimated) - searched == len(set(requested))
+        assert len(estimated) == len(set(requested))
+        # The search estimates each of the pool's subsets once, in chunks.
+        assert len(searched) == len(set(searched)) == (1 << len(result.pool)) - 1
 
     def test_constant_target_is_data_error(self):
         rng = np.random.default_rng(0)
