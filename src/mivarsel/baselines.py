@@ -1,8 +1,9 @@
 """Linear projections: PCA and PLS (scalar-target NIPALS).
 
 Both projections center the input columns with training-set means and
-do not rescale them by default (spectral variables share units); pass
-``scale=True`` to divide by training-column standard deviations.
+do not rescale them: spectral variables share units. A projection read
+from a model document may still carry per-column scales (``x_scale``),
+and :func:`project_rows` divides by them.
 
 PCA components come from the SVD of the centered inputs, ordered by
 decreasing explained variance, with a deterministic sign convention
@@ -70,17 +71,9 @@ def _component_limit(train: Dataset) -> int:
     return min(train.n_samples - 1, train.n_variables)
 
 
-def _centered_inputs(train: Dataset, scale: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _centered_inputs(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     x_mean = train.X.mean(axis=0)
-    xc = train.X - x_mean
-    x_scale = None
-    if scale:
-        x_scale = train.X.std(axis=0, ddof=1)
-        if np.any(x_scale == 0.0):
-            bad = int(np.flatnonzero(x_scale == 0.0)[0])
-            raise ValueError(f"column {bad} has zero variance, cannot scale")
-        xc = xc / x_scale
-    return xc, x_mean, x_scale
+    return train.X - x_mean, x_mean
 
 
 def _check_component_count(train: Dataset, n_components: int) -> None:
@@ -92,10 +85,10 @@ def _check_component_count(train: Dataset, n_components: int) -> None:
         )
 
 
-def fit_pca(train: Dataset, n_components: int, scale: bool = False) -> Projection:
+def fit_pca(train: Dataset, n_components: int) -> Projection:
     """Principal components of the training inputs, target-blind."""
     _check_component_count(train, n_components)
-    xc, x_mean, x_scale = _centered_inputs(train, scale)
+    xc, x_mean = _centered_inputs(train)
     _, _, vt = np.linalg.svd(xc, full_matrices=False)
     components = vt[:n_components].copy()
     for row in components:
@@ -106,13 +99,13 @@ def fit_pca(train: Dataset, n_components: int, scale: bool = False) -> Projectio
         kind="pca",
         loadings=components.T,
         x_mean=x_mean,
-        x_scale=x_scale,
+        x_scale=None,
         y_center=None,
         n_components=n_components,
     )
 
 
-def fit_pls(train: Dataset, n_components: int, scale: bool = False) -> Projection:
+def fit_pls(train: Dataset, n_components: int) -> Projection:
     """Scalar-target PLS by iterative deflation.
 
     Components are ordered by extraction. Extraction stops early if the
@@ -120,7 +113,7 @@ def fit_pls(train: Dataset, n_components: int, scale: bool = False) -> Projectio
     projection then has fewer components than requested.
     """
     _check_component_count(train, n_components)
-    xc, x_mean, x_scale = _centered_inputs(train, scale)
+    xc, x_mean = _centered_inputs(train)
     y_center = float(train.y.mean())
     x_work = xc.copy()
     y_work = train.y - y_center
@@ -161,7 +154,7 @@ def fit_pls(train: Dataset, n_components: int, scale: bool = False) -> Projectio
         kind="pls",
         loadings=loadings,
         x_mean=x_mean,
-        x_scale=x_scale,
+        x_scale=None,
         y_center=y_center,
         n_components=achieved,
     )

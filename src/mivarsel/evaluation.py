@@ -3,22 +3,24 @@
 The driver is :func:`cross_validate`: split the training rows into l folds,
 evaluate every grid point on every fold, average the trimmed validation
 errors, refit the winner on all training rows, and score the untouched test
-set exactly once. Model-specific sweep classes know how to amortize work
-across the grid (shared k-means runs, shared kernel eigendecompositions,
-shared projection fits) while the winner is always re-fitted through the
-plain single-model entry points.
+set exactly once. There is one scoring rule: every score is an NMSE
+against the pooled target variance, validation errors are trimmed by
+:func:`trim_outliers`, and learning and test errors are not. Each sweep's
+``evaluate_fold(learn, valid, var_y)`` follows it. Model-specific sweep
+classes know how to amortize work across the grid (shared k-means runs,
+shared kernel eigendecompositions, shared projection fits) while the
+winner is always re-fitted through the plain single-model entry points.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .baselines import Projection, fit_pca, fit_pls, project_rows, transform
 from .dataset import Dataset
 from .errors import DataError, NumericalError
 from .models import (
@@ -30,6 +32,7 @@ from .models import (
     encode,
     fit_linear,
     fit_lssvm,
+    fit_mapping,
     fit_rbfn,
     kmeans,
     sq_dists,
@@ -131,29 +134,29 @@ def _kept(errors: np.ndarray) -> np.ndarray:
     return dev <= np.percentile(dev, TRIM_PERCENTILE, axis=-1, keepdims=True)
 
 
-def _point_nmse(errors: np.ndarray, var_y: float, trim: bool) -> float:
-    if trim:
-        errors = errors[trim_outliers(errors)]
+def _plain_nmse(errors: np.ndarray, var_y: float) -> float:
+    """The score of learning and test errors: every error counts."""
     return float(np.mean(errors**2) / var_y)
 
 
-def _rows_nmse(errors: np.ndarray, var_y: float, trim: bool) -> list[float]:
-    """:func:`_point_nmse` of each row of a (rows, samples) error matrix.
+def _trimmed_nmse(errors: np.ndarray, var_y: float) -> float:
+    """The score of validation errors: the ones :func:`trim_outliers` keeps."""
+    return _plain_nmse(errors[trim_outliers(errors)], var_y)
+
+
+def _trimmed_nmse_rows(errors: np.ndarray, var_y: float) -> list[float]:
+    """:func:`_trimmed_nmse` of each row of a (rows, samples) error matrix.
 
     The median and the percentile are taken along the rows in one call
     each, giving the same values as one call per row, and each row's
     kept errors are averaged on their own, so every score has the bits
-    :func:`_point_nmse` gives it (:func:`_batch_nmse` does not).
+    :func:`_trimmed_nmse` gives it (:func:`_trimmed_nmse_masked` does not).
     """
-    if not trim:
-        return [float(np.mean(e**2) / var_y) for e in errors]
-    return [float(np.mean(e[m] ** 2) / var_y) for e, m in zip(errors, _kept(errors))]
+    return [_plain_nmse(e[m], var_y) for e, m in zip(errors, _kept(errors))]
 
 
-def _batch_nmse(errors: np.ndarray, var_y: float, trim: bool) -> np.ndarray:
-    """Row-wise NMSE for a (grid, samples) error matrix, optionally trimmed."""
-    if not trim:
-        return (errors**2).mean(axis=1) / var_y
+def _trimmed_nmse_masked(errors: np.ndarray, var_y: float) -> np.ndarray:
+    """Row-wise trimmed NMSE of a (grid, samples) error matrix, as one masked sum."""
     mask = _kept(errors)
     return (errors**2 * mask).sum(axis=1) / mask.sum(axis=1) / var_y
 
@@ -284,7 +287,7 @@ class LinearSweep:
     def fit(self, train: Dataset, params: dict) -> LinearModel:
         return fit_linear(train)
 
-    def evaluate_fold(self, learn, valid, var_y, trim_learn, trim_valid):
+    def evaluate_fold(self, learn, valid, var_y):
         nmse_l = np.full(1, np.nan)
         nmse_v = np.full(1, np.nan)
         messages: dict[int, str] = {}
@@ -293,8 +296,8 @@ class LinearSweep:
         except _SWEEP_ERRORS as exc:
             messages[0] = str(exc)
             return nmse_l, nmse_v, messages
-        nmse_l[0] = _point_nmse(m.predict(learn.X) - learn.y, var_y, trim_learn)
-        nmse_v[0] = _point_nmse(m.predict(valid.X) - valid.y, var_y, trim_valid)
+        nmse_l[0] = _plain_nmse(m.predict(learn.X) - learn.y, var_y)
+        nmse_v[0] = _trimmed_nmse(m.predict(valid.X) - valid.y, var_y)
         return nmse_l, nmse_v, messages
 
 
@@ -308,24 +311,21 @@ class ComponentSweep:
     column by column.
     """
 
-    def __init__(self, projection: str, counts, scale: bool = False) -> None:
+    def __init__(self, projection: str, counts) -> None:
         if projection not in ("pca", "pls"):
             raise ValueError(f"unknown projection kind {projection!r}")
         self.projection = projection
-        self.scale = bool(scale)
         self.kind = "pcr" if projection == "pca" else "plsr"
         self.grid = MetaGrid(self.kind, (("components", tuple(int(c) for c in counts)),))
         self._counts = [int(c) for c in counts]
 
-    def _fit_projection(self, d: Dataset, n_components: int) -> Projection:
-        fit = fit_pca if self.projection == "pca" else fit_pls
-        return fit(d, n_components, scale=self.scale)
-
     def fit(self, train: Dataset, params: dict) -> PipelineModel:
-        p = self._fit_projection(train, int(params["components"]))
-        return PipelineModel(model=fit_linear(transform(p, train)), projection=p)
+        mapping, scores = fit_mapping(
+            train, projection=self.projection, n_components=int(params["components"])
+        )
+        return replace(mapping, model=fit_linear(scores))
 
-    def evaluate_fold(self, learn, valid, var_y, trim_learn, trim_valid):
+    def evaluate_fold(self, learn, valid, var_y):
         g = len(self._counts)
         nmse_l = np.full(g, np.nan)
         nmse_v = np.full(g, np.nan)
@@ -336,19 +336,19 @@ class ComponentSweep:
                 messages[i] = "learning fold too small for any component"
             return nmse_l, nmse_v, messages
         try:
-            p = self._fit_projection(learn, cap)
+            mapping, mapped = fit_mapping(learn, projection=self.projection, n_components=cap)
         except _SWEEP_ERRORS as exc:
             for i in range(g):
                 messages[i] = str(exc)
             return nmse_l, nmse_v, messages
-        scores_l = project_rows(p, learn.X)
-        scores_v = project_rows(p, valid.X)
+        scores_l = mapped.X
+        scores_v = mapping.transform_rows(valid.X)
         # Components whose training scores carry no energy cannot be
         # regressed on; they bound the usable prefix on rank-deficient folds.
         col2 = (scores_l**2).sum(axis=0)
         floor = 1e-20 * max(1.0, float(col2.max(initial=0.0)))
         usable = 0
-        while usable < p.n_components and col2[usable] > floor:
+        while usable < col2.size and col2[usable] > floor:
             usable += 1
         beta = scores_l[:, :usable].T @ learn.y / col2[:usable]
         pred_l = np.full(learn.n_samples, learn.y.mean())
@@ -360,8 +360,8 @@ class ComponentSweep:
             i = by_count.get(c)
             if i is None:
                 continue
-            nmse_l[i] = _point_nmse(pred_l - learn.y, var_y, trim_learn)
-            nmse_v[i] = _point_nmse(pred_v - valid.y, var_y, trim_valid)
+            nmse_l[i] = _plain_nmse(pred_l - learn.y, var_y)
+            nmse_v[i] = _trimmed_nmse(pred_v - valid.y, var_y)
         for i, c in enumerate(self._counts):
             if c > usable:
                 messages[i] = (
@@ -394,7 +394,7 @@ class RbfnSweep:
     def fit(self, train: Dataset, params: dict):
         return fit_rbfn(train, int(params["centroids"]), float(params["wsf"]), self.seed)
 
-    def evaluate_fold(self, learn, valid, var_y, trim_learn, trim_valid):
+    def evaluate_fold(self, learn, valid, var_y):
         g = len(self._ks) * len(self._ws)
         nmse_l = np.full(g, np.nan)
         nmse_v = np.full(g, np.nan)
@@ -424,8 +424,8 @@ class RbfnSweep:
                 errs_l.append(phi_l @ weights + bias - learn.y)
                 errs_v.append(phi_v @ weights + bias - valid.y)
             if solved:
-                nmse_l[solved] = _rows_nmse(np.stack(errs_l), var_y, trim_learn)
-                nmse_v[solved] = _rows_nmse(np.stack(errs_v), var_y, trim_valid)
+                nmse_l[solved] = [_plain_nmse(e, var_y) for e in errs_l]
+                nmse_v[solved] = _trimmed_nmse_rows(np.stack(errs_v), var_y)
         return nmse_l, nmse_v, messages
 
 
@@ -451,7 +451,7 @@ class LssvmSweep:
     def fit(self, train: Dataset, params: dict):
         return fit_lssvm(train, float(params["sigma"]), float(params["gamma"]))
 
-    def evaluate_fold(self, learn, valid, var_y, trim_learn, trim_valid):
+    def evaluate_fold(self, learn, valid, var_y):
         n_gamma = self._gammas.size
         g = len(self._sigmas) * n_gamma
         nmse_l = np.full(g, np.nan)
@@ -480,8 +480,8 @@ class LssvmSweep:
                 lam = coeff @ vecs.T
                 err_l = lam @ omega + bias[:, None] - y[None, :]
                 err_v = lam @ k_valid.T + bias[:, None] - valid.y[None, :]
-                row_l = _batch_nmse(err_l, var_y, trim_learn)
-                row_v = _batch_nmse(err_v, var_y, trim_valid)
+                row_l = (err_l**2).mean(axis=1) / var_y
+                row_v = _trimmed_nmse_masked(err_v, var_y)
             ok = np.isfinite(row_l) & np.isfinite(row_v)
             nmse_l[base : base + n_gamma] = np.where(ok, row_l, np.nan)
             nmse_v[base : base + n_gamma] = np.where(ok, row_v, np.nan)
@@ -581,8 +581,6 @@ def sweep_folds(
     seed: int,
     var_y: float,
     *,
-    trim_learn: bool = False,
-    trim_valid: bool = True,
     workers: int = 1,
 ):
     """Score every grid point on every fold; no winner logic, no test data.
@@ -600,7 +598,7 @@ def sweep_folds(
 
     def run_fold(i: int):
         learn, valid = splits[i]
-        return sweep.evaluate_fold(learn, valid, var_y, trim_learn, trim_valid)
+        return sweep.evaluate_fold(learn, valid, var_y)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -639,9 +637,6 @@ def cross_validate(
     seed: int,
     var_y: float,
     *,
-    trim_learn: bool = False,
-    trim_valid: bool = True,
-    trim_test: bool = False,
     workers: int = 1,
 ):
     """Grid search by l-fold cross-validation; returns (CvReport, model).
@@ -651,18 +646,12 @@ def cross_validate(
     point failing on any fold is disqualified). The winner is then refit
     on all training rows through the model family's plain fitting
     function, and the test set, handed out by its guard exactly once, is
-    scored last.
+    scored last, untrimmed. The report's ``trim_*`` fields record that
+    rule.
     """
     guard = test if isinstance(test, TestSetGuard) else TestSetGuard(test)
     folds, splits, mat_l, mat_v, messages = sweep_folds(
-        train,
-        sweep,
-        l,
-        seed,
-        var_y,
-        trim_learn=trim_learn,
-        trim_valid=trim_valid,
-        workers=workers,
+        train, sweep, l, seed, var_y, workers=workers
     )
     winner_index = select_winner(mat_l, mat_v)
     points = sweep.grid.points()
@@ -677,20 +666,16 @@ def cross_validate(
         model = sweep.fit(learn, winner_params)
         err_l = np.asarray(model.predict(learn.X)) - learn.y
         err_v = np.asarray(model.predict(valid.X)) - valid.y
-        winner_l.append(_point_nmse(err_l, var_y, trim_learn))
-        if trim_valid:
-            kept = trim_outliers(err_v)
-            winner_v.append(float(np.mean(err_v[kept] ** 2) / var_y))
-            dropped = np.setdiff1d(np.arange(err_v.size), kept)
-        else:
-            winner_v.append(float(np.mean(err_v**2) / var_y))
-            dropped = np.empty(0, dtype=int)
+        winner_l.append(_plain_nmse(err_l, var_y))
+        kept = trim_outliers(err_v)
+        winner_v.append(_plain_nmse(err_v[kept], var_y))
+        dropped = np.setdiff1d(np.arange(err_v.size), kept)
         trimmed.append(tuple(int(i) for i in fold_idx[dropped]))
 
     final_model = sweep.fit(train, winner_params)
     held_out = guard.take()
     err_t = np.asarray(final_model.predict(held_out.X)) - held_out.y
-    nmse_t = _point_nmse(err_t, var_y, trim_test)
+    nmse_t = _plain_nmse(err_t, var_y)
 
     rows = []
     for i, params in enumerate(points):
@@ -725,8 +710,8 @@ def cross_validate(
         trimmed_per_fold=tuple(trimmed),
         nmse_t=nmse_t,
         test_reads=guard.reads,
-        trim_learn=trim_learn,
-        trim_valid=trim_valid,
-        trim_test=trim_test,
+        trim_learn=False,
+        trim_valid=True,
+        trim_test=False,
     )
     return report, final_model

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import fit_pca, fit_pls, transform
-from .dataset import Dataset, fit_column_whitener, normalize_spectra
+from .dataset import Dataset, normalize_spectra
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
     ComponentSweep,
@@ -39,7 +38,9 @@ from .mi import DEFAULT_K
 from .models import (
     PREPROCESSINGS,
     PipelineModel,
+    _from_fields,
     encode,
+    fit_mapping,
     load_pipeline,
     save_pipeline,
 )
@@ -159,11 +160,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        known = set(ExperimentConfig.__dataclass_fields__)
-        unknown = set(doc) - known
+        """The config a JSON object holds, each field checked by the model codec's rules."""
+        unknown = set(doc) - set(ExperimentConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return ExperimentConfig(**doc)
+        try:
+            return _from_fields(ExperimentConfig, doc)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +178,11 @@ class PipelineSweep:
     """Refit the input mapping on each learning fold, then sweep the model.
 
     The mapping is variable subsetting, an optional projection at a fixed
-    component count, and optional column whitening; fitting it inside the
-    fold keeps validation rows out of every fitted statistic.
+    component count, and optional column whitening (:func:`fit_mapping`);
+    fitting it inside the fold keeps validation rows out of every fitted
+    statistic. Validation rows go through the mapping's ``transform_rows``,
+    the path ``predict`` takes, and :meth:`fit` returns that mapping with
+    the refitted model in it.
     """
 
     def __init__(
@@ -197,47 +204,22 @@ class PipelineSweep:
         self.whiten = bool(whiten)
         self.grid = inner.grid
 
-    def _fit_map(self, d: Dataset):
-        if self.variables is not None:
-            d = d.take_variables(list(self.variables))
-        proj = None
-        if self.projection is not None:
-            fit = fit_pca if self.projection == "pca" else fit_pls
-            proj = fit(d, self.n_components)
-            d = transform(proj, d)
-        whit = None
-        if self.whiten:
-            whit = fit_column_whitener(d)
-            d = whit.apply(d)
-        return d, proj, whit
+    def _fit_map(self, d: Dataset) -> tuple[PipelineModel, Dataset]:
+        return fit_mapping(d, self.variables, self.projection, self.n_components, self.whiten)
 
-    def _apply_map(self, d: Dataset, proj, whit) -> Dataset:
-        if self.variables is not None:
-            d = d.take_variables(list(self.variables))
-        if proj is not None:
-            d = transform(proj, d)
-        if whit is not None:
-            d = whit.apply(d)
-        return d
-
-    def evaluate_fold(self, learn, valid, var_y, trim_learn, trim_valid):
+    def evaluate_fold(self, learn, valid, var_y):
         try:
-            learn_m, proj, whit = self._fit_map(learn)
-            valid_m = self._apply_map(valid, proj, whit)
+            mapping, learn_m = self._fit_map(learn)
+            valid_m = Dataset(mapping.transform_rows(valid.X), valid.y)
         except (ValueError, DataError, NumericalError) as exc:
             g = len(self.grid)
             bad = np.full(g, np.nan)
             return bad, bad.copy(), {i: str(exc) for i in range(g)}
-        return self.inner.evaluate_fold(learn_m, valid_m, var_y, trim_learn, trim_valid)
+        return self.inner.evaluate_fold(learn_m, valid_m, var_y)
 
     def fit(self, train: Dataset, params: dict) -> PipelineModel:
-        train_m, proj, whit = self._fit_map(train)
-        return PipelineModel(
-            model=self.inner.fit(train_m, params),
-            variables=self.variables,
-            projection=proj,
-            whitener=whit,
-        )
+        mapping, train_m = self._fit_map(train)
+        return replace(mapping, model=self.inner.fit(train_m, params))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +325,9 @@ def build_method_sweep(
         return ComponentSweep(spec.projection, counts), None, None
     if spec.projection is not None:
         components = _shared_components(train, spec, cfg, var_y, shared)
-        probe = fit_pca(train, components) if spec.projection == "pca" else fit_pls(
-            train, components
+        _, features = fit_mapping(
+            train, projection=spec.projection, n_components=components, whiten=spec.whiten
         )
-        features = transform(probe, train)
-        if spec.whiten:
-            features = fit_column_whitener(features).apply(features)
         inner = _model_sweep(spec.model, features.X, train.n_samples, cfg)
         kind = f"{spec.projection}{'+whiten' if spec.whiten else ''}+{spec.model}"
         sweep = PipelineSweep(

@@ -16,7 +16,8 @@ i.e. exp(-||x - c||^2 / (2 sigma^2)), shared by both kernel models.
 
 Models are immutable after fitting; prediction is a pure function of
 (model, x). A :class:`PipelineModel` bundles a fitted model with the
-input mapping it was trained behind. :func:`encode` and :func:`decode`
+input mapping it was trained behind, which :func:`fit_mapping` fits and
+its ``transform_rows`` applies. :func:`encode` and :func:`decode`
 are the one JSON codec: every model, and every result record the CLI
 writes, is its dataclass fields in declaration order.
 """
@@ -32,8 +33,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .baselines import Projection, project_rows
-from .dataset import ColumnWhitener, Dataset, normalize_spectrum_rows
+from .baselines import Projection, fit_pca, fit_pls, project_rows, transform
+from .dataset import ColumnWhitener, Dataset, fit_column_whitener, normalize_spectrum_rows
 from .errors import DataError, NumericalError
 
 PREPROCESSINGS = ("none", "spectrum-normalize")
@@ -161,15 +162,13 @@ class LinearModel:
         return predict_linear(self, x)
 
 
-def kmeans(
-    x: np.ndarray, n_clusters: int, seed: int, max_iter: int = _KMEANS_MAX_ITER
-) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(x: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with deterministic seeding from the data points.
 
     Initial centers are a seeded draw of distinct rows. A cluster that
     loses all members is re-seeded to the point currently farthest from
     its own centroid. Stops on assignment convergence or after
-    ``max_iter`` sweeps; returns (centers, assignments).
+    ``_KMEANS_MAX_ITER`` sweeps; returns (centers, assignments).
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -178,7 +177,7 @@ def kmeans(
     rng = np.random.default_rng(seed)
     centers = x[rng.choice(n, size=n_clusters, replace=False)].copy()
     assign = np.full(n, -1, dtype=np.intp)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = sq_dists(x, centers)
         new_assign = d2.argmin(axis=1)
         counts = np.bincount(new_assign, minlength=n_clusters)
@@ -380,6 +379,33 @@ class PipelineModel:
         return float(out[0]) if single else out
 
 
+def fit_mapping(
+    train: Dataset,
+    variables: tuple[int, ...] | None = None,
+    projection: str | None = None,
+    n_components: int | None = None,
+    whiten: bool = False,
+) -> tuple[PipelineModel, Dataset]:
+    """Fit a pipeline's input mapping on training rows: variables, projection, whitening.
+
+    Returns the mapping as a :class:`PipelineModel` with no model yet
+    and the training rows it maps. Other rows go through the mapping's
+    ``transform_rows``, the path ``predict`` takes.
+    """
+    if variables is not None:
+        train = train.take_variables(list(variables))
+    proj = None
+    if projection is not None:
+        proj = (fit_pca if projection == "pca" else fit_pls)(train, n_components)
+        train = transform(proj, train)
+    whitener = None
+    if whiten:
+        whitener = fit_column_whitener(train)
+        train = whitener.apply(train)
+    mapping = PipelineModel(model=None, variables=variables, projection=proj, whitener=whitener)
+    return mapping, train
+
+
 # ---------------------------------------------------------------------------
 # Documents
 
@@ -424,7 +450,7 @@ def decode(doc):
     The format, version and kind are checked. Each field is read from
     ``data`` and coerced by its annotation: arrays as float64, an int
     from a JSON integer, a float from a JSON number, a str from a JSON
-    string, a tuple from a JSON list of its items, nested dataclasses
+    string, a ``str | int`` from either of those, a tuple from a JSON list of its items, nested dataclasses
     from their fields, a field annotated ``object`` as a nested
     document. A missing field with a default takes the default.
     Anything else, such as "02" for a tuple or 3.7 or true for an int,
@@ -467,6 +493,7 @@ _JSON_TYPES = {
     int: (int, "a JSON integer"),
     float: ((int, float), "a JSON number"),
     str: (str, "a JSON string"),
+    str | int: ((str, int), "a JSON string or integer"),
 }
 
 
@@ -482,7 +509,7 @@ def _coerce(hint, value):
         # true and false are Python ints, but not JSON numbers.
         if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[hint][0]):
             raise ValueError(f"expected {_JSON_TYPES[hint][1]}, got {json.dumps(value)}")
-        return hint(value)
+        return float(value) if hint is float else value
     if hint is object:
         return decode(value)
     if is_dataclass(hint):

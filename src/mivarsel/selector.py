@@ -466,7 +466,7 @@ def exhaustive_search(
             f"lower the pool size to at most {MAX_POOL_SIZE}"
         )
     for j in cand:
-        if j >= d.n_variables:
+        if not 0 <= j < d.n_variables:
             raise ValueError(f"candidate index {j} out of range for {d.n_variables} variables")
     n = d.n_samples
     if not 1 <= k < n:

@@ -265,16 +265,21 @@ def kmeans_by_masks(x, n_clusters, seed, max_iter=100):
 _SWEEP_ERRORS = (ValueError, np.linalg.LinAlgError)
 
 
-def _trimmed_nmse(errors, var_y, trim):
-    """Mean squared error over var_y, after the 99th-percentile trim if asked."""
-    if trim:
-        dev = np.abs(errors - np.median(errors))
-        errors = errors[np.flatnonzero(dev <= np.percentile(dev, 99.0))]
+def _nmse(errors, var_y):
     return float(np.mean(errors**2) / var_y)
 
 
-def rbfn_sweep_fold(learn, valid, var_y, trim_learn, trim_valid, ks, ws, seed):
-    """RbfnSweep.evaluate_fold as one solve and two scores per grid cell."""
+def _trimmed_nmse(errors, var_y):
+    """Mean squared error over var_y after the 99th-percentile trim."""
+    dev = np.abs(errors - np.median(errors))
+    return _nmse(errors[np.flatnonzero(dev <= np.percentile(dev, 99.0))], var_y)
+
+
+def rbfn_sweep_fold(learn, valid, var_y, ks, ws, seed):
+    """RbfnSweep.evaluate_fold as one solve and two scores per grid cell.
+
+    Learning errors are scored untrimmed, validation errors trimmed.
+    """
     from mivarsel.models import _cluster_widths, _kernel_from_sq, kmeans, sq_dists
 
     nmse_l = np.full(len(ks) * len(ws), np.nan)
@@ -306,22 +311,23 @@ def rbfn_sweep_fold(learn, valid, var_y, trim_learn, trim_valid, ks, ws, seed):
             phi_v = _kernel_from_sq(d2_valid, widths)
             err_l = phi_l @ weights + bias - learn.y
             err_v = phi_v @ weights + bias - valid.y
-            nmse_l[base + wi] = _trimmed_nmse(err_l, var_y, trim_learn)
-            nmse_v[base + wi] = _trimmed_nmse(err_v, var_y, trim_valid)
+            nmse_l[base + wi] = _nmse(err_l, var_y)
+            nmse_v[base + wi] = _trimmed_nmse(err_v, var_y)
     return nmse_l, nmse_v, messages
 
 
-def _masked_rows_nmse(errors, var_y, trim):
+def _masked_rows_nmse(errors, var_y):
     """Row-wise NMSE of an error matrix, trimmed through a mask sum."""
-    if not trim:
-        return (errors**2).mean(axis=1) / var_y
     dev = np.abs(errors - np.median(errors, axis=1, keepdims=True))
     mask = dev <= np.percentile(dev, 99.0, axis=1, keepdims=True)
     return (errors**2 * mask).sum(axis=1) / mask.sum(axis=1) / var_y
 
 
-def lssvm_sweep_fold(learn, valid, var_y, trim_learn, trim_valid, sigmas, gammas):
-    """LssvmSweep.evaluate_fold with the distance matrices rebuilt per width."""
+def lssvm_sweep_fold(learn, valid, var_y, sigmas, gammas):
+    """LssvmSweep.evaluate_fold with the distance matrices rebuilt per width.
+
+    Learning errors are scored untrimmed, validation errors trimmed.
+    """
     from mivarsel.models import _kernel_from_sq, sq_dists
 
     gammas = np.asarray(gammas, dtype=np.float64)
@@ -350,8 +356,8 @@ def lssvm_sweep_fold(learn, valid, var_y, trim_learn, trim_valid, sigmas, gammas
             lam = coeff @ vecs.T
             err_l = lam @ omega + bias[:, None] - y[None, :]
             err_v = lam @ k_valid.T + bias[:, None] - valid.y[None, :]
-            row_l = _masked_rows_nmse(err_l, var_y, trim_learn)
-            row_v = _masked_rows_nmse(err_v, var_y, trim_valid)
+            row_l = (err_l**2).mean(axis=1) / var_y
+            row_v = _masked_rows_nmse(err_v, var_y)
         ok = np.isfinite(row_l) & np.isfinite(row_v)
         nmse_l[base : base + n_gamma] = np.where(ok, row_l, np.nan)
         nmse_v[base : base + n_gamma] = np.where(ok, row_v, np.nan)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,28 +191,26 @@ class TestIntegration:
         assert np.allclose(whitened.X.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(whitened.X.std(axis=0, ddof=1), 1.0, atol=1e-10)
 
-    def test_column_scaling_flag(self):
-        rng = np.random.default_rng(20)
-        x = rng.normal(size=(30, 3)) * np.array([1.0, 100.0, 0.01])
-        y = x[:, 2] * 50.0 + rng.normal(size=30)
-        d = Dataset(x, y)
-        p = fit_pca(d, 2, scale=True)
-        assert p.x_scale is not None
-        scores = transform(p, d).X
-        assert np.all(np.isfinite(scores))
-
     def test_serialization_round_trip(self):
         d = _random_dataset(n=25, m=4, seed=21)
-        for p in (fit_pca(d, 3), fit_pls(d, 2), fit_pca(d, 2, scale=True)):
+        # A document may carry per-column scales; they survive the round trip.
+        scaled = replace(fit_pca(d, 2), x_scale=d.X.std(axis=0, ddof=1))
+        for p in (fit_pca(d, 3), fit_pls(d, 2), scaled):
             inner = LinearModel(np.zeros(p.n_components), 0.0)
             doc = json.loads(json.dumps(encode(PipelineModel(model=inner, projection=p))))
             back = decode(doc).projection
             assert back.kind == p.kind
             assert np.array_equal(back.loadings, p.loadings)
             assert np.array_equal(back.x_mean, p.x_mean)
+            assert (back.x_scale is None) == (p.x_scale is None)
+            if p.x_scale is not None:
+                assert np.array_equal(back.x_scale, p.x_scale)
             assert back.y_center == p.y_center
             probe = _random_dataset(n=6, m=4, seed=22)
             assert np.array_equal(transform(back, probe).X, transform(p, probe).X)
+            scale = 1.0 if p.x_scale is None else p.x_scale
+            want = ((probe.X - p.x_mean) / scale) @ p.loadings
+            assert np.allclose(transform(back, probe).X, want, rtol=1e-12, atol=1e-12)
 
     def test_projection_validation(self):
         with pytest.raises(ValueError):

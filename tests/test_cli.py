@@ -323,12 +323,23 @@ class TestExitCodes:
         rc = main(["estimate", "--train", str(train), "--out", str(tmp_path / "r")])
         assert rc == 4
 
-    def test_invalid_config_file_is_config_error(self, csvs, tmp_path):
+    def test_invalid_config_file_is_config_error(self, csvs, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")
         assert main(["select", *_args(csvs), "--config", str(bad)]) == 2
         bad.write_text(json.dumps({"method": 1, "bogus": True}))
         assert main(["select", *_args(csvs), "--config", str(bad)]) == 2
+        # Each field takes only its own JSON type, and the error names the field.
+        train, test, out = csvs
+        capsys.readouterr()
+        for field, value in [
+            ("k", "6"), ("k", True), ("folds", 2.5), ("seed", 1.5), ("target_column", 12.7)
+        ]:
+            bad.write_text(json.dumps({field: value}))
+            rc = main(["run-method", "--train", str(train), "--test", str(test),
+                       "--out", str(out), "--config", str(bad)])
+            assert rc == 2, field
+            assert f"field '{field}'" in capsys.readouterr().err
 
     def test_oversized_csv_field_is_data_error(self, tmp_path, capsys):
         big = tmp_path / "big.csv"

@@ -31,6 +31,7 @@ from mivarsel.evaluation import (
     pooled_target_variance,
     trim_outliers,
 )
+from mivarsel.methods import PipelineSweep
 from mivarsel.models import fit_linear, fit_lssvm, fit_rbfn, predict_linear
 from oracles import lssvm_sweep_fold, rbfn_sweep_fold
 
@@ -200,6 +201,11 @@ class TestGridBuilders:
         assert g[0] == pytest.approx(1e-3) and g[-1] == pytest.approx(1e6)
 
 
+def _trimmed_mse(errors) -> float:
+    """Mean squared error of the errors trim_outliers keeps: a validation score."""
+    return np.mean(errors[trim_outliers(errors)] ** 2)
+
+
 def _split_linear(seed=2, n=100, n_test=20, m=3, noise=0.01):
     rng = np.random.default_rng(seed)
     w = np.linspace(1.0, -2.0, m)
@@ -214,11 +220,11 @@ class TestSweepsAgainstCanonicalFits:
     def test_linear_sweep_matches_direct_fit(self):
         train, test = _split_linear()
         learn, valid = train.take_rows(np.arange(70)), train.take_rows(np.arange(70, 100))
-        nl, nv, msg = LinearSweep().evaluate_fold(learn, valid, 2.0, False, False)
+        nl, nv, msg = LinearSweep().evaluate_fold(learn, valid, 2.0)
         m = fit_linear(learn)
         assert msg == {}
         assert nl[0] == np.mean((predict_linear(m, learn.X) - learn.y) ** 2) / 2.0
-        assert nv[0] == np.mean((predict_linear(m, valid.X) - valid.y) ** 2) / 2.0
+        assert nv[0] == _trimmed_mse(predict_linear(m, valid.X) - valid.y) / 2.0
 
     @pytest.mark.parametrize("projection", ["pca", "pls"])
     def test_component_sweep_matches_per_count_fits(self, projection):
@@ -228,12 +234,12 @@ class TestSweepsAgainstCanonicalFits:
         d = Dataset(x, y)
         learn, valid = d.take_rows(np.arange(35)), d.take_rows(np.arange(35, 50))
         sweep = ComponentSweep(projection, range(1, 9))
-        nl, nv, msg = sweep.evaluate_fold(learn, valid, 1.0, False, False)
+        nl, nv, msg = sweep.evaluate_fold(learn, valid, 1.0)
         assert msg == {}
         for i, params in enumerate(sweep.grid.points()):
             m = sweep.fit(learn, params)
             el = np.mean((m.predict(learn.X) - learn.y) ** 2)
-            ev = np.mean((m.predict(valid.X) - valid.y) ** 2)
+            ev = _trimmed_mse(m.predict(valid.X) - valid.y)
             assert nl[i] == pytest.approx(el, rel=1e-10, abs=1e-14)
             assert nv[i] == pytest.approx(ev, rel=1e-10, abs=1e-14)
 
@@ -244,7 +250,7 @@ class TestSweepsAgainstCanonicalFits:
         d = Dataset(x, t[:, 0])
         sweep = ComponentSweep("pca", range(1, 8))
         nl, nv, msg = sweep.evaluate_fold(
-            d.take_rows(np.arange(20)), d.take_rows(np.arange(20, 30)), 1.0, False, False
+            d.take_rows(np.arange(20)), d.take_rows(np.arange(20, 30)), 1.0
         )
         assert np.all(np.isfinite(nl[:4])) and np.all(np.isnan(nl[4:]))
         assert set(msg) == {4, 5, 6}
@@ -257,12 +263,12 @@ class TestSweepsAgainstCanonicalFits:
         d = Dataset(x, y)
         learn, valid = d.take_rows(np.arange(30)), d.take_rows(np.arange(30, 40))
         sweep = RbfnSweep((1, 3, 5), (0.5, 1.0, 2.0), seed=9)
-        nl, nv, msg = sweep.evaluate_fold(learn, valid, 1.0, False, False)
+        nl, nv, msg = sweep.evaluate_fold(learn, valid, 1.0)
         assert msg == {}
         for i, params in enumerate(sweep.grid.points()):
             m = fit_rbfn(learn, params["centroids"], params["wsf"], seed=9)
             assert nl[i] == np.mean((m.predict(learn.X) - learn.y) ** 2)
-            assert nv[i] == np.mean((m.predict(valid.X) - valid.y) ** 2)
+            assert nv[i] == _trimmed_mse(m.predict(valid.X) - valid.y)
 
     def test_lssvm_sweep_matches_dense_solver(self):
         rng = np.random.default_rng(5)
@@ -271,12 +277,12 @@ class TestSweepsAgainstCanonicalFits:
         d = Dataset(x, y)
         learn, valid = d.take_rows(np.arange(40)), d.take_rows(np.arange(40, 60))
         sweep = LssvmSweep((0.5, 2.0), (1.0, 1e3, 1e6))
-        nl, nv, msg = sweep.evaluate_fold(learn, valid, 1.0, False, False)
+        nl, nv, msg = sweep.evaluate_fold(learn, valid, 1.0)
         assert msg == {}
         for i, params in enumerate(sweep.grid.points()):
             m = fit_lssvm(learn, params["sigma"], params["gamma"])
             el = np.mean((m.predict(learn.X) - learn.y) ** 2)
-            ev = np.mean((m.predict(valid.X) - valid.y) ** 2)
+            ev = _trimmed_mse(m.predict(valid.X) - valid.y)
             assert nl[i] == pytest.approx(el, rel=1e-6)
             assert nv[i] == pytest.approx(ev, rel=1e-6)
 
@@ -338,9 +344,9 @@ class TestCrossValidate:
     def test_all_failures_raise(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(30, 3))
-        x[:, 1] = 5.0  # constant column breaks scaled projections
+        x[:, 1] = 5.0  # a constant column cannot be whitened
         d = Dataset(x, x[:, 0])
-        sweep = ComponentSweep("pca", (1, 2), scale=True)
+        sweep = PipelineSweep(LinearSweep(), "linear", whiten=True)
         with pytest.raises(NumericalError, match="every grid point failed"):
             cross_validate(d, d, sweep, 3, 0, 1.0)
 
@@ -383,14 +389,6 @@ class TestCrossValidate:
         assert sorted(i for f in report.folds for i in f) == list(range(80))
         for fold, dropped in zip(report.folds, report.trimmed_per_fold):
             assert set(dropped) <= set(fold)
-
-    def test_trimming_can_be_disabled(self):
-        train, test = _split_linear(seed=14, n=50, n_test=10)
-        var_y = pooled_target_variance(train, test)
-        report, _ = cross_validate(
-            train, test, LinearSweep(), 4, 0, var_y, trim_valid=False
-        )
-        assert all(len(t) == 0 for t in report.trimmed_per_fold)
 
     def test_winner_fold_scores_match_canonical_refits(self):
         train, test = _split_linear(seed=15, n=60, n_test=12)
@@ -463,37 +461,34 @@ def _same_fold_scores(got, want) -> bool:
 class TestSweepsMatchCellByCellLoops:
     """The sweeps' shared per-fold work leaves every score's bits unchanged."""
 
-    @pytest.mark.parametrize("trim_learn, trim_valid", [(False, False), (False, True), (True, True)])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_rbfn_sweep(self, seed, trim_learn, trim_valid):
+    def test_rbfn_sweep(self, seed):
         learn, valid = _sweep_fold_data(seed)
         ks = (1, 2, 5, 17, 36, 37)  # 37 centroids exceed the 36 learning rows
         ws = tuple(default_wsf_values(7))
         sweep = RbfnSweep(ks, ws, seed=3)
-        got = sweep.evaluate_fold(learn, valid, 0.7, trim_learn, trim_valid)
-        want = rbfn_sweep_fold(learn, valid, 0.7, trim_learn, trim_valid, ks, ws, 3)
+        got = sweep.evaluate_fold(learn, valid, 0.7)
+        want = rbfn_sweep_fold(learn, valid, 0.7, ks, ws, 3)
         assert _same_fold_scores(got, want)
         failed = set(range(5 * len(ws), 6 * len(ws)))
         assert set(got[2]) == failed
         assert np.isnan(got[1][sorted(failed)]).all()
         assert np.isfinite(np.delete(got[1], sorted(failed))).all()
 
-    @pytest.mark.parametrize("trim_learn, trim_valid", [(False, False), (False, True), (True, True)])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_lssvm_sweep(self, seed, trim_learn, trim_valid):
+    def test_lssvm_sweep(self, seed):
         learn, valid = _sweep_fold_data(seed)
         sigmas = tuple(default_sigma_values(learn.X, 6))
         gammas = tuple(default_gamma_values(9))
         sweep = LssvmSweep(sigmas, gammas)
-        got = sweep.evaluate_fold(learn, valid, 0.7, trim_learn, trim_valid)
-        want = lssvm_sweep_fold(
-            learn, valid, 0.7, trim_learn, trim_valid, sigmas, gammas
-        )
+        got = sweep.evaluate_fold(learn, valid, 0.7)
+        want = lssvm_sweep_fold(learn, valid, 0.7, sigmas, gammas)
         assert _same_fold_scores(got, want)
 
     def test_trimming_drops_the_planted_outlier(self):
         learn, valid = _sweep_fold_data(0)
         sweep = RbfnSweep((3,), (1.0,), seed=3)
-        _, trimmed, _ = sweep.evaluate_fold(learn, valid, 1.0, False, True)
-        _, untrimmed, _ = sweep.evaluate_fold(learn, valid, 1.0, False, False)
-        assert trimmed[0] < 0.5 * untrimmed[0]
+        _, trimmed, _ = sweep.evaluate_fold(learn, valid, 1.0)
+        m = fit_rbfn(learn, 3, 1.0, seed=3)
+        untrimmed = np.mean((m.predict(valid.X) - valid.y) ** 2)
+        assert trimmed[0] < 0.5 * untrimmed

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mivarsel.dataset import (
     normalize_spectrum_rows,
 )
 from mivarsel.errors import ConfigError
-from mivarsel.evaluation import LinearSweep, RbfnSweep, nmse
+from mivarsel.evaluation import LinearSweep, RbfnSweep, nmse, pooled_target_variance
 from mivarsel.methods import (
     METHOD_TABLE,
     ExperimentConfig,
@@ -23,6 +24,7 @@ from mivarsel.methods import (
     MethodResult,
     PipelineSweep,
     best_methods,
+    build_method_sweep,
     component_count_cv,
     reproduce,
     run_method,
@@ -209,10 +211,12 @@ class TestPipelineSweep:
         sweep = PipelineSweep(
             inner, "pca+rbfn", projection="pca", n_components=3, whiten=True
         )
-        got_l, got_v, msg = sweep.evaluate_fold(learn, valid, 1.0, False, False)
-        mapped_learn, proj, whit = sweep._fit_map(learn)
-        mapped_valid = sweep._apply_map(valid, proj, whit)
-        want_l, want_v, _ = inner.evaluate_fold(mapped_learn, mapped_valid, 1.0, False, False)
+        got_l, got_v, msg = sweep.evaluate_fold(learn, valid, 1.0)
+        mapping, mapped_learn = sweep._fit_map(learn)
+        mapped_valid = Dataset(mapping.transform_rows(valid.X), valid.y)
+        want_l, want_v, _ = inner.evaluate_fold(mapped_learn, mapped_valid, 1.0)
+        assert mapping.model is None
+        assert mapping.projection.n_components == 3 and mapping.whitener is not None
         assert msg == {}
         assert np.array_equal(got_l, want_l, equal_nan=True)
         assert np.array_equal(got_v, want_v, equal_nan=True)
@@ -237,7 +241,7 @@ class TestPipelineSweep:
             LinearSweep(), "pca+linear", projection="pca", n_components=2, whiten=True
         )
         nl, nv, msg = sweep.evaluate_fold(
-            d.take_rows(np.arange(14)), d.take_rows(np.arange(14, 20)), 1.0, False, False
+            d.take_rows(np.arange(14)), d.take_rows(np.arange(14, 20)), 1.0
         )
         assert np.all(np.isnan(nl)) and np.all(np.isnan(nv))
         assert set(msg) == {0}
@@ -245,6 +249,22 @@ class TestPipelineSweep:
     def test_projection_requires_component_count(self):
         with pytest.raises(ValueError, match="component count"):
             PipelineSweep(LinearSweep(), "pca+linear", projection="pca")
+
+    @pytest.mark.parametrize("preprocessing", ["none", "spectrum-normalize"])
+    def test_serving_path_maps_training_rows_bit_for_bit(self, preprocessing):
+        # No train/serve skew: predict's transform_rows, from the raw rows,
+        # gives exactly the matrix the inner sweep and the refit train on.
+        raw, test = _nonlinear_split(seed=14)
+        train = normalize_spectra(raw) if preprocessing != "none" else raw
+        var_y = pooled_target_variance(train, test)
+        shared: dict = {}
+        for method in range(3, 14):
+            cfg = ExperimentConfig(method=method, preprocessing=preprocessing, **SMALL)
+            sweep, _, _ = build_method_sweep(train, cfg, shared, var_y)
+            mapping, mapped = sweep._fit_map(train)
+            served = replace(mapping, preprocessing=preprocessing, n_inputs=raw.n_variables)
+            assert mapping.transform_rows(train.X).tobytes() == mapped.X.tobytes(), method
+            assert served.transform_rows(raw.X).tobytes() == mapped.X.tobytes(), method
 
 
 class TestComponentCountCv:

@@ -323,6 +323,25 @@ class TestExhaustiveSearch:
         with pytest.raises(ValueError):
             exhaustive_search(d, (0, 5), k=4)
 
+    def test_negative_index_rejected_before_the_search(self, monkeypatch):
+        # -5 would wrap round to column 1, which the winner would hold.
+        d = _additive_dataset(n=120, decoys=4, seed=3)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(selector, "_SubsetWalk", no_walk)
+        with pytest.raises(ValueError, match="candidate index -5 out of range"):
+            exhaustive_search(d, (0, -5), k=6)
+
+    def test_negative_index_outside_the_winner_still_rejected(self):
+        # -1 would wrap round to a decoy column the winner {0, 1} leaves out.
+        d = _additive_dataset(n=120, decoys=4, seed=3)
+        winner, _ = exhaustive_search(d, (0, 1, 5), k=6)
+        assert winner.indices == (0, 1)
+        with pytest.raises(ValueError, match="candidate index -1 out of range"):
+            exhaustive_search(d, (0, 1, -1), k=6)
+
 
 def _integer_dataset(n=90, p=6, seed=21) -> Dataset:
     """Integer-valued data with repeated joint points: forces the jitter path."""
