@@ -442,12 +442,16 @@ class TestCrossValidate:
         assert isinstance(report, CvReport)
 
 
-def _sweep_fold_data(seed: int):
-    """A 36/12 learn/valid split of a 3-input curve with two planted outliers."""
+def _sweep_fold_data(seed: int, outlier_in_learn: bool = True, outlier_in_valid: bool = True):
+    """A 36/12 learn/valid split of a 3-input curve with planted outliers.
+
+    One outlier goes in the learning rows and one in the validation rows,
+    each unless its flag is off.
+    """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(48, 3))
     y = np.sin(2 * x[:, 0]) + x[:, 1] * x[:, 2] + 0.05 * rng.normal(size=48)
-    y[[5, 40]] += 6.0
+    y[[r for r, on in ((5, outlier_in_learn), (40, outlier_in_valid)) if on]] += 6.0
     d = Dataset(x, y)
     return d.take_rows(np.arange(36)), d.take_rows(np.arange(36, 48))
 
@@ -461,9 +465,14 @@ def _same_fold_scores(got, want) -> bool:
 class TestSweepsMatchCellByCellLoops:
     """The sweeps' shared per-fold work leaves every score's bits unchanged."""
 
+    # Outliers nowhere, in the trimmed validation rows only, and also in the
+    # untrimmed learning rows.
+    @pytest.mark.parametrize(
+        "outlier_in_learn, outlier_in_valid", [(False, False), (False, True), (True, True)]
+    )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_rbfn_sweep(self, seed):
-        learn, valid = _sweep_fold_data(seed)
+    def test_rbfn_sweep(self, seed, outlier_in_learn, outlier_in_valid):
+        learn, valid = _sweep_fold_data(seed, outlier_in_learn, outlier_in_valid)
         ks = (1, 2, 5, 17, 36, 37)  # 37 centroids exceed the 36 learning rows
         ws = tuple(default_wsf_values(7))
         sweep = RbfnSweep(ks, ws, seed=3)
@@ -475,9 +484,12 @@ class TestSweepsMatchCellByCellLoops:
         assert np.isnan(got[1][sorted(failed)]).all()
         assert np.isfinite(np.delete(got[1], sorted(failed))).all()
 
+    @pytest.mark.parametrize(
+        "outlier_in_learn, outlier_in_valid", [(False, False), (False, True), (True, True)]
+    )
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_lssvm_sweep(self, seed):
-        learn, valid = _sweep_fold_data(seed)
+    def test_lssvm_sweep(self, seed, outlier_in_learn, outlier_in_valid):
+        learn, valid = _sweep_fold_data(seed, outlier_in_learn, outlier_in_valid)
         sigmas = tuple(default_sigma_values(learn.X, 6))
         gammas = tuple(default_gamma_values(9))
         sweep = LssvmSweep(sigmas, gammas)
