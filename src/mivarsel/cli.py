@@ -58,6 +58,18 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _warn_if_uninformative(selection) -> None:
+    """A stderr warning when the selected subset's MI is <= 0.0 (see select_variables)."""
+    if selection is None or selection.best_mi.value > 0.0:
+        return
+    est = selection.best_mi
+    _progress(
+        f"warning: the selected subset's MI is {est.value!r} nats at k={est.k}, "
+        f"N={est.n_samples}; no subset carries measurable information at this k, "
+        f"so the choice is only the tie-break"
+    )
+
+
 def _parallelism(workers: int) -> str:
     pin = blas_threads()
     if pin["pinned"]:
@@ -245,6 +257,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         jitter_seed=cfg.seed,
         workers=cfg.workers,
     )
+    _warn_if_uninformative(result)
     out = _out_dir(cfg)
     doc = {"config": cfg.to_dict(), "selection": result.to_dict(labels)}
     (out / "selection.json").write_text(json.dumps(doc, indent=2) + "\n")
@@ -268,6 +281,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _progress(f"training method {cfg.method} ({spec.label})")
     shared: dict = {}
     sweep, selection, _ = build_method_sweep(train, cfg, shared, var_y)
+    _warn_if_uninformative(selection)
     _, _, mat_l, mat_v, _ = sweep_folds(
         train, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
     )
@@ -338,6 +352,7 @@ def cmd_run_method(args: argparse.Namespace) -> int:
     spec = METHOD_TABLE[cfg.method]
     _progress(f"running method {cfg.method} ({spec.label}), {_parallelism(cfg.workers)}")
     result = run_method(train, test, cfg)
+    _warn_if_uninformative(result.selection)
     labels = _labels(
         normalize_spectra(train) if cfg.preprocessing == "spectrum-normalize" else train
     )
@@ -377,6 +392,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         return 0
     _progress(f"running all {len(methods)} methods, {_parallelism(cfg.workers)}")
     results = reproduce(train, test, cfg)
+    # Methods 11-13 share one selection; warn about it once.
+    selections = [r.selection for r in results if isinstance(r, MethodResult) and r.selection]
+    _warn_if_uninformative(selections[0] if selections else None)
     best = best_methods(results)
     labels = _labels(
         normalize_spectra(train) if cfg.preprocessing == "spectrum-normalize" else train

@@ -37,6 +37,7 @@ from .mi import (
     MiSession,
     _sq_diffs,
     _subset_indices,
+    _variable_index,
 )
 from .models import encode
 
@@ -58,7 +59,7 @@ class VariableSubset:
     provenance: str = "ranking"
 
     def __post_init__(self) -> None:
-        idx = tuple(int(j) for j in self.indices)
+        idx = tuple(_variable_index(j) for j in self.indices)
         if len(set(idx)) != len(idx):
             raise ValueError(f"subset indices are not distinct: {idx}")
         if any(j < 0 for j in idx):
@@ -101,7 +102,7 @@ class TraceStep:
             raise ValueError(f"unknown step kind {self.kind!r}")
         if self.decision not in _DECISIONS:
             raise ValueError(f"unknown decision {self.decision!r}")
-        object.__setattr__(self, "subset", tuple(int(j) for j in self.subset))
+        object.__setattr__(self, "subset", tuple(_variable_index(j) for j in self.subset))
 
 
 @dataclass(frozen=True)
@@ -247,8 +248,8 @@ def build_candidate_pool(ranking, selected, pool_size: int) -> VariableSubset:
     already present, in rank order, until the pool holds exactly
     ``pool_size`` variables.
     """
-    rank_idx = tuple(int(j) for j in _subset_indices(ranking))
-    sel_idx = tuple(int(j) for j in _subset_indices(selected))
+    rank_idx = tuple(_variable_index(j) for j in _subset_indices(ranking))
+    sel_idx = tuple(_variable_index(j) for j in _subset_indices(selected))
     if len(sel_idx) > pool_size:
         raise ValueError(
             f"selected set has {len(sel_idx)} variables, larger than the pool size {pool_size}"
@@ -293,27 +294,35 @@ def build_candidate_pool(ranking, selected, pool_size: int) -> VariableSubset:
 #
 # Blocks and chunks. The walk computes distances in the session's blocks
 # of B rows (mivarsel.mi.block_rows), with the loop over blocks outside
-# and the loop over subsets inside. A range is cut into chunks of up to
+# and the loop over subsets inside. Samples are in the session's
+# target-sorted order. A range is cut into chunks of up to
 # _CHUNK_BLOCKS * B consecutive subsets. For each block, a chunk
 # computes the highest pool column's distances and rebuilds the prefix
 # sums of its first subset's ancestors, then walks its subsets and
 # writes each sample's digamma indices (n_x + 1, n_y + 1) into a
-# 2 x chunk x N int32 array. After the last block the chunk reduces B
-# subsets at a time in the session's buffers: digamma lookups, a sort
-# along each subset's row and a mean along it, the same bits as one
-# subset at a time. A subset with a duplicate joint point in any block
-# (some eps^2 = 0) is then evaluated again through the session's
-# blocked jitter path.
+# 2 x chunk x N int32 array. The X-distances are full rows, since n_x
+# is counted on the full row; each sample's eps^2 and n_y come from the
+# block's window of columns (mivarsel.mi.MiSession), and only rows whose
+# window cannot prove eps^2 exact are redone on their full rows. The
+# target's window distances are computed once per block and chunk, and
+# again after such a fallback, which borrows their buffer. After the
+# last block the chunk reduces B subsets at a time in the session's
+# buffers: digamma lookups, a sort along each subset's row and a mean
+# along it, the same bits as one subset at a time. A subset with a
+# duplicate joint point in any block (some eps^2 = 0) is then evaluated
+# again through the session's blocked jitter path.
 #
 # Memory, in B x N float64 buffers, per process: P - 1 prefix sums (no
 # non-leaf subset is longer than P - 1), the highest column's block,
 # the session's column scratch, target distances, joint distances and
 # mask (3 1/8; its "sum" buffer only serves the jitter path) and the
 # chunk's indices (_CHUNK_BLOCKS): P + 5 1/8, and one more while a
-# slice reduces (numpy's copy of its indices). Once N passes 181 a
-# buffer holds at most 2^15 float64, so a walk takes about
-# (P + 6) * 256 KB whatever N; at N <= 181, one block, the buffers
-# are N x N.
+# slice reduces (numpy's copy of its indices). The window and the
+# fallback rows work inside the target, joint-distance and mask
+# buffers, so they add none. Once N passes 181 a buffer holds at most
+# 2^15 float64, so a walk takes about (P + 6) * 256 KB whatever N; at
+# N <= 181, one block, the buffers are N x N and the window is the
+# whole row.
 
 # Subsets per chunk, in units of the block's row count B.
 _CHUNK_BLOCKS = 2
@@ -385,14 +394,13 @@ class _SubsetWalk:
         tied = np.zeros(len(chunk), dtype=bool)
         top = self.columns[self.p - 1]
         for start, stop in session._blocks():
-            dy2 = session._target(start, stop)
             _sq_diffs(top[start:stop], top, out=self.highest[: stop - start])
             for depth, position in enumerate(chunk[0][:-1]):
                 self._push(depth, position, start, stop)
             for i, subset in enumerate(chunk):
                 dx2 = self._dx2(subset, start, stop)
                 tied[i] |= session._count_rows(
-                    dx2, dy2, start, index[0, i, start:stop], index[1, i, start:stop]
+                    dx2, start, index[0, i, start:stop], index[1, i, start:stop]
                 )
         # Reduced B subsets at a time, in the session's B x N buffers.
         rows = session.block
@@ -455,7 +463,7 @@ def exhaustive_search(
     smaller sorted index tuple. The result does not depend on
     ``workers``; parallelism only splits the enumeration range.
     """
-    cand = sorted(int(j) for j in _subset_indices(candidates))
+    cand = sorted(_variable_index(j) for j in _subset_indices(candidates))
     if len(set(cand)) != len(cand):
         raise ValueError(f"candidate indices are not distinct: {cand}")
     if not cand:
@@ -543,6 +551,14 @@ def select_variables(
     past it a ConfigError names both sizes. A constant target carries
     no information to select on and raises DataError before any
     estimate is made.
+
+    Degenerate k: a winner with MI <= 0.0 means no subset carries
+    measurable information at this k. With k = N - 1 (N = 7 and k = 6,
+    say) every subset scores exactly 0.0, and the winner, the pool's
+    lowest column alone, is picked by the tie rule only. The result is
+    returned as it is; the ``mivarsel`` commands that select (``select``,
+    ``train``, ``run-method``, ``reproduce``) warn on stderr, naming k
+    and N.
     """
     if d.y.min() == d.y.max():
         raise DataError("the target is constant; there is nothing to select variables for")

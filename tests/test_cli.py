@@ -236,6 +236,53 @@ class TestRunMethod:
         assert not out.exists()
 
 
+class TestDegenerateK:
+    """With k = N - 1 every subset scores 0.0: the CLI says so, and writes what it always did."""
+
+    @pytest.fixture()
+    def seven(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(7, 3))
+        xt = rng.normal(size=(5, 3))
+        train, test = tmp_path / "seven_train.csv", tmp_path / "seven_test.csv"
+        save_csv(Dataset(x, x[:, 0] + 0.1 * rng.normal(size=7)), train)
+        save_csv(Dataset(xt, xt[:, 0]), test)
+        return train, test, tmp_path / "r"
+
+    def test_select_warns_on_stderr(self, seven, capsys):
+        train, _, out = seven
+        args = ["select", "--train", str(train), "--out", str(out), "--p", "3"]
+        assert main([*args, "--k", "6"]) == 0
+        captured = capsys.readouterr()
+        assert "warning" in captured.err and "k=6" in captured.err and "N=7" in captured.err
+        assert "warning" not in captured.out
+        doc = json.loads((out / "custom" / "selection.json").read_text())
+        assert doc["selection"]["best_mi"]["value"] == 0.0
+        assert doc["selection"]["best"]["indices"] == [0]  # the tie rule's pick
+        assert main([*args, "--k", "2"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_run_method_warns_on_stderr(self, seven, capsys):
+        train, test, out = seven
+        assert main([
+            "run-method", "--train", str(train), "--test", str(test), "--out", str(out),
+            "--p", "3", "--k", "6", "--folds", "2", "--method", "11", *_GRIDS,
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "k=6" in err and "N=7" in err
+        assert (out / "custom" / "method-11" / "seed-0" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", [["train", "--method", "12"], ["reproduce"]])
+    def test_train_and_reproduce_warn_on_stderr(self, seven, capsys, command):
+        train, test, out = seven
+        assert main([
+            *command, "--train", str(train), "--test", str(test), "--out", str(out),
+            "--p", "3", "--k", "6", "--folds", "2", *_GRIDS,
+        ]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1 and "k=6" in err and "N=7" in err
+
+
 class TestReproduce:
     def test_benchmark_artifacts(self, csvs, capsys):
         assert main(["reproduce", *_args(csvs), *_GRIDS, "--seed", "2"]) == 0

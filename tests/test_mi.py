@@ -20,6 +20,7 @@ from mivarsel.mi import (
     block_rows,
     digamma_table,
     estimate_mi,
+    window_half_width,
 )
 from oracles import (
     NeighborhoodStats,
@@ -239,6 +240,33 @@ class TestEstimateMi:
             MiEstimate(value=0.5, k=10, n_samples=10)
 
 
+class TestVariableIndices:
+    """A variable index is an integer: floats and bools are rejected, never truncated."""
+
+    @staticmethod
+    def _data() -> Dataset:
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(40, 4))
+        return Dataset(x, x[:, 1] + 0.3 * rng.normal(size=40))
+
+    @pytest.mark.parametrize(
+        "subset", [(1.9,), (True,), (0, 1.0), (np.float64(2.0),), (np.True_,), (0, False)]
+    )
+    def test_non_integer_indices_raise(self, subset):
+        d = self._data()
+        with pytest.raises(TypeError, match="variable index"):
+            estimate_mi(d, subset)
+        with pytest.raises(TypeError, match="variable index"):
+            MiSession(d.X, d.y).mi(subset)
+
+    def test_numpy_integers_are_indices(self):
+        d = self._data()
+        session = MiSession(d.X, d.y)
+        expected = estimate_mi(d, (1, 3)).value
+        assert estimate_mi(d, (np.int64(1), np.uint8(3))).value == expected
+        assert session.mi(np.array([3, 1], dtype=np.int32)) == expected
+
+
 def _quantized_dataset(seed: int = 3) -> Dataset:
     rng = np.random.default_rng(seed)
     x = np.round(rng.normal(size=120) * 2.0) / 2.0
@@ -412,6 +440,114 @@ class TestRowBlocks:
         block = session.block * n * 8
         assert peak > 4 * block  # numpy buffers are traced
         assert peak <= 8 * block + x.nbytes
+
+
+def _count_fallbacks(monkeypatch) -> dict:
+    """Count the rows MiSession redoes on their full rows, and the rows it evaluates."""
+    seen = {"rows": 0, "fell_back": 0}
+    count_rows, full_rows = MiSession._count_rows, MiSession._full_rows
+
+    def counted_rows(self, dx2, *args, **kwargs):
+        seen["rows"] += dx2.shape[0]
+        return count_rows(self, dx2, *args, **kwargs)
+
+    def counted_full(self, dx2, y, start, failed, *args):
+        seen["fell_back"] += len(failed)
+        return full_rows(self, dx2, y, start, failed, *args)
+
+    monkeypatch.setattr(MiSession, "_count_rows", counted_rows)
+    monkeypatch.setattr(MiSession, "_full_rows", counted_full)
+    return seen
+
+
+class TestTargetWindows:
+    """eps^2 and n_y from a window of target-sorted columns, with a full-row fallback."""
+
+    def test_window_rule(self):
+        assert [window_half_width(n) for n in (2, 172, 182, 1000, 3000)] == [1, 22, 23, 125, 375]
+        assert MiSession(np.zeros((1000, 1)), np.arange(1000.0)).window == 125
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-0.0, 0.0, 1e-300, -2.5, 0.1, 0.3, 1 / 3, 7.0, 1e8, -1e-8]),
+            min_size=1, max_size=30,
+        ).flatmap(lambda ys: st.tuples(
+            st.just(ys), st.integers(0, len(ys) - 1), st.sampled_from(ys + [0.0, 1e-17, 4.0])
+        ))
+    )
+    def test_target_distances_are_monotone_along_sorted_order(self, case):
+        # fl((y_i - y_j)^2) never decreases as j moves away from i in
+        # target-sorted order, so each sample's "closer than e" set is one
+        # contiguous run holding the sample, and no sample outside a window
+        # is nearer than the two just outside it.
+        values, i, e = case
+        y = np.array(values)[np.argsort(values, kind="stable")]
+        row = sq_diffs(y)[i]
+        assert (np.diff(row[: i + 1]) <= 0).all() and (np.diff(row[i:]) >= 0).all()
+        inside = np.flatnonzero(row < e * e)
+        assert inside.size == 0 or inside.size == inside[-1] - inside[0] + 1
+        assert inside.size == 0 or inside[0] <= i <= inside[-1]
+
+    @pytest.mark.parametrize("n", [182, 255, 361, 1000])
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    @pytest.mark.parametrize("share", [0.0, 0.01])
+    def test_narrow_windows_fall_back_to_the_same_bits(self, monkeypatch, n, kind, share):
+        # Share 0 makes each window its own block, so many rows fall back;
+        # 0.01 puts a window edge inside the neighbouring blocks, or widens
+        # a window too narrow for k to the whole row.
+        monkeypatch.setattr(mi, "_WINDOW_SHARE", share)
+        seen = _count_fallbacks(monkeypatch)
+        x, y = _blocked_case(n, kind)
+        session = MiSession(x, y, k=6)
+        assert session.window < session.block < n
+        for subset in ((0,), (1, 3), (0, 1, 2, 3)):
+            assert session.mi(subset) == full_matrix_mi(x[:, subset], y, 6)
+        assert seen["fell_back"] < seen["rows"]
+        if share == 0.0:
+            assert seen["fell_back"] > 0
+
+    def test_default_window_serves_most_rows(self, monkeypatch):
+        seen = _count_fallbacks(monkeypatch)
+        x, y = _blocked_case(1000, "continuous")
+        session = MiSession(x, y, k=6)
+        for subset in ((0,), (1,), (0, 1), (0, 1, 2, 3)):
+            assert session.mi(subset) == full_matrix_mi(x[:, subset], y, 6)
+        assert 0 < seen["fell_back"] < seen["rows"] // 2
+
+    def test_one_block_never_falls_back(self, monkeypatch):
+        seen = _count_fallbacks(monkeypatch)
+        x, y = _blocked_case(181, "tied")
+        session = MiSession(x, y, k=6)
+        assert session.block == 181 and session._window(0, 181) == (0, 181)
+        for subset in ((0,), (0, 2), (0, 1, 2, 3)):
+            assert session.mi(subset) == full_matrix_mi(x[:, subset], y, 6)
+        assert seen["rows"] > 0 and seen["fell_back"] == 0
+
+    def test_window_narrower_than_k_is_the_whole_row(self, monkeypatch):
+        # 60 samples in blocks of 2 with no window would leave fewer than
+        # k candidates, so those blocks search their whole rows.
+        monkeypatch.setattr(mi, "_BLOCK_ELEMENTS", 120)
+        monkeypatch.setattr(mi, "_WINDOW_SHARE", 0.0)
+        seen = _count_fallbacks(monkeypatch)
+        for kind in ("continuous", "tied"):
+            x, y = _blocked_case(60, kind)
+            session = MiSession(x, y, k=4, jitter_seed=3)
+            assert (session.block, session.window) == (2, 0)
+            assert session._window(10, 12) == (0, 60)
+            for subset in ((1,), (0, 2), (0, 1, 3)):
+                assert session.mi(subset) == full_matrix_mi(x[:, subset], y, 4, 3)
+        assert seen["fell_back"] == 0
+
+    def test_caller_sample_order_changes_no_bit(self):
+        x, y = _blocked_case(361, "tied")
+        perm = np.random.default_rng(8).permutation(361)
+        a, b = MiSession(x, y, k=6, jitter_seed=1), MiSession(x[perm], y[perm], k=6, jitter_seed=1)
+        for subset in ((0,), (2,), (0, 3)):
+            assert a.mi(subset) == full_matrix_mi(x[:, subset], y, 6, 1)
+            # Without jitter the value is invariant; with it, the noise
+            # follows the caller's order, as full_matrix_mi's does.
+            assert b.mi(subset) == full_matrix_mi(x[perm][:, subset], y[perm], 6, 1)
 
 
 class TestDistanceScale:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import tracemalloc
@@ -18,6 +19,7 @@ from mivarsel.models import encode
 from mivarsel.selector import (
     SelectionResult,
     SelectionTrace,
+    TraceStep,
     VariableSubset,
     _best_addition,
     _best_removal,
@@ -64,6 +66,20 @@ class TestVariableSubset:
     def test_rejects_unknown_provenance(self):
         with pytest.raises(ValueError):
             VariableSubset((0,), "magic")
+
+    @pytest.mark.parametrize("indices", [(1.5,), (True,), (0, np.float64(2.0)), (np.True_,)])
+    def test_rejects_non_integer_indices(self, indices):
+        with pytest.raises(TypeError, match="variable index"):
+            VariableSubset(indices)
+        with pytest.raises(TypeError, match="variable index"):
+            TraceStep("forward", 0, indices, 0.5, "added")
+
+    def test_numpy_integers_become_ints(self):
+        s = VariableSubset((np.int64(3), np.uint16(1)))
+        assert s.indices == (3, 1)
+        assert all(type(j) is int for j in s.indices)
+        step = TraceStep("forward", 1, (np.int32(0), np.int64(1)), 0.5, "added")
+        assert step.subset == (0, 1) and all(type(j) is int for j in step.subset)
 
 
 class TestRanking:
@@ -261,6 +277,14 @@ class TestCandidatePool:
         with pytest.raises(ValueError):
             build_candidate_pool(ranking, VariableSubset((0,)), 5)
 
+    def test_non_integer_indices_raise(self):
+        with pytest.raises(TypeError, match="variable index"):
+            build_candidate_pool((0, 1.5, 2), (3,), 3)
+        with pytest.raises(TypeError, match="variable index"):
+            build_candidate_pool((0, 1, 2), (True,), 3)
+        pool = build_candidate_pool(np.array([4, 2, 7]), (np.int64(2),), 2)
+        assert pool.indices == (2, 4)
+
 
 class TestExhaustiveSearch:
     def test_matches_enumeration_oracle_p3(self):
@@ -322,6 +346,24 @@ class TestExhaustiveSearch:
             exhaustive_search(d, (0, 0), k=4)
         with pytest.raises(ValueError):
             exhaustive_search(d, (0, 5), k=4)
+
+    @pytest.mark.parametrize("candidates", [(0, 1.7), (0, True), (np.float64(0.0), 2)])
+    def test_non_integer_index_rejected_before_the_search(self, monkeypatch, candidates):
+        d = _additive_dataset(n=120, decoys=4, seed=3)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(selector, "_SubsetWalk", no_walk)
+        with pytest.raises(TypeError, match="variable index"):
+            exhaustive_search(d, candidates, k=6)
+
+    def test_numpy_integer_candidates_are_searched(self):
+        d = _additive_dataset(n=120, decoys=4, seed=3)
+        plain = exhaustive_search(d, (0, 1, 4), k=6)
+        numpy = exhaustive_search(d, np.array([4, 0, 1]), k=6)
+        assert numpy[0].indices == plain[0].indices
+        assert numpy[1].value == plain[1].value
 
     def test_negative_index_rejected_before_the_search(self, monkeypatch):
         # -5 would wrap round to column 1, which the winner would hold.
@@ -493,6 +535,45 @@ class TestBlockedWalk:
         assert peak > (p + 1) * block  # numpy buffers are traced
         # P + 6 1/8 buffers (see selector.py) and the jitter path's copies.
         assert peak <= (p + 10) * block + d.X.nbytes
+
+
+class TestWindowedWalk:
+    """The walk with narrow target windows, where many rows fall back to their full rows."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _expected(n: int, kind: str) -> list:
+        return TestBlockedWalk._expected(_blocked_dataset(n, kind, p=4), 4, 6)
+
+    @pytest.mark.parametrize("n", [182, 255, 361, 1000])
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    @pytest.mark.parametrize("share", [0.0, 0.01])
+    def test_every_subset_bit_equal_to_whole_matrices(self, monkeypatch, n, kind, share):
+        monkeypatch.setattr(mi, "_WINDOW_SHARE", share)
+        fell_back = []
+        full_rows = MiSession._full_rows
+
+        def counted(self, dx2, y, start, failed, *args):
+            fell_back.append(len(failed))
+            return full_rows(self, dx2, y, start, failed, *args)
+
+        monkeypatch.setattr(MiSession, "_full_rows", counted)
+        d = _blocked_dataset(n, kind, p=4)
+        walk = selector._SubsetWalk(np.ascontiguousarray(d.X), d.y, 6, 0)
+        assert walk.session.window < walk.session.block < n
+        assert list(walk.walk(1, 1 << 4)) == self._expected(n, kind)
+        if share == 0.0:
+            assert fell_back
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_search_at_one_two_three_workers(self, monkeypatch, kind):
+        monkeypatch.setattr(mi, "_WINDOW_SHARE", 0.01)
+        best_mi, best = reduce(selector._better, self._expected(1000, kind))
+        d = _blocked_dataset(1000, kind, p=4)
+        for workers in (1, 2, 3):
+            subset, est = exhaustive_search(d, range(4), k=6, workers=workers)
+            assert subset.indices == best
+            assert est.value == best_mi
 
 
 def _select_variables_without_memo(monkeypatch, d, **kwargs):
