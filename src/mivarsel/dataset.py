@@ -110,13 +110,14 @@ def _read_table(path: str | Path) -> tuple[list[str] | None, int, list]:
     """Header, width and data rows of a CSV file.
 
     The first row is a header when any of its cells fails to parse as a
-    number; the header is None otherwise. Blank lines are skipped. A
+    number; the header is None otherwise. Blank lines are skipped, and
+    so is a leading UTF-8 byte-order mark (Excel writes one). A
     file with no quote and no lone carriage return comes back as text
     lines, since for it the csv rules reduce to splitting each line at
     its commas; any other file comes back as the csv module's rows.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

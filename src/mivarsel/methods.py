@@ -74,7 +74,6 @@ class MethodSpec:
     input_step: str  # "pca" | "pls" | "mi"
     whiten: bool
     model: str  # "linear" | "rbfn" | "lssvm"
-    component_source: int | None  # method whose CV fixes the component count
 
     @property
     def uses_selection(self) -> bool:
@@ -93,19 +92,19 @@ class MethodSpec:
 
 
 METHOD_TABLE: dict[int, MethodSpec] = {
-    1: MethodSpec(1, "PCR", "pca", False, "linear", None),
-    2: MethodSpec(2, "PLSR", "pls", False, "linear", None),
-    3: MethodSpec(3, "PCA + RBFN", "pca", False, "rbfn", 1),
-    4: MethodSpec(4, "PCA + whitening + RBFN", "pca", True, "rbfn", 1),
-    5: MethodSpec(5, "PCA + LS-SVM", "pca", False, "lssvm", 1),
-    6: MethodSpec(6, "PCA + whitening + LS-SVM", "pca", True, "lssvm", 1),
-    7: MethodSpec(7, "PLS + RBFN", "pls", False, "rbfn", 2),
-    8: MethodSpec(8, "PLS + whitening + RBFN", "pls", True, "rbfn", 2),
-    9: MethodSpec(9, "PLS + LS-SVM", "pls", False, "lssvm", 2),
-    10: MethodSpec(10, "PLS + whitening + LS-SVM", "pls", True, "lssvm", 2),
-    11: MethodSpec(11, "MI + RBFN", "mi", False, "rbfn", None),
-    12: MethodSpec(12, "MI + LS-SVM", "mi", False, "lssvm", None),
-    13: MethodSpec(13, "MI + linear", "mi", False, "linear", None),
+    1: MethodSpec(1, "PCR", "pca", False, "linear"),
+    2: MethodSpec(2, "PLSR", "pls", False, "linear"),
+    3: MethodSpec(3, "PCA + RBFN", "pca", False, "rbfn"),
+    4: MethodSpec(4, "PCA + whitening + RBFN", "pca", True, "rbfn"),
+    5: MethodSpec(5, "PCA + LS-SVM", "pca", False, "lssvm"),
+    6: MethodSpec(6, "PCA + whitening + LS-SVM", "pca", True, "lssvm"),
+    7: MethodSpec(7, "PLS + RBFN", "pls", False, "rbfn"),
+    8: MethodSpec(8, "PLS + whitening + RBFN", "pls", True, "rbfn"),
+    9: MethodSpec(9, "PLS + LS-SVM", "pls", False, "lssvm"),
+    10: MethodSpec(10, "PLS + whitening + LS-SVM", "pls", True, "lssvm"),
+    11: MethodSpec(11, "MI + RBFN", "mi", False, "rbfn"),
+    12: MethodSpec(12, "MI + LS-SVM", "mi", False, "lssvm"),
+    13: MethodSpec(13, "MI + linear", "mi", False, "linear"),
 }
 
 

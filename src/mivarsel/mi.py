@@ -96,6 +96,9 @@ class MiEstimate:
 # passes 181, so a block's buffers stay in a 2 MB L2 cache.
 _BLOCK_ELEMENTS = 1 << 15
 
+# Subsets a session evaluates together, in units of the block's row count B.
+_CHUNK_BLOCKS = 2
+
 
 def block_rows(n: int) -> int:
     """Rows per block for ``n`` samples: min(N, max(1, 2^15 // N)); N <= 181 is one block."""
@@ -122,6 +125,25 @@ def _sq_diffs(rows: np.ndarray, values: np.ndarray, out: np.ndarray | None = Non
     """
     out = np.subtract(rows[:, None], values[None, :], out=out)
     return np.square(out, out=out)
+
+
+def _sharing_plan(chunk: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int, int]]:
+    """(subset, shared, kept) for each subset of ``chunk``, in order.
+
+    ``shared`` leading column sums are left in the prefix buffers by the
+    subsets before it (never the whole subset, whose last sum is always
+    made), and ``kept`` >= ``shared`` are left there for the next one.
+    """
+    plan, shared = [], 0
+    for subset, following in zip(chunk, [*chunk[1:], ()]):
+        common = 0
+        for a, b in zip(subset, following):
+            if a != b:
+                break
+            common += 1
+        plan.append((subset, shared, max(shared, common)))
+        shared = min(common, len(following) - 1)
+    return plan
 
 
 def _jittered(
@@ -174,36 +196,52 @@ class MiSession:
 
     Holds the columns (one contiguous row per variable) and the target,
     both with the samples in stable target-sorted order, plus the
-    digamma table and each variable's range. A sample's eps^2, n_x and
-    n_y do not depend on sample order, and the value is the mean of the
-    sorted per-sample contributions, so the order changes no bit.
+    digamma table and each variable's range. The order changes no bit
+    (see the module docstring).
 
-    An evaluation walks the samples in blocks of B = :func:`block_rows`
-    (N) rows. A sample's k-th joint neighbour is searched for only in
-    the block's window, the columns [start - W, stop + W) with
+    ``mi`` evaluates one subset and ``values`` a list, under one memo: a
+    repeated subset costs a dictionary lookup, and the subsets
+    ``values`` has not seen are evaluated together. ``evaluate`` is the
+    same loop with no memo, for a caller that never repeats a subset
+    (the exhaustive search). All give the floats of :func:`estimate_mi`.
+
+    The loop takes subsets (sorted column tuples) in chunks of up to
+    ``chunk`` = _CHUNK_BLOCKS * B and the samples in blocks of
+    B = :func:`block_rows` (N) rows, blocks outside and the chunk's
+    subsets inside. Per block, the chunk's highest column's distances
+    are computed once. Squared X-distances are summed in ascending
+    column order; prefix buffer d holds the sum over a subset's first
+    d + 1 columns for as long as the subsets after it start with them,
+    and the rest of a subset accumulates in place. So a lexicographic
+    walk, in which a subset is its parent plus one higher column, adds
+    one column per subset, and a lone subset is summed in place as a
+    standalone estimate is. Each sample's digamma indices (n_x + 1,
+    n_y + 1) go to a 2 x chunk x N int32 array, reduced B subsets at a
+    time after the last block: lookups, then a sort and a mean along
+    each subset's row, the same bits as one subset at a time.
+
+    A sample's k-th joint neighbour is searched for in its block's
+    window, the columns [start - W, stop + W) with
     W = :func:`window_half_width` (N), clipped to the sample range, or
-    the whole row when that would leave fewer than k other samples. The
-    window's k-th distance is exact when it is no larger than the
-    sample's squared target distance to both samples just outside the
-    window: fl((y_i - y_j)^2) does not decrease away from i along sorted
-    y, so no sample outside can be closer. Rows that fail this test are
-    redone on their full rows. n_x is counted on the full row, n_y in
-    the window (or on the full row after a fallback). With one block
-    (N <= 181) the window is the whole row and nothing falls back.
+    the whole row when that would leave fewer than k other samples. A
+    row whose window eps^2 exceeds its squared target distance to either
+    sample just outside the window is redone on its full row. n_x is
+    counted on the full row, n_y wherever eps^2 was found. With one
+    block (N <= 181) the window is the whole row. The target's window
+    distances are kept until another block, a fallback or the jitter
+    path needs their buffer. A subset with duplicate joint points (some
+    eps^2 = 0) is evaluated again through the same loop, on jittered
+    copies of its columns and the target, drawn in the caller's sample
+    order and then sorted by the jittered target.
 
-    Every block runs in the same B x N buffers, made on first use: the
-    accumulated X-distances, one column's distances, the target's, the
-    joint distances and a boolean mask, 4 1/8 B x N float64 (about 1 MB
-    once N passes 181), whatever the variable count. The target's
-    window distances are kept until another block, a fallback or the
-    jitter path needs their buffer; with one block they are computed
-    once per session. Data with duplicate joint points is evaluated a
-    second time, in the same buffers, on jittered copies of the subset's
-    columns and the target, drawn in the caller's sample order and then
-    sorted by the jittered target. ``mi`` memoises each subset's value,
-    so a repeated query costs a dictionary lookup; the memo grows by one
-    small entry per distinct subset. ``mi`` returns exactly the same
-    floats as :func:`estimate_mi` on the same inputs.
+    Memory, in B x N buffers made on first use: one prefix per depth a
+    chunk keeps, the highest column, one column's scratch, the target,
+    the joint distances, a boolean mask (1/8) and the chunk's indices
+    (_CHUNK_BLOCKS), plus numpy's copy of one slice of them while it
+    reduces. A lone subset takes 5 1/8 (about 1.3 MB once N passes
+    181), whatever its length; a walk over a pool of P keeps at most
+    P - 1 prefixes, P + 6 1/8 in all. Windows, fallbacks and the jitter
+    path work inside these buffers. At N <= 181 they are N x N.
 
     The shared buffers make a session non-reentrant: give each thread
     or process its own.
@@ -224,6 +262,7 @@ class MiSession:
         self.n_samples = n
         self.n_variables = x.shape[1]
         self.block = block_rows(n)
+        self.chunk = _CHUNK_BLOCKS * self.block
         self.window = window_half_width(n)
         # Sorted position p holds caller's sample _order[p].
         self._order = np.argsort(y, kind="stable")
@@ -235,12 +274,12 @@ class MiSession:
         self._ranges = (self._columns.max(axis=1) - self._columns.min(axis=1)).tolist()
         _check_ranges([float(self._y[-1] - self._y[0])], "the target")
         self._psi = digamma_table(n)
-        self._buffers: dict[str, np.ndarray] = {}
+        self._buffers: dict = {}
         self._target_rows: tuple[int, int] | None = None
         self._edges: np.ndarray | None = None
         self._values: dict[tuple[int, ...], float] = {}
 
-    def _buffer(self, name: str, rows: int, width: int | None = None) -> np.ndarray:
+    def _buffer(self, name, rows: int, width: int | None = None) -> np.ndarray:
         """A contiguous rows x width (default N) view of the B x N buffer ``name``, made on first use."""
         buf = self._buffers.get(name)
         if buf is None:
@@ -291,25 +330,46 @@ class MiSession:
         self._edges = edges
         return dy2, edges
 
-    def _check_scale(self, columns: Sequence[int]) -> None:
-        """NumericalError unless the squared X-distances over ``columns`` are normal floats."""
-        _check_ranges([self._ranges[j] for j in columns], f"variables {list(columns)}")
+    def _key(self, subset) -> tuple[int, ...]:
+        return tuple(_validate_subset(_subset_indices(subset), self.n_variables))
 
     def mi(self, subset) -> float:
         """Joint MI between the subset's variables and the target, in nats."""
-        idx = tuple(_validate_subset(_subset_indices(subset), self.n_variables))
-        value = self._values.get(idx)
+        key = self._key(subset)
+        value = self._values.get(key)
         if value is None:
-            self._check_scale(idx)
-            value = self._values[idx] = self._estimate(idx)
+            value = self._values[key] = float(self.evaluate([key])[0])
         return value
 
-    def _estimate(self, columns: Sequence[int]) -> float:
-        """MI of ``columns`` (sorted); not memoised, and the caller checks the scale."""
-        index = np.empty((2, 1, self.n_samples), dtype=np.int32)
-        if self._fill([self._columns[j] for j in columns], None, index[:, 0]):
-            return self._jittered_value(columns)
-        return float(self._reduce(index)[0])
+    def values(self, subsets) -> list[float]:
+        """``mi`` of each of ``subsets``; those not yet memoised are evaluated together."""
+        keys = [self._key(subset) for subset in subsets]
+        misses = sorted(set(keys).difference(self._values))
+        if misses:
+            self._values.update(zip(misses, self.evaluate(misses).tolist()))
+        # Read back through mi, so whatever wraps a session's mi sees every request.
+        return [self.mi(key) for key in keys]
+
+    def evaluate(self, subsets: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """MI of each subset, not memoised; each a sorted tuple of distinct column indices.
+
+        Subsets in lexicographic order share the most work (see the
+        class docstring). The scale check takes the union of the
+        subsets' columns first: when it passes, so does every subset.
+        """
+        union = sorted(set().union(*subsets))
+        if not all(s and all(map(operator.lt, s, s[1:])) for s in subsets) or (
+            union and not (0 <= union[0] and union[-1] < self.n_variables)
+        ):
+            raise ValueError(
+                f"subsets must be non-empty ascending tuples of indices below {self.n_variables}"
+            )
+        try:
+            _check_ranges([self._ranges[j] for j in union], f"variables {union}")
+        except NumericalError:
+            for columns in subsets:
+                _check_ranges([self._ranges[j] for j in columns], f"variables {list(columns)}")
+        return self._evaluate(subsets, self._columns)
 
     def _jittered_value(self, columns: Sequence[int]) -> float:
         """MI of ``columns`` (sorted) on jittered copies of their values and the target.
@@ -325,25 +385,67 @@ class MiSession:
         y[self._order] = self._y
         xj, yj = _jittered(x.T, y, self.jitter_seed)
         order = np.argsort(yj, kind="stable")
-        index = np.empty((2, 1, self.n_samples), dtype=np.int32)
-        self._fill(np.ascontiguousarray(xj[order].T), yj[order], index[:, 0])
-        return float(self._reduce(index)[0])
+        jittered = np.ascontiguousarray(xj[order].T)
+        return float(self._evaluate([tuple(range(len(columns)))], jittered, yj[order])[0])
 
-    def _fill(self, columns, target: np.ndarray | None, index: np.ndarray) -> bool:
-        """Write every sample's digamma indices into ``index`` (2 x N); True if some eps^2 is 0.
+    def _evaluate(self, subsets, columns: np.ndarray, target: np.ndarray | None = None) -> np.ndarray:
+        """The loop of the class docstring over ``subsets`` of ``columns`` (rows of variables).
 
-        ``columns`` are the subset's variables, accumulated in the given
-        order; ``target`` None stands for the session's own target.
-        Both are in target-sorted sample order.
+        ``columns`` and ``target`` (None for the session's own) are in
+        target-sorted sample order. Ties are jittered only on the
+        session's own data, so the jitter path is never re-entered.
         """
-        tied = False
-        for start, stop in self._blocks():
-            rows = stop - start
-            dx2 = _sq_diffs(columns[0][start:stop], columns[0], self._buffer("sum", rows))
-            for col in columns[1:]:
-                dx2 += _sq_diffs(col[start:stop], col, self._buffer("column", rows))
-            tied |= self._count_rows(dx2, start, index[0, start:stop], index[1, start:stop], target)
-        return tied
+        size = max(1, min(self.chunk, len(subsets)))
+        index = np.empty((2, size, self.n_samples), dtype=np.int32)
+        values = np.empty(len(subsets))
+        for first in range(0, len(subsets), size):
+            chunk = subsets[first : first + size]
+            plan = _sharing_plan(chunk)
+            high = max(subset[-1] for subset in chunk)
+            top = columns[high]
+            tied = np.zeros(len(chunk), dtype=bool)
+            for start, stop in self._blocks():
+                highest = _sq_diffs(top[start:stop], top, self._buffer("highest", stop - start))
+                for i, (subset, shared, kept) in enumerate(plan):
+                    dx2 = self._distances(columns, subset, shared, kept, high, highest, start, stop)
+                    tied[i] |= self._count_rows(
+                        dx2, start, index[0, i, start:stop], index[1, i, start:stop], target
+                    )
+            for i in range(0, len(chunk), self.block):
+                rows = min(self.block, len(chunk) - i)
+                values[first + i : first + i + rows] = self._reduce(index[:, i : i + rows])
+            if target is None:
+                for i in np.flatnonzero(tied):
+                    values[first + i] = self._jittered_value(chunk[i])
+        return values
+
+    def _distances(self, columns, subset, shared, kept, high, highest, start, stop) -> np.ndarray:
+        """Squared X-distances of rows start .. stop - 1 over ``subset``, summed in column order.
+
+        Prefix buffers 0 .. ``shared`` - 1 already hold this subset's
+        leading sums; those up to ``kept`` - 1 are stored for the next
+        subset, and the remaining columns accumulate in place in prefix
+        buffer ``kept``, or in the column buffer when the chunk's
+        highest column ``high``, precomputed in ``highest``, is all that
+        remains.
+        """
+        rows = stop - start
+        total = self._buffer(("prefix", shared - 1), rows) if shared else None
+        for depth in range(shared, len(subset)):
+            j = subset[depth]
+            if j == high:
+                term = highest
+            else:
+                out = self._buffer("column" if depth else ("prefix", 0), rows)
+                term = _sq_diffs(columns[j][start:stop], columns[j], out)
+            if not depth:
+                total = term
+            elif depth > kept:
+                total += term
+            else:
+                slot = "column" if depth == kept and j == high else ("prefix", depth)
+                total = np.add(total, term, out=self._buffer(slot, rows))
+        return total
 
     def _count_rows(
         self,

@@ -31,14 +31,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError
-from .mi import (
-    DEFAULT_K,
-    MiEstimate,
-    MiSession,
-    _sq_diffs,
-    _subset_indices,
-    _variable_index,
-)
+from .mi import DEFAULT_K, MiEstimate, MiSession, _subset_indices, _variable_index
 from .models import encode
 
 PROVENANCES = ("ranking", "greedy", "pooled", "exhaustive")
@@ -126,7 +119,7 @@ def individual_mis(
 ) -> np.ndarray:
     """MI of each single variable with the target, indexed by column."""
     session = _session_for(d, k, jitter_seed, session)
-    return np.array([session.mi((j,)) for j in range(session.n_variables)])
+    return np.array(session.values([(j,) for j in range(session.n_variables)]))
 
 
 def rank_by_individual_mi(
@@ -161,16 +154,13 @@ def _best_addition(
     session: MiSession, current: tuple[int, ...]
 ) -> tuple[int, float]:
     """Best single addition (candidate, resulting MI); ties go to the lower index."""
-    best_j = -1
-    best_mi = -np.inf
-    for j in range(session.n_variables):
-        if j in current:
-            continue
-        value = session.mi(current + (j,))
+    candidates = [j for j in range(session.n_variables) if j not in current]
+    if not candidates:
+        raise ValueError("no remaining variables to add")
+    best_j, best_mi = -1, -np.inf
+    for j, value in zip(candidates, session.values([current + (j,) for j in candidates])):
         if value > best_mi:
             best_j, best_mi = j, value
-    if best_j < 0:
-        raise ValueError("no remaining variables to add")
     return best_j, best_mi
 
 
@@ -182,12 +172,10 @@ def _best_removal(
     ``protected`` (the most recent addition) is never removed, and ties
     go to the lower column index.
     """
+    candidates = [j for j in sorted(current) if j != protected]
+    reduced = [tuple(c for c in current if c != j) for j in candidates]
     best: tuple[int, float] | None = None
-    for j in sorted(current):
-        if j == protected:
-            continue
-        reduced = tuple(c for c in current if c != j)
-        value = session.mi(reduced)
+    for j, value in zip(candidates, session.values(reduced)):
         if best is None or value > best[1]:
             best = (j, value)
     return best
@@ -277,12 +265,11 @@ def build_candidate_pool(ranking, selected, pool_size: int) -> VariableSubset:
 # position 0..P-1, subsets are visited as sorted position tuples in
 # lexicographic order: (0), (0, 1), (0, 1, 2), ..., (0, ..., P-1),
 # (0, ..., P-3, P-1), ... This is a depth-first walk of the subset
-# tree in which every child is its parent plus one higher column, so a
-# child's squared X-distances are its parent's plus one column matrix:
-# one addition, in the ascending column order that estimate_mi uses,
-# which keeps every value bit-identical to a standalone estimate.
-# Subsets ending in position P-1 are leaves; every other subset is
-# followed by its first child.
+# tree in which every child is its parent plus one higher column, so
+# MiSession.evaluate, fed consecutive subsets, adds one column to the
+# parent's sums per subset (its docstring has the blocks, chunks and
+# buffers). Subsets ending in position P-1 are leaves; every other
+# subset is followed by its first child.
 #
 # Range split. Indices 1 .. 2^P - 1 of that order (0 is the empty set)
 # are cut into contiguous ranges, 8 per worker. A range starts by
@@ -291,41 +278,6 @@ def build_candidate_pool(ranking, selected, pool_size: int) -> VariableSubset:
 # then fewer variables, then the lexicographically smaller tuple), and
 # so do the ranges' results, so the winner does not depend on the
 # worker count or on where the ranges are cut.
-#
-# Blocks and chunks. The walk computes distances in the session's blocks
-# of B rows (mivarsel.mi.block_rows), with the loop over blocks outside
-# and the loop over subsets inside. Samples are in the session's
-# target-sorted order. A range is cut into chunks of up to
-# _CHUNK_BLOCKS * B consecutive subsets. For each block, a chunk
-# computes the highest pool column's distances and rebuilds the prefix
-# sums of its first subset's ancestors, then walks its subsets and
-# writes each sample's digamma indices (n_x + 1, n_y + 1) into a
-# 2 x chunk x N int32 array. The X-distances are full rows, since n_x
-# is counted on the full row; each sample's eps^2 and n_y come from the
-# block's window of columns (mivarsel.mi.MiSession), and only rows whose
-# window cannot prove eps^2 exact are redone on their full rows. The
-# target's window distances are computed once per block and chunk, and
-# again after such a fallback, which borrows their buffer. After the
-# last block the chunk reduces B subsets at a time in the session's
-# buffers: digamma lookups, a sort along each subset's row and a mean
-# along it, the same bits as one subset at a time. A subset with a
-# duplicate joint point in any block (some eps^2 = 0) is then evaluated
-# again through the session's blocked jitter path.
-#
-# Memory, in B x N float64 buffers, per process: P - 1 prefix sums (no
-# non-leaf subset is longer than P - 1), the highest column's block,
-# the session's column scratch, target distances, joint distances and
-# mask (3 1/8; its "sum" buffer only serves the jitter path) and the
-# chunk's indices (_CHUNK_BLOCKS): P + 5 1/8, and one more while a
-# slice reduces (numpy's copy of its indices). The window and the
-# fallback rows work inside the target, joint-distance and mask
-# buffers, so they add none. Once N passes 181 a buffer holds at most
-# 2^15 float64, so a walk takes about (P + 6) * 256 KB whatever N; at
-# N <= 181, one block, the buffers are N x N and the window is the
-# whole row.
-
-# Subsets per chunk, in units of the block's row count B.
-_CHUNK_BLOCKS = 2
 
 
 def _unrank(index: int, p: int) -> list[int]:
@@ -353,79 +305,16 @@ def _advance(subset: list[int], p: int) -> None:
             subset[-1] += 1
 
 
-class _SubsetWalk:
-    """Evaluates ranges of the enumeration, each subset from its parent's distances."""
-
-    def __init__(self, x_pool: np.ndarray, y: np.ndarray, k: int, jitter_seed: int) -> None:
-        self.session = MiSession(x_pool, y, k=k, jitter_seed=jitter_seed)
-        n, self.p = x_pool.shape
-        # Every subset's squared ranges sum to no more than the pool's.
-        self.session._check_scale(range(self.p))
-        self.columns = self.session._columns
-        rows = self.session.block
-        self.prefix = np.empty((self.p - 1, rows, n))
-        self.highest = np.empty((rows, n))
-        self.chunk = _CHUNK_BLOCKS * rows
-
-    def _push(self, depth: int, position: int, start: int, stop: int) -> np.ndarray:
-        """Store the sum of prefix ``depth - 1`` and a column's block as prefix ``depth``."""
-        rows = stop - start
-        slot = self.prefix[depth, :rows]
-        col = self.columns[position]
-        if depth == 0:
-            return _sq_diffs(col[start:stop], col, out=slot)
-        column = _sq_diffs(col[start:stop], col, self.session._buffer("column", rows))
-        return np.add(self.prefix[depth - 1, :rows], column, out=slot)
-
-    def _dx2(self, subset: Sequence[int], start: int, stop: int) -> np.ndarray:
-        depth = len(subset) - 1
-        if subset[-1] < self.p - 1:
-            return self._push(depth, subset[-1], start, stop)
-        rows = stop - start
-        if depth == 0:
-            return self.highest[:rows]
-        scratch = self.session._buffer("column", rows)
-        return np.add(self.prefix[depth - 1, :rows], self.highest[:rows], out=scratch)
-
-    def _chunk_values(self, chunk: list[tuple[int, ...]], index: np.ndarray) -> np.ndarray:
-        """MI of each subset of ``chunk``, consecutive subsets of the enumeration order."""
-        session = self.session
-        index = index[:, : len(chunk)]
-        tied = np.zeros(len(chunk), dtype=bool)
-        top = self.columns[self.p - 1]
-        for start, stop in session._blocks():
-            _sq_diffs(top[start:stop], top, out=self.highest[: stop - start])
-            for depth, position in enumerate(chunk[0][:-1]):
-                self._push(depth, position, start, stop)
-            for i, subset in enumerate(chunk):
-                dx2 = self._dx2(subset, start, stop)
-                tied[i] |= session._count_rows(
-                    dx2, start, index[0, i, start:stop], index[1, i, start:stop]
-                )
-        # Reduced B subsets at a time, in the session's B x N buffers.
-        rows = session.block
-        values = np.concatenate(
-            [session._reduce(index[:, i : i + rows]) for i in range(0, len(chunk), rows)]
-        )
-        for i in np.flatnonzero(tied):
-            values[i] = session._jittered_value(chunk[i])
-        return values
-
-    def walk(self, lo: int, hi: int):
-        """Yield (MI, positions) for enumeration indices lo .. hi - 1, in order."""
-        size = max(1, min(self.chunk, hi - lo))
-        index = np.empty((2, size, self.session.n_samples), dtype=np.int32)
-        subset = _unrank(lo, self.p)
-        for start in range(lo, hi, size):
-            chunk = []
-            for _ in range(min(size, hi - start)):
-                chunk.append(tuple(subset))
-                _advance(subset, self.p)
-            yield from zip(self._chunk_values(chunk, index).tolist(), chunk)
-
-    def best_in_range(self, lo: int, hi: int) -> tuple[float, tuple[int, ...]]:
-        """The _better-maximal (MI, positions) over enumeration indices lo .. hi - 1."""
-        return reduce(_better, self.walk(lo, hi))
+def _walk(session: MiSession, lo: int, hi: int):
+    """Yield (MI, positions) for enumeration indices lo .. hi - 1 of the session's columns, in order."""
+    p = session.n_variables
+    subset = _unrank(lo, p)
+    for start in range(lo, hi, session.chunk):
+        chunk = []
+        for _ in range(min(session.chunk, hi - start)):
+            chunk.append(tuple(subset))
+            _advance(subset, p)
+        yield from zip(session.evaluate(chunk).tolist(), chunk)
 
 
 def _better(
@@ -438,16 +327,16 @@ def _better(
     return a if a[1] < b[1] else b
 
 
-_WORKER_WALK: _SubsetWalk | None = None
+_WORKER_SESSION: MiSession | None = None
 
 
 def _init_search_worker(x_pool, y, k, jitter_seed) -> None:
-    global _WORKER_WALK
-    _WORKER_WALK = _SubsetWalk(x_pool, y, k, jitter_seed)
+    global _WORKER_SESSION
+    _WORKER_SESSION = MiSession(x_pool, y, k=k, jitter_seed=jitter_seed)
 
 
 def _search_worker_range(bounds: tuple[int, int]) -> tuple[float, tuple[int, ...]]:
-    return _WORKER_WALK.best_in_range(*bounds)
+    return reduce(_better, _walk(_WORKER_SESSION, *bounds))
 
 
 def exhaustive_search(
@@ -483,7 +372,8 @@ def exhaustive_search(
     x_cand = np.ascontiguousarray(d.X[:, cand])
     total = 1 << len(cand)
     if workers <= 1:
-        best = _SubsetWalk(x_cand, d.y, k, jitter_seed).best_in_range(1, total)
+        session = MiSession(x_cand, d.y, k=k, jitter_seed=jitter_seed)
+        best = reduce(_better, _walk(session, 1, total))
     else:
         bounds = [
             (int(lo), int(hi))

@@ -1,17 +1,20 @@
-"""Acceptance gate: ten numbered end-to-end checks, one test each.
+"""Acceptance gate: eleven numbered end-to-end checks, one test each.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail
 line per criterion. The two spectrometric-data criteria (06, 07) and
 the juice criterion (08) need the benchmark CSV files; they skip with
 an explanation when the files are absent (point MIVARSEL_DATA_DIR at a
 directory holding them, or run ``mivarsel fetch-data`` on a machine
-with network access).
+with network access). Criterion 11 checks the same ordering offline, on
+the benchmark's synthetic spectra; it stands in for 06-08 and does not
+replace them.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -363,4 +366,40 @@ def test_10_cv_harness_contracts():
     _detail(
         10,
         f"PASS folds 4x43 and 50/50/49, one test read, trimmed rows {trimmed}",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 11. The paper's ordering on synthetic spectra (offline)
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import synth  # noqa: E402  (the benchmark's generator, imported read-only)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_11_synthetic_spectra_method_ordering(seed):
+    """MI + LS-SVM beats PLSR, which beats MI + linear, on bands the selector finds."""
+    x, y, xt, yt = synth.tecator_like(seed)
+    cfg = ExperimentConfig(
+        preprocessing="spectrum-normalize", folds=4, pool_size=12, sigma_count=20, gamma_count=40
+    )
+    train, test = Dataset(x, y, synth.LABELS), Dataset(xt, yt, synth.LABELS)
+    results = {r.method: r for r in reproduce(train, test, cfg, methods=(2, 12, 13))}
+    for r in results.values():
+        assert isinstance(r, MethodResult), getattr(r, "error", r)
+    nmse = {m: r.nmse_t for m, r in results.items()}
+    assert nmse[12] < nmse[2] < nmse[13], nmse
+
+    # Columns 0..99 are the channels; spectrum-normalize appends the row mean and std.
+    chosen = results[12].selection.best.indices
+    row_stats = (synth.N_CHANNELS, synth.N_CHANNELS + 1)
+    for j in chosen:
+        if j in row_stats:
+            continue
+        nm = synth.WAVELENGTHS[j]
+        assert any(abs(nm - c) <= 3 * w for c, w in synth.BANDS), f"{nm} nm is off every band"
+    _detail(
+        11,
+        f"PASS seed {seed}: {nmse[12]:.3f} < {nmse[2]:.3f} < {nmse[13]:.3f}, "
+        f"variables {chosen}",
     )

@@ -178,6 +178,17 @@ class TestTrainPredict:
         assert "trained on 6 input columns, rows have 2" in captured.err
         assert captured.out == ""
 
+    def test_predict_keeps_the_first_row_after_a_byte_order_mark(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        rows = (data / "rows.csv").read_bytes().split(b"\n", 1)[1]  # drop the header
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + rows)
+        model = data / "pipeline-mi-normalize.json"
+        assert main(["predict", "--model", str(model), "--data", str(bom)]) == 0
+        got = capsys.readouterr().out
+        assert got == (data / "pipeline-mi-normalize.predictions.csv").read_text()
+        assert len(got.splitlines()) == 1 + 5
+
     def test_document_without_width_still_predicts(self, csvs, capsys):
         train, test, out = csvs
         main(["train", *_args(csvs), *_GRIDS, "--method", "13"])

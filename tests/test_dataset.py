@@ -135,6 +135,34 @@ class TestCsvIo:
             load_csv(path, "target")
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as Excel writes it, is not part of the first cell."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_headerless_file_keeps_its_first_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(self.BOM + b"0.5,1.5\n2.0,3.0\n4.0,5.0\n6.0,7.0\n")
+        d = load_csv(path, -1)
+        assert d.labels is None
+        assert d.X.tolist() == [[0.5], [2.0], [4.0], [6.0]]
+        assert d.y.tolist() == [1.5, 3.0, 5.0, 7.0]
+        assert load_input_rows(path).tolist() == [[0.5, 1.5], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
+
+    def test_header_names_the_first_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(self.BOM + b"target,x0\n10.0,1.0\n20.0,3.0\n")
+        d = load_csv(path, "target")
+        assert d.labels == ("x0",)
+        assert d.y.tolist() == [10.0, 20.0]
+        assert load_input_rows(path, "target").tolist() == [[1.0], [3.0]]
+
+    def test_quoted_file_takes_the_csv_module_path(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(self.BOM + b'"0.5",1.5\r\n2.0,3.0\r\n')
+        assert load_input_rows(path).tolist() == [[0.5, 1.5], [2.0, 3.0]]
+
+
 class TestCsvReader:
     """One reader for load_csv and load_input_rows, with a numpy fast path."""
 

@@ -336,6 +336,12 @@ class TestMiSession:
         with pytest.raises(ValueError):
             session.mi([5])
 
+    @pytest.mark.parametrize("subset", [(), (1, 0), (0, 0), (0, 2), (-1, 0)])
+    def test_evaluate_rejects_malformed_subsets(self, subset):
+        session = MiSession(np.random.default_rng(0).normal(size=(20, 2)), np.arange(20.0), k=2)
+        with pytest.raises(ValueError, match="ascending"):
+            session.evaluate([(0,), subset])
+
     def test_permuted_and_repeated_orders_bit_equal_to_estimate_mi(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(150, 5))

@@ -354,7 +354,7 @@ class TestExhaustiveSearch:
         def no_walk(*args, **kwargs):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(selector, "_SubsetWalk", no_walk)
+        monkeypatch.setattr(selector, "MiSession", no_walk)
         with pytest.raises(TypeError, match="variable index"):
             exhaustive_search(d, candidates, k=6)
 
@@ -372,7 +372,7 @@ class TestExhaustiveSearch:
         def no_walk(*args, **kwargs):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(selector, "_SubsetWalk", no_walk)
+        monkeypatch.setattr(selector, "MiSession", no_walk)
         with pytest.raises(ValueError, match="candidate index -5 out of range"):
             exhaustive_search(d, (0, -5), k=6)
 
@@ -398,8 +398,8 @@ class TestSubsetWalk:
 
     @staticmethod
     def _walk(d, p, lo=1, hi=None, k=5):
-        walk = selector._SubsetWalk(np.ascontiguousarray(d.X[:, :p]), d.y, k, 0)
-        return list(walk.walk(lo, (1 << p) if hi is None else hi))
+        session = MiSession(np.ascontiguousarray(d.X[:, :p]), d.y, k=k, jitter_seed=0)
+        return list(selector._walk(session, lo, (1 << p) if hi is None else hi))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 6])
     @pytest.mark.parametrize("kind", ["continuous", "integer"])
@@ -493,22 +493,22 @@ class TestBlockedWalk:
         if kind == "tied":
             eps2, _, _ = neighborhood_arrays(sq_diffs(d.X[:, 0]), sq_diffs(d.y), 5)
             assert (eps2 == 0.0).any()  # the jitter path is exercised
-        walk = selector._SubsetWalk(np.ascontiguousarray(d.X), d.y, 5, 0)
-        assert walk.session.block < n
-        assert list(walk.walk(1, 1 << 5)) == self._expected(d, 5, 5)
+        session = MiSession(np.ascontiguousarray(d.X), d.y, k=5, jitter_seed=0)
+        assert session.block < n
+        assert list(selector._walk(session, 1, 1 << 5)) == self._expected(d, 5, 5)
 
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
     def test_small_blocks_and_chunks_across_range_cuts(self, monkeypatch, kind):
         # 70 rows in blocks of 3 (the last holds 1), chunks of 6 subsets.
         monkeypatch.setattr(mi, "_BLOCK_ELEMENTS", 210)
-        monkeypatch.setattr(selector, "_CHUNK_BLOCKS", 2)
+        monkeypatch.setattr(mi, "_CHUNK_BLOCKS", 2)
         d = _blocked_dataset(70, kind, p=6)
         expected = self._expected(d, 6, 4)
-        walk = selector._SubsetWalk(np.ascontiguousarray(d.X), d.y, 4, 0)
-        assert (walk.session.block, walk.chunk) == (3, 6)
-        assert list(walk.walk(1, 64)) == expected
+        session = MiSession(np.ascontiguousarray(d.X), d.y, k=4, jitter_seed=0)
+        assert (session.block, session.chunk) == (3, 6)
+        assert list(selector._walk(session, 1, 64)) == expected
         for lo, hi in ((1, 5), (5, 6), (6, 19), (19, 40), (40, 64)):
-            assert list(walk.walk(lo, hi)) == expected[lo - 1 : hi - 1]
+            assert list(selector._walk(session, lo, hi)) == expected[lo - 1 : hi - 1]
 
     @pytest.mark.parametrize("n", [255, 1000])
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
@@ -533,7 +533,7 @@ class TestBlockedWalk:
             tracemalloc.stop()
         block = block_rows(n) * n * 8
         assert peak > (p + 1) * block  # numpy buffers are traced
-        # P + 6 1/8 buffers (see selector.py) and the jitter path's copies.
+        # P + 6 1/8 buffers with no "sum" buffer (see MiSession) and the jitter path's copies.
         assert peak <= (p + 10) * block + d.X.nbytes
 
 
@@ -559,9 +559,9 @@ class TestWindowedWalk:
 
         monkeypatch.setattr(MiSession, "_full_rows", counted)
         d = _blocked_dataset(n, kind, p=4)
-        walk = selector._SubsetWalk(np.ascontiguousarray(d.X), d.y, 6, 0)
-        assert walk.session.window < walk.session.block < n
-        assert list(walk.walk(1, 1 << 4)) == self._expected(n, kind)
+        session = MiSession(np.ascontiguousarray(d.X), d.y, k=6, jitter_seed=0)
+        assert session.window < session.block < n
+        assert list(selector._walk(session, 1, 1 << 4)) == self._expected(n, kind)
         if share == 0.0:
             assert fell_back
 
@@ -577,15 +577,15 @@ class TestWindowedWalk:
 
 
 def _select_variables_without_memo(monkeypatch, d, **kwargs):
-    """select_variables with every MiSession.mi call recomputed from scratch."""
-    inner = MiSession.mi
+    """select_variables with every MiSession.values batch recomputed from scratch."""
+    inner = MiSession.values
 
-    def fresh(self, subset):
+    def fresh(self, subsets):
         self._values.clear()
-        return inner(self, subset)
+        return inner(self, subsets)
 
     with monkeypatch.context() as patch:
-        patch.setattr(MiSession, "mi", fresh)
+        patch.setattr(MiSession, "values", fresh)
         return select_variables(d, **kwargs)
 
 
@@ -610,27 +610,28 @@ class TestSelectionPipeline:
         d = _additive_dataset(n=120, decoys=28, seed=4)
         pool_size = 5
         unmemoised = _select_variables_without_memo(monkeypatch, d, k=5, pool_size=pool_size)
-        requested, estimated, searched = [], [], []
-        inner_mi, inner_estimate = MiSession.mi, MiSession._estimate
-        inner_chunk = selector._SubsetWalk._chunk_values
+        requested, evaluated = [], []
+        inner_mi, inner_evaluate = MiSession.mi, MiSession.evaluate
 
         def mi(self, subset):
             requested.append(tuple(sorted(subset)))
             return inner_mi(self, subset)
 
-        def estimate(self, columns):
-            estimated.append(tuple(columns))
-            return inner_estimate(self, columns)
-
-        def chunk_values(self, chunk, index):
-            searched.extend(chunk)
-            return inner_chunk(self, chunk, index)
+        def evaluate(self, subsets):
+            evaluated.append((self, list(subsets)))
+            return inner_evaluate(self, subsets)
 
         monkeypatch.setattr(MiSession, "mi", mi)
-        monkeypatch.setattr(MiSession, "_estimate", estimate)
-        monkeypatch.setattr(selector._SubsetWalk, "_chunk_values", chunk_values)
+        monkeypatch.setattr(MiSession, "evaluate", evaluate)
         result = select_variables(d, k=5, pool_size=pool_size)
         assert result == unmemoised
+        # The dataset's session (ranking and greedy), then the pool's (the search).
+        sessions = list(dict.fromkeys(session for session, _ in evaluated))
+        assert [s.n_variables for s in sessions] == [d.n_variables, len(result.pool)]
+        estimated, searched = (
+            [c for session, chunk in evaluated if session is owner for c in chunk]
+            for owner in sessions
+        )
         assert len(set(requested)) < len(requested)  # greedy repeats subsets
         assert len(estimated) == len(set(requested))
         # The search estimates each of the pool's subsets once, in chunks.
