@@ -426,7 +426,9 @@ def _add_config_flags(p: argparse.ArgumentParser, *, grids: bool = False) -> Non
     p.add_argument("--dataset", help="named dataset: tecator or juice")
     p.add_argument("--train", dest="train_path", help="training CSV path")
     p.add_argument("--test", dest="test_path", help="test CSV path")
-    p.add_argument("--target-column", dest="target_column", help="target column name")
+    p.add_argument(
+        "--target-column", dest="target_column", help="target column: header name or 0-based position"
+    )
     p.add_argument(
         "--preprocessing",
         choices=("none", "spectrum-normalize"),
@@ -478,7 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model.json path")
     p.add_argument("--data", required=True, help="CSV of input rows")
     p.add_argument("--out", default=None, help="predictions CSV (default: stdout)")
-    p.add_argument("--target-column", dest="target_column", help="column to drop if present")
+    p.add_argument(
+        "--target-column", dest="target_column",
+        help="target column to drop: header name or 0-based position",
+    )
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("run-method", help="train and evaluate one benchmark method")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +21,9 @@ import numpy as np
 from .errors import DataError
 
 TECATOR_URL = "http://lib.stat.cmu.edu/datasets/tecator"
+
+# save_csv formats and writes this many data rows per write call.
+_CSV_BLOCK_ROWS = 512
 
 # Statlib Tecator layout: 240 records of 125 numbers each
 # (100 absorbances, 22 principal components, moisture, fat, protein).
@@ -186,6 +188,35 @@ def _parse_rows(rows: list, width: int) -> np.ndarray:
     return matrix
 
 
+def _target_index(
+    header: list[str] | None, width: int, target_column: str | int
+) -> int | None:
+    """0-based index of the target column, or None when nothing names it.
+
+    A header name wins; otherwise ``target_column`` is read as an integer
+    position, negative positions counting from the right. A repeated
+    target name and an out-of-range position are errors.
+    """
+    if isinstance(target_column, str) and header is not None:
+        at = [j for j, name in enumerate(header) if name == target_column]
+        if len(at) > 1:
+            raise DataError(
+                f"target column {target_column!r} appears more than once in the header, "
+                f"at columns {', '.join(map(str, at))}"
+            )
+        if at:
+            return at[0]
+    try:
+        target_idx = int(target_column)
+    except (TypeError, ValueError):
+        return None
+    if not -width <= target_idx < width:
+        raise DataError(
+            f"target column index {target_idx} out of range for {width} columns"
+        )
+    return target_idx % width
+
+
 def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
     """Load a Dataset from CSV.
 
@@ -195,21 +226,12 @@ def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
     header name or by 0-based column position.
     """
     header, width, rows = _read_table(path)
-    if isinstance(target_column, str) and header is not None and target_column in header:
-        target_idx = header.index(target_column)
-    else:
-        try:
-            target_idx = int(target_column)
-        except (TypeError, ValueError):
-            where = "in header" if header is not None else (
-                f"({path} has no header row: its first row is all numbers)"
-            )
-            raise DataError(f"target column {target_column!r} not found {where}") from None
-        if not -width <= target_idx < width:
-            raise DataError(
-                f"target column index {target_idx} out of range for {width} columns"
-            )
-        target_idx %= width
+    target_idx = _target_index(header, width, target_column)
+    if target_idx is None:
+        where = "in header" if header is not None else (
+            f"({path} has no header row: its first row is all numbers)"
+        )
+        raise DataError(f"target column {target_column!r} not found {where}")
 
     matrix = _parse_rows(rows, width)
     keep = [j for j in range(width) if j != target_idx]
@@ -224,26 +246,41 @@ def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
 def load_input_rows(path: str | Path, target_column: str | int = "target") -> np.ndarray:
     """Input rows of a CSV read by :func:`load_csv`'s rules, for prediction.
 
-    A column the header names ``target_column`` is dropped; without one,
-    every column is an input.
+    The target column is dropped when ``target_column`` names it in the
+    header or gives its 0-based position; a value that does neither
+    drops nothing, and every column is an input.
     """
     header, width, rows = _read_table(path)
+    target_idx = _target_index(header, width, target_column)
     matrix = _parse_rows(rows, width)
-    if header is not None and target_column in header:
-        matrix = np.delete(matrix, header.index(target_column), axis=1)
+    if target_idx is not None:
+        matrix = np.delete(matrix, target_idx, axis=1)
     return matrix
 
 
 def save_csv(d: Dataset, path: str | Path, target_label: str = "target") -> None:
-    """Write a Dataset as CSV with a header row; target is the last column."""
+    """Write a Dataset as CSV with a header row; target is the last column.
+
+    The header goes through the csv module, so labels are quoted by its
+    rules. Each number is written as its ``repr``, which reads back bit
+    for bit, and each row ends with CRLF. Data rows are formatted and
+    written in blocks of ``_CSV_BLOCK_ROWS``, so memory stays bounded by
+    one block; the bytes are the ones ``csv.writer`` writes row by row.
+    A variable labelled ``target_label`` is rejected, since the file
+    would read back with the wrong target.
+    """
     labels = d.labels or tuple(f"x{j}" for j in range(d.n_variables))
+    if target_label in labels:
+        raise DataError(
+            f"variable {labels.index(target_label)} is labelled {target_label!r}, "
+            "the name of the target column"
+        )
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(labels) + [target_label])
-        for i in range(d.n_samples):
-            writer.writerow(
-                [repr(float(v)) for v in d.X[i]] + [repr(float(d.y[i]))]
-            )
+        csv.writer(handle).writerow(list(labels) + [target_label])
+        for start in range(0, d.n_samples, _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            block = np.column_stack([d.X[start:stop], d.y[start:stop]]).tolist()
+            handle.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
 def normalize_spectrum_rows(x: np.ndarray) -> np.ndarray:
@@ -363,6 +400,8 @@ def fetch_tecator(dest_dir: str | Path, url: str = TECATOR_URL) -> tuple[Path, P
     network access); in that case the CSVs can be produced elsewhere and
     copied into ``dest_dir``.
     """
+    import urllib.request  # imported here: no other command needs the network stack
+
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
     try:

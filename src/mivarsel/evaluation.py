@@ -14,8 +14,8 @@ winner is always re-fitted through the plain single-model entry points.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -601,7 +601,7 @@ def sweep_folds(
         return sweep.evaluate_fold(learn, valid, var_y)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             fold_results = list(pool.map(run_fold, range(l)))
     else:
         fold_results = [run_fold(i) for i in range(l)]

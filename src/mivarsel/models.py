@@ -374,6 +374,12 @@ class PipelineModel:
         return pts
 
     def predict(self, x):
+        """Predictions for raw rows: one float for a 1-D row, an array for a matrix.
+
+        The regressor predicts the whole batch with matrix products, so a
+        row's last bits can depend on the other rows of its batch. A
+        prediction is bit-exact only against one made from the same batch.
+        """
         single = np.asarray(x).ndim == 1
         out = np.asarray(self.model.predict(self.transform_rows(x)))
         return float(out[0]) if single else out

@@ -22,7 +22,7 @@ entry points exposed in :mod:`mivarsel.mi`, bit for bit.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import concurrent.futures
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -383,7 +383,7 @@ def exhaustive_search(
             )
             if lo < hi
         ]
-        with ProcessPoolExecutor(
+        with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_search_worker,
             initargs=(x_cand, d.y, k, jitter_seed),

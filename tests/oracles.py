@@ -7,8 +7,8 @@ the same canonical convention as production, ascending variable order
 with one addition per variable, which is what makes bit-level
 comparisons on eps and the neighbor counts legitimate.
 
-The full-matrix MI path, the k-means and the sweep references further
-down are the package's earlier code, kept to pin down that later
+The full-matrix MI path, the k-means, the sweep references and the
+row-by-row CSV writer further down are the package's earlier code, kept to pin down that later
 restructurings of it change no bit. They call the package's jitter,
 digamma table, distance, kernel and width primitives, so agreement
 checks the restructuring, not those primitives.
@@ -20,6 +20,7 @@ package's vectorized code against; nothing in the package calls them.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -387,3 +388,15 @@ def kkt_residual(m, train) -> float:
 
     residuals = train.y - predict_lssvm(m, train.X)
     return float(np.max(np.abs(m.coefficients - m.gamma * residuals)))
+
+
+def csv_module_save(d, path, target_label: str = "target") -> None:
+    """``dataset.save_csv`` as the csv module writes it, one ``writerow`` per sample."""
+    labels = d.labels or tuple(f"x{j}" for j in range(d.n_variables))
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(list(labels) + [target_label])
+        for i in range(d.n_samples):
+            writer.writerow(
+                [repr(float(v)) for v in d.X[i]] + [repr(float(d.y[i]))]
+            )

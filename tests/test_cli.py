@@ -189,6 +189,52 @@ class TestTrainPredict:
         assert got == (data / "pipeline-mi-normalize.predictions.csv").read_text()
         assert len(got.splitlines()) == 1 + 5
 
+    def test_predict_drops_a_positional_target(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        rows = (data / "rows.csv").read_text().splitlines()[1:]  # drop the header
+        with_target = tmp_path / "with-target.csv"
+        with_target.write_text("".join(f"0.0,{row}\n" for row in rows))
+        model = data / "pipeline-mi-normalize.json"
+        argv = ["predict", "--model", str(model), "--data", str(with_target)]
+        assert main([*argv, "--target-column", "0"]) == 0
+        assert capsys.readouterr().out == (data / "pipeline-mi-normalize.predictions.csv").read_text()
+        assert main(argv) == 3  # without the flag every column is an input
+        assert "trained on 3 input columns, rows have 4" in capsys.readouterr().err
+
+    def test_train_and_predict_agree_on_a_positional_target(self, csvs, tmp_path, capsys):
+        train, test, out = csvs
+        headerless = []
+        for src in (train, test):
+            d = load_csv(src)
+            path = tmp_path / f"headerless-{src.name}"
+            path.write_text("".join(
+                ",".join(map(repr, [t, *row])) + "\n" for t, row in zip(d.y.tolist(), d.X.tolist())
+            ))
+            headerless.append(path)
+        assert main([
+            "train", "--train", str(headerless[0]), "--test", str(headerless[1]),
+            "--out", str(out), "--p", "3", "--folds", "3", *_GRIDS, "--method", "13",
+            "--target-column", "0",
+        ]) == 0
+        model_path = out / "custom" / "method-13" / "seed-0" / "model.json"
+        capsys.readouterr()
+        assert main([
+            "predict", "--model", str(model_path), "--data", str(headerless[1]),
+            "--target-column", "0",
+        ]) == 0
+        got = np.array([float(v) for v in capsys.readouterr().out.splitlines()[1:]])
+        want = load_pipeline(model_path).predict(load_csv(test).X)
+        assert np.array_equal(got, want)
+
+    def test_repeated_target_name_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("a,target,target\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        model = Path(__file__).parent / "data" / "pipeline-mi-normalize.json"
+        assert main(["estimate", "--train", str(path), "--out", str(tmp_path / "r")]) == 3
+        assert main(["predict", "--model", str(model), "--data", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("'target' appears more than once in the header, at columns 1, 2") == 2
+
     def test_document_without_width_still_predicts(self, csvs, capsys):
         train, test, out = csvs
         main(["train", *_args(csvs), *_GRIDS, "--method", "13"])
@@ -498,6 +544,26 @@ class TestFetchData:
         monkeypatch.setenv("MIVARSEL_DATA_DIR", str(tmp_path / "cache"))
         missing = (tmp_path / "nope.txt").as_uri()
         assert main(["fetch-data", "--url", missing]) == 3
+
+
+class TestStartUp:
+    def test_cli_import_skips_the_network_and_process_pool_modules(self):
+        src = str(Path(mivarsel.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        heavy = [
+            "urllib.request", "ssl", "http.client",
+            "concurrent.futures.process", "multiprocessing",
+        ]
+        code = (
+            "import sys, mivarsel.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
 
 class TestWorkersIndependence:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mivarsel import dataset
 from mivarsel.dataset import (
@@ -19,6 +25,7 @@ from mivarsel.dataset import (
     save_csv,
 )
 from mivarsel.errors import DataError
+from oracles import csv_module_save
 
 
 class TestDataset:
@@ -243,6 +250,119 @@ class TestCsvReader:
         path.write_text("x0,x1\n1.0,2.0\n3.0\n")
         with pytest.raises(DataError, match="row 1: expected 2 columns, found 1"):
             load_input_rows(path)
+
+
+class TestTargetColumn:
+    """load_csv and load_input_rows find the target by one rule: name, then position."""
+
+    @pytest.mark.parametrize(
+        "target, dropped",
+        [(0, 0), ("0", 0), (-1, 2), ("-3", 0), (2, 2)],
+        ids=["int-0", "text-0", "int-minus-1", "text-minus-3", "int-2"],
+    )
+    def test_input_rows_drop_a_positional_target(self, tmp_path, target, dropped):
+        path = tmp_path / "d.csv"
+        path.write_text("10.0,1.0,2.0\n20.0,3.0,4.0\n")
+        full = np.array([[10.0, 1.0, 2.0], [20.0, 3.0, 4.0]])
+        got = load_input_rows(path, target)
+        assert got.tolist() == np.delete(full, dropped, axis=1).tolist()
+        assert got.tolist() == load_csv(path, target).X.tolist()
+
+    @pytest.mark.parametrize("target", ["x", "0", "2", -1, "1"])
+    def test_a_header_name_wins_over_a_position(self, tmp_path, target):
+        path = tmp_path / "d.csv"
+        path.write_text("x,0,y\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        d = load_csv(path, target)
+        assert load_input_rows(path, target).tolist() == d.X.tolist()
+        if target == "0":
+            assert d.labels == ("x", "y") and d.y.tolist() == [2.0, 5.0]
+
+    @pytest.mark.parametrize("target", [3, "-4"])
+    def test_out_of_range_position_is_a_data_error(self, tmp_path, target):
+        path = tmp_path / "d.csv"
+        path.write_text("10.0,1.0,2.0\n20.0,3.0,4.0\n")
+        for load in (load_csv, load_input_rows):
+            with pytest.raises(DataError, match="out of range for 3 columns"):
+                load(path, target)
+
+    def test_repeated_target_name_is_a_data_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,target,target\n1.0,2.0,3.0\n")
+        for load in (load_csv, load_input_rows):
+            with pytest.raises(DataError, match=r"'target' appears more than once .* columns 1, 2"):
+                load(path)
+        assert load_input_rows(path, "a").tolist() == [[2.0, 3.0]]
+
+    def test_save_rejects_a_variable_labelled_as_the_target(self, tmp_path):
+        path = tmp_path / "d.csv"
+        d = Dataset(np.ones((2, 2)), np.zeros(2), ("a", "target"))
+        with pytest.raises(DataError, match="variable 1 is labelled 'target'"):
+            save_csv(d, path)
+        assert not path.exists()
+        with pytest.raises(DataError, match="variable 0 is labelled 'x0'"):
+            save_csv(Dataset(np.ones((2, 2)), np.zeros(2)), path, target_label="x0")
+        save_csv(d, path, target_label="fat")
+        assert load_csv(path, "fat").labels == ("a", "target")
+
+
+class TestCsvWriter:
+    """save_csv writes in blocks the bytes the csv module writes row by row."""
+
+    B = dataset._CSV_BLOCK_ROWS
+
+    @staticmethod
+    def _same_as_oracle(tmp_path, d, **kwargs):
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        save_csv(d, ours, **kwargs)
+        csv_module_save(d, oracle, **kwargs)
+        assert ours.read_bytes() == oracle.read_bytes()
+        return ours.read_bytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_row_counts_around_the_block_size(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        d = Dataset(rng.normal(size=(rows, 3)), rng.normal(size=rows))
+        written = self._same_as_oracle(tmp_path, d)
+        assert written.count(b"\r\n") == 1 + rows
+
+    def test_labels_that_need_quoting(self, tmp_path):
+        d = Dataset(np.eye(3), np.arange(3.0), ("a,b", 'say "hi"', "\u03bb 850 nm"))
+        written = self._same_as_oracle(tmp_path, d, target_label="fat, %")
+        assert written.startswith('"a,b","say ""hi""",\u03bb 850 nm,"fat, %"\r\n'.encode())
+
+    def test_extreme_and_integral_floats(self, tmp_path):
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1.0, -3.0, 1e22, 2.0**53]
+        x = np.array(values).reshape(-1, 1)
+        d = Dataset(np.hstack([x, x[::-1]]), np.array(values[::-1]))
+        written = self._same_as_oracle(tmp_path, d)
+        assert b"\r\n-0.0,9007199254740992.0,9007199254740992.0\r\n" in written
+        assert b"\r\n1.0,-5e-324,-5e-324\r\n" in written
+
+    def test_no_labels_and_one_variable(self, tmp_path):
+        d = Dataset(np.array([[0.5], [1.5]]), np.array([1.0, 2.0]))
+        assert self._same_as_oracle(tmp_path, d) == b"x0,target\r\n0.5,1.0\r\n1.5,2.0\r\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 4)),
+        data=st.data(),
+    )
+    def test_round_trip_is_bit_exact(self, shape, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        x = data.draw(hnp.arrays(np.float64, shape, elements=finite))
+        y = data.draw(hnp.arrays(np.float64, shape[0], elements=finite))
+        label = st.text(alphabet="ab1,\" \u03bb\n", max_size=4).filter(
+            lambda s: s == s.strip() and s != "target"
+        )
+        labels = data.draw(st.none() | st.tuples(*[label] * shape[1]))
+        d = Dataset(x, y, labels)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            save_csv(d, path)
+            back = load_csv(path)
+        assert back.X.tobytes() == d.X.tobytes()
+        assert back.y.tobytes() == d.y.tobytes()
+        assert back.labels == (d.labels or tuple(f"x{j}" for j in range(shape[1])))
 
 
 class TestNormalizeSpectra:
