@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import blas_threads
-from .dataset import fetch_tecator, load_csv, load_input_rows, normalize_spectra
+from .dataset import fetch_tecator, load_csv, load_input_rows
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
     default_centroid_counts,
@@ -36,7 +36,7 @@ from .methods import (
     run_method,
 )
 from .mi import MiSession
-from .models import encode, load_pipeline, save_pipeline
+from .models import PREPROCESSINGS, encode, load_pipeline, preprocess, save_pipeline
 from .selector import individual_mis, rank_by_individual_mi, select_variables
 
 __all__ = ["main", "DATA_DIR_ENV"]
@@ -224,8 +224,7 @@ def cmd_fetch_data(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, _ = _load_data(cfg, need_test=False)
-    if cfg.preprocessing == "spectrum-normalize":
-        train = normalize_spectra(train)
+    train = preprocess(train, cfg.preprocessing)
     labels = _labels(train)
     _progress(f"estimating MI for {train.n_variables} variables (k={cfg.k})")
     session = MiSession(train.X, train.y, k=cfg.k, jitter_seed=cfg.seed)
@@ -243,8 +242,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, _ = _load_data(cfg, need_test=False)
-    if cfg.preprocessing == "spectrum-normalize":
-        train = normalize_spectra(train)
+    train = preprocess(train, cfg.preprocessing)
     labels = _labels(train)
     _progress(
         f"selecting variables (k={cfg.k}, pool up to {cfg.pool_size}, "
@@ -273,8 +271,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, _ = _load_data(cfg, need_test=False)
     raw_width = train.n_variables
-    if cfg.preprocessing == "spectrum-normalize":
-        train = normalize_spectra(train)
+    train = preprocess(train, cfg.preprocessing)
     labels = _labels(train)
     var_y = _train_only_variance(train)
     spec = METHOD_TABLE[cfg.method]
@@ -345,17 +342,15 @@ def _write_method_artifacts(out: Path, cfg: ExperimentConfig, result, labels) ->
 def cmd_run_method(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, test = _load_data(cfg, need_test=True)
+    shown = preprocess(train, cfg.preprocessing)
     if args.dry_run:
-        shown = normalize_spectra(train) if cfg.preprocessing == "spectrum-normalize" else train
         print("\n".join(_plan_lines(shown, cfg, [cfg.method])))
         return 0
     spec = METHOD_TABLE[cfg.method]
     _progress(f"running method {cfg.method} ({spec.label}), {_parallelism(cfg.workers)}")
     result = run_method(train, test, cfg)
     _warn_if_uninformative(result.selection)
-    labels = _labels(
-        normalize_spectra(train) if cfg.preprocessing == "spectrum-normalize" else train
-    )
+    labels = _labels(shown)
     out = _out_dir(cfg, f"method-{cfg.method:02d}", f"seed-{cfg.seed}")
     _write_method_artifacts(out, cfg, result, labels)
     _progress(f"wrote {out / 'report.json'}")
@@ -386,8 +381,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, test = _load_data(cfg, need_test=True)
     methods = sorted(METHOD_TABLE)
+    shown = preprocess(train, cfg.preprocessing)
     if args.dry_run:
-        shown = normalize_spectra(train) if cfg.preprocessing == "spectrum-normalize" else train
         print("\n".join(_plan_lines(shown, cfg, methods)))
         return 0
     _progress(f"running all {len(methods)} methods, {_parallelism(cfg.workers)}")
@@ -396,9 +391,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     selections = [r.selection for r in results if isinstance(r, MethodResult) and r.selection]
     _warn_if_uninformative(selections[0] if selections else None)
     best = best_methods(results)
-    labels = _labels(
-        normalize_spectra(train) if cfg.preprocessing == "spectrum-normalize" else train
-    )
+    labels = _labels(shown)
 
     out = _out_dir(cfg, f"seed-{cfg.seed}")
     method_docs = []
@@ -431,7 +424,7 @@ def _add_config_flags(p: argparse.ArgumentParser, *, grids: bool = False) -> Non
     )
     p.add_argument(
         "--preprocessing",
-        choices=("none", "spectrum-normalize"),
+        choices=PREPROCESSINGS,
         help="input preprocessing (default none)",
     )
     p.add_argument("--k", type=int, help="nearest-neighbor count for MI (default 6)")

@@ -139,10 +139,7 @@ def _read_table(path: str | Path) -> tuple[list[str] | None, int, list]:
 
     header: list[str] | None = None
     first = _cells(rows[0])
-    try:
-        for cell in first:
-            float(cell)
-    except ValueError:
+    if _is_header(first):
         header = [cell.strip() for cell in first]
         rows = rows[1:]
     if not rows:
@@ -154,6 +151,15 @@ def _read_table(path: str | Path) -> tuple[list[str] | None, int, list]:
             f"header has {len(header)} columns but data rows have {width}"
         )
     return header, width, rows
+
+
+def _is_header(cells: list[str]) -> bool:
+    """True when some cell fails to parse as a number, so the row is a header, not data."""
+    try:
+        list(map(float, cells))
+    except ValueError:
+        return True
+    return False
 
 
 def _cells(row: str | list[str]) -> list[str]:
@@ -266,17 +272,25 @@ def save_csv(d: Dataset, path: str | Path, target_label: str = "target") -> None
     for bit, and each row ends with CRLF. Data rows are formatted and
     written in blocks of ``_CSV_BLOCK_ROWS``, so memory stays bounded by
     one block; the bytes are the ones ``csv.writer`` writes row by row.
-    A variable labelled ``target_label`` is rejected, since the file
-    would read back with the wrong target.
+    A header that would not read back as written is rejected: a label
+    with surrounding whitespace, a variable labelled ``target_label``,
+    or labels that all parse as numbers.
     """
     labels = d.labels or tuple(f"x{j}" for j in range(d.n_variables))
+    header = [*labels, target_label]
+    for j, label in enumerate(header):
+        if label != label.strip():
+            what = "target label" if j == len(labels) else f"variable {j} label"
+            raise DataError(f"{what} {label!r} has surrounding whitespace, which load_csv strips")
     if target_label in labels:
         raise DataError(
             f"variable {labels.index(target_label)} is labelled {target_label!r}, "
             "the name of the target column"
         )
+    if not _is_header(header):
+        raise DataError(f"header {header} is all numbers, so it would read back as a data row")
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle).writerow(list(labels) + [target_label])
+        csv.writer(handle).writerow(header)
         for start in range(0, d.n_samples, _CSV_BLOCK_ROWS):
             stop = start + _CSV_BLOCK_ROWS
             block = np.column_stack([d.X[start:stop], d.y[start:stop]]).tolist()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, normalize_spectra
+from .dataset import Dataset
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
     ComponentSweep,
@@ -42,6 +42,7 @@ from .models import (
     encode,
     fit_mapping,
     load_pipeline,
+    preprocess,
     save_pipeline,
 )
 from .selector import MAX_POOL_SIZE, SelectionResult, select_variables
@@ -350,9 +351,8 @@ def run_method(
     spec = METHOD_TABLE[cfg.method]
     shared = {} if _shared is None else _shared
     raw_width = train.n_variables
-    if cfg.preprocessing == "spectrum-normalize":
-        train = normalize_spectra(train)
-        test = normalize_spectra(test)
+    train = preprocess(train, cfg.preprocessing)
+    test = preprocess(test, cfg.preprocessing)
     var_y = pooled_target_variance(train, test)
 
     sweep, selection, components = build_method_sweep(train, cfg, shared, var_y)

@@ -21,7 +21,9 @@ in ascending column order, a sample's quantities depend only on its own
 row of distances (so computing the rows in blocks changes no bit), and
 the per-sample digamma contributions are sorted before averaging, so
 results are bit-reproducible and invariant under sample permutation
-(when no tie-breaking jitter is triggered).
+(when no tie-breaking jitter is triggered: a subset with duplicate joint
+points is estimated by a second session over seeded-jittered copies,
+which works in the first session's buffers).
 
 The same invariance lets :class:`MiSession` keep the samples in
 target-sorted order. In that order the candidates for a sample's k-th
@@ -229,10 +231,9 @@ class MiSession:
     counted on the full row, n_y wherever eps^2 was found. With one
     block (N <= 181) the window is the whole row. The target's window
     distances are kept until another block, a fallback or the jitter
-    path needs their buffer. A subset with duplicate joint points (some
-    eps^2 = 0) is evaluated again through the same loop, on jittered
-    copies of its columns and the target, drawn in the caller's sample
-    order and then sorted by the jittered target.
+    path needs their buffer. ``evaluate`` gives a subset with duplicate
+    joint points (some eps^2 = 0) the value of a second session over
+    jittered copies of its columns and the target.
 
     Memory, in B x N buffers made on first use: one prefix per depth a
     chunk keeps, the highest column, one column's scratch, the target,
@@ -240,8 +241,8 @@ class MiSession:
     (_CHUNK_BLOCKS), plus numpy's copy of one slice of them while it
     reduces. A lone subset takes 5 1/8 (about 1.3 MB once N passes
     181), whatever its length; a walk over a pool of P keeps at most
-    P - 1 prefixes, P + 6 1/8 in all. Windows, fallbacks and the jitter
-    path work inside these buffers. At N <= 181 they are N x N.
+    P - 1 prefixes, P + 6 1/8 in all. Windows, fallbacks and the
+    jittered session work inside these buffers. At N <= 181 they are N x N.
 
     The shared buffers make a session non-reentrant: give each thread
     or process its own.
@@ -289,11 +290,6 @@ class MiSession:
             return buf[:rows]
         return buf.reshape(-1)[: rows * width].reshape(rows, width)
 
-    def _blocks(self) -> list[tuple[int, int]]:
-        """(start, stop) of every block of rows, in order."""
-        n, b = self.n_samples, self.block
-        return [(start, min(n, start + b)) for start in range(0, n, b)]
-
     def _window(self, start: int, stop: int) -> tuple[int, int]:
         """The columns [lo, hi) searched for the k-th neighbours of rows start .. stop - 1.
 
@@ -302,31 +298,27 @@ class MiSession:
         lo, hi = max(0, start - self.window), min(self.n_samples, stop + self.window)
         return (lo, hi) if hi - lo > self.k else (0, self.n_samples)
 
-    def _target(
-        self, start: int, stop: int, y: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    def _target(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Target distances of rows start .. stop - 1 to the block's window, and its edges.
 
         The edges are each row's squared target distance to the nearer
         of the two samples just outside the window, None when the window
         is the whole row. No sample outside the window is nearer in the
-        target, so a window eps^2 no larger than the edge is exact.
-        ``y`` None stands for the session's own target, whose distances
-        are kept until another block needs the buffer.
+        target, so a window eps^2 no larger than the edge is exact. The
+        distances are kept until another block needs the buffer.
         """
         lo, hi = self._window(start, stop)
         dy2 = self._buffer("target", stop - start, hi - lo)
-        if y is None and self._target_rows == (start, stop):
+        if self._target_rows == (start, stop):
             return dy2, self._edges
-        values = self._y if y is None else y
-        rows = values[start:stop]
-        _sq_diffs(rows, values[lo:hi], dy2)
+        rows = self._y[start:stop]
+        _sq_diffs(rows, self._y[lo:hi], dy2)
         edges = None
         if lo > 0 or hi < self.n_samples:
-            below = np.square(rows - values[lo - 1]) if lo > 0 else np.inf
-            above = np.square(rows - values[hi]) if hi < self.n_samples else np.inf
+            below = np.square(rows - self._y[lo - 1]) if lo > 0 else np.inf
+            above = np.square(rows - self._y[hi]) if hi < self.n_samples else np.inf
             edges = np.minimum(below, above)
-        self._target_rows = None if y is not None else (start, stop)
+        self._target_rows = (start, stop)
         self._edges = edges
         return dy2, edges
 
@@ -369,57 +361,52 @@ class MiSession:
         except NumericalError:
             for columns in subsets:
                 _check_ranges([self._ranges[j] for j in columns], f"variables {list(columns)}")
-        return self._evaluate(subsets, self._columns)
+        values, tied = self._evaluate(subsets)
+        for i in np.flatnonzero(tied):
+            values[i] = self._jittered_value(subsets[i])
+        return values
 
     def _jittered_value(self, columns: Sequence[int]) -> float:
         """MI of ``columns`` (sorted) on jittered copies of their values and the target.
 
-        The fallback when duplicate joint points leave some sample's
-        k-th neighbour at distance 0. The noise is drawn for the
-        caller's sample order, and the jittered samples are then sorted
-        by their jittered target, so the windows stay exact.
+        The noise is drawn in the caller's sample order. A second session
+        over the copies sorts them by the jittered target and works in
+        this session's buffers. It runs ``_evaluate``, which counts any
+        ties the noise could not separate as they stand, so it never
+        jitters again.
         """
-        x = np.empty((len(columns), self.n_samples))
-        x[:, self._order] = self._columns[list(columns)]
-        y = np.empty(self.n_samples)
-        y[self._order] = self._y
-        xj, yj = _jittered(x.T, y, self.jitter_seed)
-        order = np.argsort(yj, kind="stable")
-        jittered = np.ascontiguousarray(xj[order].T)
-        return float(self._evaluate([tuple(range(len(columns)))], jittered, yj[order])[0])
+        caller = np.argsort(self._order)  # sorted position of each caller's sample
+        x, y = self._columns[list(columns)][:, caller].T, self._y[caller]
+        twin = MiSession(*_jittered(x, y, self.jitter_seed), k=self.k)
+        twin._buffers = self._buffers
+        self._target_rows = None
+        return float(twin._evaluate([tuple(range(len(columns)))])[0][0])
 
-    def _evaluate(self, subsets, columns: np.ndarray, target: np.ndarray | None = None) -> np.ndarray:
-        """The loop of the class docstring over ``subsets`` of ``columns`` (rows of variables).
-
-        ``columns`` and ``target`` (None for the session's own) are in
-        target-sorted sample order. Ties are jittered only on the
-        session's own data, so the jitter path is never re-entered.
-        """
+    def _evaluate(self, subsets) -> tuple[np.ndarray, np.ndarray]:
+        """The class docstring's loop: each subset's MI, and a mask of those with some eps^2 = 0."""
         size = max(1, min(self.chunk, len(subsets)))
         index = np.empty((2, size, self.n_samples), dtype=np.int32)
         values = np.empty(len(subsets))
+        tied = np.zeros(len(subsets), dtype=bool)
         for first in range(0, len(subsets), size):
             chunk = subsets[first : first + size]
             plan = _sharing_plan(chunk)
             high = max(subset[-1] for subset in chunk)
-            top = columns[high]
-            tied = np.zeros(len(chunk), dtype=bool)
-            for start, stop in self._blocks():
+            top = self._columns[high]
+            for start in range(0, self.n_samples, self.block):
+                stop = min(self.n_samples, start + self.block)
                 highest = _sq_diffs(top[start:stop], top, self._buffer("highest", stop - start))
                 for i, (subset, shared, kept) in enumerate(plan):
-                    dx2 = self._distances(columns, subset, shared, kept, high, highest, start, stop)
-                    tied[i] |= self._count_rows(
-                        dx2, start, index[0, i, start:stop], index[1, i, start:stop], target
+                    dx2 = self._distances(subset, shared, kept, high, highest, start, stop)
+                    tied[first + i] |= self._count_rows(
+                        dx2, start, index[0, i, start:stop], index[1, i, start:stop]
                     )
             for i in range(0, len(chunk), self.block):
                 rows = min(self.block, len(chunk) - i)
                 values[first + i : first + i + rows] = self._reduce(index[:, i : i + rows])
-            if target is None:
-                for i in np.flatnonzero(tied):
-                    values[first + i] = self._jittered_value(chunk[i])
-        return values
+        return values, tied
 
-    def _distances(self, columns, subset, shared, kept, high, highest, start, stop) -> np.ndarray:
+    def _distances(self, subset, shared, kept, high, highest, start, stop) -> np.ndarray:
         """Squared X-distances of rows start .. stop - 1 over ``subset``, summed in column order.
 
         Prefix buffers 0 .. ``shared`` - 1 already hold this subset's
@@ -437,7 +424,7 @@ class MiSession:
                 term = highest
             else:
                 out = self._buffer("column" if depth else ("prefix", 0), rows)
-                term = _sq_diffs(columns[j][start:stop], columns[j], out)
+                term = _sq_diffs(self._columns[j][start:stop], self._columns[j], out)
             if not depth:
                 total = term
             elif depth > kept:
@@ -448,28 +435,22 @@ class MiSession:
         return total
 
     def _count_rows(
-        self,
-        dx2: np.ndarray,
-        start: int,
-        index_x: np.ndarray,
-        index_y: np.ndarray,
-        target: np.ndarray | None = None,
+        self, dx2: np.ndarray, start: int, index_x: np.ndarray, index_y: np.ndarray
     ) -> bool:
         """Digamma indices n_x + 1 and n_y + 1 of one block's samples; True if some eps^2 is 0.
 
         ``dx2`` holds the squared X-distances of samples start,
-        start + 1, ... to every sample, and is not modified; ``target``
-        (None for the session's own) is the target in the same sorted
-        sample order. Comparisons stay in the squared domain: squaring
-        is monotone on nonnegative distances, so strict inequalities are
-        preserved. The counts take in the sample's own distance 0,
-        which is below any positive eps^2, so they are n + 1 as they
-        stand; a sample with eps^2 = 0 has no such hit and gets one added.
+        start + 1, ... to every sample, and is not modified. Comparisons
+        stay in the squared domain: squaring is monotone on nonnegative
+        distances, so strict inequalities are preserved. The counts take
+        in the sample's own distance 0, which is below any positive
+        eps^2, so they are n + 1 as they stand; a sample with eps^2 = 0
+        has no such hit and gets one added.
         """
         rows, k = dx2.shape[0], self.k
         stop = start + rows
         lo, hi = self._window(start, stop)
-        dy2, edges = self._target(start, stop, target)
+        dy2, edges = self._target(start, stop)
         dz2 = np.maximum(dx2[:, lo:hi], dy2, out=self._buffer("dz2", rows, hi - lo))
         # Each sample's own entry, (i, start + i), is not a neighbour.
         dz2.reshape(-1)[start - lo :: hi - lo + 1] = np.inf
@@ -483,8 +464,7 @@ class MiSession:
         if edges is not None:
             failed = np.flatnonzero(eps2 > edges)
             if failed.size:
-                y = self._y if target is None else target
-                self._full_rows(dx2, y, start, failed, eps2, index_y)
+                self._full_rows(dx2, start, failed, eps2, index_y)
         mask = self._buffer("mask", rows)
         np.less(dx2, eps2[:, None], out=mask)
         np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32, out=index_x)
@@ -498,7 +478,6 @@ class MiSession:
     def _full_rows(
         self,
         dx2: np.ndarray,
-        y: np.ndarray,
         start: int,
         failed: np.ndarray,
         eps2: np.ndarray,
@@ -511,7 +490,7 @@ class MiSession:
         """
         count, k = len(failed), self.k
         samples = start + failed
-        dy2 = _sq_diffs(y[samples], y, self._buffer("target", count))
+        dy2 = _sq_diffs(self._y[samples], self._y, self._buffer("target", count))
         self._target_rows = None
         dz2 = np.take(dx2, failed, axis=0, out=self._buffer("dz2", count), mode="clip")
         np.maximum(dz2, dy2, out=dz2)

@@ -34,10 +34,22 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .baselines import Projection, fit_pca, fit_pls, project_rows, transform
-from .dataset import ColumnWhitener, Dataset, fit_column_whitener, normalize_spectrum_rows
+from .dataset import (
+    ColumnWhitener,
+    Dataset,
+    fit_column_whitener,
+    normalize_spectra,
+    normalize_spectrum_rows,
+)
 from .errors import DataError, NumericalError
 
 PREPROCESSINGS = ("none", "spectrum-normalize")
+
+
+def preprocess(d: Dataset, preprocessing: str) -> Dataset:
+    """``d`` mapped through the named preprocessing, one of PREPROCESSINGS."""
+    return normalize_spectra(d) if preprocessing == "spectrum-normalize" else d
+
 
 _KMEANS_MAX_ITER = 100
 

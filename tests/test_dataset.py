@@ -304,6 +304,36 @@ class TestTargetColumn:
         save_csv(d, path, target_label="fat")
         assert load_csv(path, "fat").labels == ("a", "target")
 
+    def test_save_rejects_a_header_that_reads_as_data(self, tmp_path):
+        path = tmp_path / "d.csv"
+        d = Dataset(np.array([[1.0, 3.0]]), np.array([2.0]), ("850", "852"))
+        for target_label in ("0", "nan", "1e3"):
+            with pytest.raises(DataError, match="would read back as a data row"):
+                save_csv(d, path, target_label=target_label)
+            assert not path.exists()
+        save_csv(d, path, target_label="fat")
+        back = load_csv(path, "fat")
+        assert back.labels == ("850", "852") and back.y.tolist() == [2.0]
+
+    @pytest.mark.parametrize(
+        "labels, target_label, named",
+        [((" a", "b"), "target", "variable 0 label ' a'"),
+         (("a", "b\n"), "target", "variable 1 label 'b\\\\n'"),
+         (("a", "b"), "target ", "target label 'target '")],
+        ids=["leading-space", "trailing-newline", "target"],
+    )
+    def test_save_rejects_labels_the_reader_would_strip(self, tmp_path, labels, target_label, named):
+        path = tmp_path / "d.csv"
+        d = Dataset(np.ones((2, 2)), np.zeros(2), labels)
+        with pytest.raises(DataError, match=f"{named} has surrounding whitespace"):
+            save_csv(d, path, target_label=target_label)
+        assert not path.exists()
+
+    def test_hand_written_header_spaces_still_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a, b , target\n1.0,2.0,3.0\n")
+        assert load_csv(path).labels == ("a", "b")
+
 
 class TestCsvWriter:
     """save_csv writes in blocks the bytes the csv module writes row by row."""
@@ -351,13 +381,15 @@ class TestCsvWriter:
         finite = st.floats(allow_nan=False, allow_infinity=False)
         x = data.draw(hnp.arrays(np.float64, shape, elements=finite))
         y = data.draw(hnp.arrays(np.float64, shape[0], elements=finite))
-        label = st.text(alphabet="ab1,\" \u03bb\n", max_size=4).filter(
-            lambda s: s == s.strip() and s != "target"
-        )
+        label = st.text(alphabet="ab1,\" \u03bb\n", max_size=4).filter(lambda s: s != "target")
         labels = data.draw(st.none() | st.tuples(*[label] * shape[1]))
         d = Dataset(x, y, labels)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.csv"
+            if any(s != s.strip() for s in labels or ()):
+                with pytest.raises(DataError, match="surrounding whitespace"):
+                    save_csv(d, path)
+                return
             save_csv(d, path)
             back = load_csv(path)
         assert back.X.tobytes() == d.X.tobytes()

@@ -15,6 +15,7 @@ from mivarsel.dataset import (
     normalize_spectra,
     normalize_spectrum_rows,
 )
+from mivarsel import models
 from mivarsel.errors import ConfigError
 from mivarsel.evaluation import LinearSweep, RbfnSweep, nmse, pooled_target_variance
 from mivarsel.methods import (
@@ -320,12 +321,20 @@ class TestRunMethod:
         assert r.model.projection.n_components == 2
         assert r.model.whitener is not None
 
-    def test_normalized_pipeline_scores_raw_rows_identically(self):
+    def test_normalized_pipeline_scores_raw_rows_identically(self, monkeypatch):
         train, test = _nonlinear_split(seed=15)
         cfg = ExperimentConfig(
             method=2, preprocessing="spectrum-normalize", **SMALL
         )
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return normalize_spectra(d)
+
+        monkeypatch.setattr(models, "normalize_spectra", counted)
         r = run_method(train, test, cfg)
+        assert len(calls) == 2 and calls[0] is train and calls[1] is test  # once per split
         recomputed = nmse(r.model.predict(test.X), test.y, r.report.var_y)
         assert recomputed == r.nmse_t
         assert r.model.preprocessing == "spectrum-normalize"

@@ -457,9 +457,9 @@ def _count_fallbacks(monkeypatch) -> dict:
         seen["rows"] += dx2.shape[0]
         return count_rows(self, dx2, *args, **kwargs)
 
-    def counted_full(self, dx2, y, start, failed, *args):
+    def counted_full(self, dx2, start, failed, *args):
         seen["fell_back"] += len(failed)
-        return full_rows(self, dx2, y, start, failed, *args)
+        return full_rows(self, dx2, start, failed, *args)
 
     monkeypatch.setattr(MiSession, "_count_rows", counted_rows)
     monkeypatch.setattr(MiSession, "_full_rows", counted_full)

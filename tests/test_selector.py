@@ -553,9 +553,9 @@ class TestWindowedWalk:
         fell_back = []
         full_rows = MiSession._full_rows
 
-        def counted(self, dx2, y, start, failed, *args):
+        def counted(self, dx2, start, failed, *args):
             fell_back.append(len(failed))
-            return full_rows(self, dx2, y, start, failed, *args)
+            return full_rows(self, dx2, start, failed, *args)
 
         monkeypatch.setattr(MiSession, "_full_rows", counted)
         d = _blocked_dataset(n, kind, p=4)
