@@ -8,6 +8,7 @@ files (and short human-readable summaries to standard output).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -35,9 +36,8 @@ from .methods import (
     reproduce,
     run_method,
 )
-from .mi import MiSession
 from .models import PREPROCESSINGS, encode, load_pipeline, preprocess, save_pipeline
-from .selector import individual_mis, rank_by_individual_mi, select_variables
+from .selector import _ranking, individual_mis, select_variables
 
 __all__ = ["main", "DATA_DIR_ENV"]
 
@@ -227,14 +227,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     train = preprocess(train, cfg.preprocessing)
     labels = _labels(train)
     _progress(f"estimating MI for {train.n_variables} variables (k={cfg.k})")
-    session = MiSession(train.X, train.y, k=cfg.k, jitter_seed=cfg.seed)
-    mis = individual_mis(train, cfg.k, cfg.seed, session)
-    ranking = rank_by_individual_mi(train, None, cfg.k, cfg.seed, session)
+    mis = individual_mis(train, cfg.k, cfg.seed)
     out = _out_dir(cfg) / "mi.csv"
     with open(out, "w", encoding="utf-8", newline="") as handle:
-        handle.write("variable,label,mi_nats\n")
-        for j in ranking.indices:
-            handle.write(f"{j},{labels[j]},{repr(float(mis[j]))}\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("variable", "label", "mi_nats"))
+        writer.writerows((j, labels[j], float(mis[j])) for j in _ranking(mis, len(mis)))
     _progress(f"wrote {out}")
     return 0
 

@@ -6,7 +6,8 @@ errors, refit the winner on all training rows, and score the untouched test
 set exactly once. There is one scoring rule: every score is an NMSE
 against the pooled target variance, validation errors are trimmed by
 :func:`trim_outliers`, and learning and test errors are not. Each sweep's
-``evaluate_fold(learn, valid, var_y)`` follows it. Model-specific sweep
+``evaluate_fold(learn, valid, var_y)`` follows it, and raises when a
+whole fold fails, which :func:`sweep_folds` records. Model-specific sweep
 classes know how to amortize work across the grid (shared k-means runs,
 shared kernel eigendecompositions, shared projection fits) while the
 winner is always re-fitted through the plain single-model entry points.
@@ -288,17 +289,10 @@ class LinearSweep:
         return fit_linear(train)
 
     def evaluate_fold(self, learn, valid, var_y):
-        nmse_l = np.full(1, np.nan)
-        nmse_v = np.full(1, np.nan)
-        messages: dict[int, str] = {}
-        try:
-            m = fit_linear(learn)
-        except _SWEEP_ERRORS as exc:
-            messages[0] = str(exc)
-            return nmse_l, nmse_v, messages
-        nmse_l[0] = _plain_nmse(m.predict(learn.X) - learn.y, var_y)
-        nmse_v[0] = _trimmed_nmse(m.predict(valid.X) - valid.y, var_y)
-        return nmse_l, nmse_v, messages
+        m = fit_linear(learn)
+        nmse_l = np.array([_plain_nmse(m.predict(learn.X) - learn.y, var_y)])
+        nmse_v = np.array([_trimmed_nmse(m.predict(valid.X) - valid.y, var_y)])
+        return nmse_l, nmse_v, {}
 
 
 class ComponentSweep:
@@ -332,15 +326,8 @@ class ComponentSweep:
         messages: dict[int, str] = {}
         cap = min(max(self._counts), learn.n_samples - 1, learn.n_variables)
         if cap < 1:
-            for i in range(g):
-                messages[i] = "learning fold too small for any component"
-            return nmse_l, nmse_v, messages
-        try:
-            mapping, mapped = fit_mapping(learn, projection=self.projection, n_components=cap)
-        except _SWEEP_ERRORS as exc:
-            for i in range(g):
-                messages[i] = str(exc)
-            return nmse_l, nmse_v, messages
+            raise ValueError("learning fold too small for any component")
+        mapping, mapped = fit_mapping(learn, projection=self.projection, n_components=cap)
         scores_l = mapped.X
         scores_v = mapping.transform_rows(valid.X)
         # Components whose training scores carry no energy cannot be
@@ -586,8 +573,10 @@ def sweep_folds(
     """Score every grid point on every fold; no winner logic, no test data.
 
     Returns (folds, splits, mat_l, mat_v, messages) with score matrices of
-    shape (grid points, folds). Fold results land in preassigned slots, so
-    worker count and completion order never change the outcome.
+    shape (grid points, folds) and one {grid index: reason} dict per fold.
+    A sweep error raised out of a whole fold marks every grid point of
+    that fold NaN with the error's text. Fold results land in preassigned
+    slots, so worker count and completion order never change the outcome.
     """
     folds = kfold_split(train.n_samples, l, seed)
     everything = np.arange(train.n_samples)
@@ -596,9 +585,15 @@ def sweep_folds(
         for f in folds
     ]
 
+    n_points = len(sweep.grid)
+
     def run_fold(i: int):
         learn, valid = splits[i]
-        return sweep.evaluate_fold(learn, valid, var_y)
+        try:
+            return sweep.evaluate_fold(learn, valid, var_y)
+        except _SWEEP_ERRORS as exc:
+            failed = np.full(n_points, np.nan)
+            return failed, failed.copy(), dict.fromkeys(range(n_points), str(exc))
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -606,7 +601,6 @@ def sweep_folds(
     else:
         fold_results = [run_fold(i) for i in range(l)]
 
-    n_points = len(sweep.grid)
     mat_l = np.column_stack([r[0] for r in fold_results])
     mat_v = np.column_stack([r[1] for r in fold_results])
     if mat_l.shape != (n_points, l):
@@ -677,22 +671,21 @@ def cross_validate(
     err_t = np.asarray(final_model.predict(held_out.X)) - held_out.y
     nmse_t = _plain_nmse(err_t, var_y)
 
-    rows = []
-    for i, params in enumerate(points):
-        error = None
-        for fold_i in range(l):
-            if i in messages[fold_i]:
-                error = f"fold {fold_i}: {messages[fold_i][i]}"
-                break
-        rows.append(
-            GridPointResult(
-                index=i,
-                params=params,
-                nmse_l=tuple(mat_l[i].tolist()),
-                nmse_v=tuple(mat_v[i].tolist()),
-                error=error,
-            )
+    # Each point's error is its first failing fold's message.
+    errors: dict[int, str] = {}
+    for fold_i, fold_messages in enumerate(messages):
+        for i, message in fold_messages.items():
+            errors.setdefault(i, f"fold {fold_i}: {message}")
+    rows = [
+        GridPointResult(
+            index=i,
+            params=params,
+            nmse_l=tuple(mat_l[i].tolist()),
+            nmse_v=tuple(mat_v[i].tolist()),
+            error=errors.get(i),
         )
+        for i, params in enumerate(points)
+    ]
 
     report = CvReport(
         kind=sweep.kind,

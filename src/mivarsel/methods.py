@@ -208,13 +208,8 @@ class PipelineSweep:
         return fit_mapping(d, self.variables, self.projection, self.n_components, self.whiten)
 
     def evaluate_fold(self, learn, valid, var_y):
-        try:
-            mapping, learn_m = self._fit_map(learn)
-            valid_m = Dataset(mapping.transform_rows(valid.X), valid.y)
-        except (ValueError, DataError, NumericalError) as exc:
-            g = len(self.grid)
-            bad = np.full(g, np.nan)
-            return bad, bad.copy(), {i: str(exc) for i in range(g)}
+        mapping, learn_m = self._fit_map(learn)
+        valid_m = Dataset(mapping.transform_rows(valid.X), valid.y)
         return self.inner.evaluate_fold(learn_m, valid_m, var_y)
 
     def fit(self, train: Dataset, params: dict) -> PipelineModel:

@@ -245,7 +245,10 @@ class MiSession:
     jittered session work inside these buffers. At N <= 181 they are N x N.
 
     The shared buffers make a session non-reentrant: give each thread
-    or process its own.
+    or process its own. A pickled copy carries the sorted columns and
+    target, ``_order`` and the settings, so it gives the same bits and
+    draws the same jitter; it starts with no buffers, no memo and no
+    kept target window.
     """
 
     def __init__(self, x, y, k: int = DEFAULT_K, jitter_seed: int = 0) -> None:
@@ -279,6 +282,11 @@ class MiSession:
         self._target_rows: tuple[int, int] | None = None
         self._edges: np.ndarray | None = None
         self._values: dict[tuple[int, ...], float] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.update(_buffers={}, _target_rows=None, _edges=None, _values={})
+        return state
 
     def _buffer(self, name, rows: int, width: int | None = None) -> np.ndarray:
         """A contiguous rows x width (default N) view of the B x N buffer ``name``, made on first use."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -264,20 +264,23 @@ def build_candidate_pool(ranking, selected, pool_size: int) -> VariableSubset:
 # Enumeration order. With the pool's columns sorted and numbered by
 # position 0..P-1, subsets are visited as sorted position tuples in
 # lexicographic order: (0), (0, 1), (0, 1, 2), ..., (0, ..., P-1),
-# (0, ..., P-3, P-1), ... This is a depth-first walk of the subset
-# tree in which every child is its parent plus one higher column, so
+# (0, ..., P-3, P-1), ... and handed to the session as the columns at
+# those positions. This is a depth-first walk of the subset tree in
+# which every child is its parent plus one higher column, so
 # MiSession.evaluate, fed consecutive subsets, adds one column to the
 # parent's sums per subset (its docstring has the blocks, chunks and
 # buffers). Subsets ending in position P-1 are leaves; every other
-# subset is followed by its first child.
+# subset is followed by its first child. Positions map to columns in
+# increasing order, so the column tuples are in the same order.
 #
 # Range split. Indices 1 .. 2^P - 1 of that order (0 is the empty set)
-# are cut into contiguous ranges, 8 per worker. A range starts by
-# unranking its first index into a subset, then walks forward. Each range
-# reduces its subsets under the total order of _better (higher MI,
-# then fewer variables, then the lexicographically smaller tuple), and
-# so do the ranges' results, so the winner does not depend on the
-# worker count or on where the ranges are cut.
+# are cut into contiguous ranges: one at one worker, 8 per worker
+# otherwise. A range starts by unranking its first index into a subset,
+# then walks forward. Each range reduces its subsets under the total
+# order of _better (higher MI, then fewer variables, then the
+# lexicographically smaller tuple), and so do the ranges' results, so
+# the winner does not depend on the worker count or on where the ranges
+# are cut.
 
 
 def _unrank(index: int, p: int) -> list[int]:
@@ -305,14 +308,14 @@ def _advance(subset: list[int], p: int) -> None:
             subset[-1] += 1
 
 
-def _walk(session: MiSession, lo: int, hi: int):
-    """Yield (MI, positions) for enumeration indices lo .. hi - 1 of the session's columns, in order."""
-    p = session.n_variables
+def _walk(session: MiSession, columns: Sequence[int], lo: int, hi: int):
+    """Yield (MI, column tuple) for enumeration indices lo .. hi - 1 of sorted ``columns``."""
+    p = len(columns)
     subset = _unrank(lo, p)
     for start in range(lo, hi, session.chunk):
         chunk = []
         for _ in range(min(session.chunk, hi - start)):
-            chunk.append(tuple(subset))
+            chunk.append(tuple(columns[j] for j in subset))
             _advance(subset, p)
         yield from zip(session.evaluate(chunk).tolist(), chunk)
 
@@ -330,13 +333,39 @@ def _better(
 _WORKER_SESSION: MiSession | None = None
 
 
-def _init_search_worker(x_pool, y, k, jitter_seed) -> None:
+def _init_search_worker(session: MiSession) -> None:
     global _WORKER_SESSION
-    _WORKER_SESSION = MiSession(x_pool, y, k=k, jitter_seed=jitter_seed)
+    _WORKER_SESSION = session
 
 
-def _search_worker_range(bounds: tuple[int, int]) -> tuple[float, tuple[int, ...]]:
-    return reduce(_better, _walk(_WORKER_SESSION, *bounds))
+def _range_winner(columns, bounds: tuple[int, int], session: MiSession | None = None):
+    """The best (MI, column tuple) of one range, in ``session`` or this worker's copy."""
+    return reduce(_better, _walk(session or _WORKER_SESSION, columns, *bounds))
+
+
+def _search(
+    session: MiSession, columns: Sequence[int], workers: int
+) -> tuple[float, tuple[int, ...]]:
+    """(MI, column tuple) of the best non-empty subset of the sorted ``columns``.
+
+    The ranges are searched in this process at one worker, or on a pool
+    of ``workers`` processes that each get a copy of ``session``.
+    """
+    if len(columns) > MAX_POOL_SIZE:
+        raise ValueError(
+            f"{len(columns)} candidates means 2^{len(columns)} subsets; "
+            f"lower the pool size to at most {MAX_POOL_SIZE}"
+        )
+    ranges = 8 * workers if workers > 1 else 1
+    cuts = np.linspace(1, 1 << len(columns), ranges + 1).astype(np.int64).tolist()
+    bounds = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    winner = partial(_range_winner, columns)
+    if workers <= 1:
+        return reduce(_better, (winner(b, session) for b in bounds))
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_search_worker, initargs=(session,)
+    ) as pool:
+        return reduce(_better, pool.map(winner, bounds))
 
 
 def exhaustive_search(
@@ -357,48 +386,12 @@ def exhaustive_search(
         raise ValueError(f"candidate indices are not distinct: {cand}")
     if not cand:
         raise ValueError("candidate pool is empty")
-    if len(cand) > MAX_POOL_SIZE:
-        raise ValueError(
-            f"{len(cand)} candidates means 2^{len(cand)} subsets; "
-            f"lower the pool size to at most {MAX_POOL_SIZE}"
-        )
     for j in cand:
         if not 0 <= j < d.n_variables:
             raise ValueError(f"candidate index {j} out of range for {d.n_variables} variables")
-    n = d.n_samples
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < {n}, got {k}")
-
-    x_cand = np.ascontiguousarray(d.X[:, cand])
-    total = 1 << len(cand)
-    if workers <= 1:
-        session = MiSession(x_cand, d.y, k=k, jitter_seed=jitter_seed)
-        best = reduce(_better, _walk(session, 1, total))
-    else:
-        bounds = [
-            (int(lo), int(hi))
-            for lo, hi in zip(
-                np.linspace(1, total, 8 * workers + 1).astype(np.int64)[:-1],
-                np.linspace(1, total, 8 * workers + 1).astype(np.int64)[1:],
-            )
-            if lo < hi
-        ]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_search_worker,
-            initargs=(x_cand, d.y, k, jitter_seed),
-        ) as pool:
-            results = list(pool.map(_search_worker_range, bounds))
-        best = results[0]
-        for other in results[1:]:
-            best = _better(best, other)
-
-    value, positions = best
-    indices = tuple(cand[p] for p in positions)
-    return (
-        VariableSubset(indices, "exhaustive"),
-        MiEstimate(value, k, n),
-    )
+    session = MiSession(d.X, d.y, k=k, jitter_seed=jitter_seed)
+    value, indices = _search(session, cand, workers)
+    return VariableSubset(indices, "exhaustive"), MiEstimate(value, k, d.n_samples)
 
 
 @dataclass(frozen=True)
@@ -434,6 +427,8 @@ def select_variables(
     Ranking and greedy search each produce a subset; their union forms
     a pool of ``pool_size`` variables (capped at the variable count),
     and the exhaustive subset search over that pool picks the winner.
+    All three evaluate in one MiSession over the dataset; at
+    ``workers`` > 1 each search worker gets a copy of it.
 
     Pool size rule: every greedy variable stays a candidate. When the
     greedy subset holds more variables than the pool, the pool grows
@@ -465,15 +460,13 @@ def select_variables(
             )
         effective = len(greedy)
     pool = build_candidate_pool(ranking, greedy, effective)
-    # The search builds its own buffers; free this session's first.
-    del session
-    best, best_mi = exhaustive_search(d, pool, k, jitter_seed, workers)
+    value, best = _search(session, pool.sorted_indices(), workers)
     return SelectionResult(
         ranking=ranking,
         ranking_mis=tuple(float(values[j]) for j in ranking.indices),
         greedy=greedy,
         trace=trace,
         pool=pool,
-        best=best,
-        best_mi=best_mi,
+        best=VariableSubset(best, "exhaustive"),
+        best_mi=MiEstimate(value, k, d.n_samples),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import importlib.util
 import json
 import multiprocessing
@@ -21,7 +22,7 @@ from mivarsel.dataset import Dataset, load_csv, save_csv
 from mivarsel.evaluation import nmse
 from mivarsel.methods import MethodResult
 from mivarsel.models import load_pipeline
-from mivarsel.selector import rank_by_individual_mi
+from mivarsel.selector import individual_mis, rank_by_individual_mi
 
 
 @pytest.fixture()
@@ -82,6 +83,25 @@ class TestEstimate:
         assert order == list(rank_by_individual_mi(load_csv(train)).indices)
         mi = {int(r[0]): r[2] for r in rows}
         assert mi[1] == mi[4] and order.index(1) < order.index(4)
+
+    def test_labels_with_commas_and_quotes_read_back(self, tmp_path):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(40, 3))
+        y = x[:, 0] + 0.1 * rng.normal(size=40)
+        train = tmp_path / "labels.csv"
+        with open(train, "w", newline="") as handle:
+            handle.write('"850,0","say ""hi""",c,target\n')
+            for row in np.column_stack([x, y]).tolist():
+                handle.write(",".join(map(repr, row)) + "\n")
+        d = load_csv(train)
+        assert d.labels == ("850,0", 'say "hi"', "c")
+        assert main(["estimate", "--train", str(train), "--out", str(tmp_path / "r")]) == 0
+        with open(tmp_path / "r" / "custom" / "mi.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["variable", "label", "mi_nats"]
+        mis, ranking = individual_mis(d), rank_by_individual_mi(d).indices
+        assert [r[:2] for r in rows[1:]] == [[str(j), d.labels[j]] for j in ranking]
+        assert [float(r[2]) for r in rows[1:]] == [mis[j] for j in ranking]
 
     def test_normalization_extends_the_table(self, csvs):
         assert main(["estimate", *_args(csvs), "--preprocessing", "spectrum-normalize"]) == 0

@@ -29,6 +29,7 @@ from mivarsel.evaluation import (
     median_pairwise_distance,
     nmse,
     pooled_target_variance,
+    sweep_folds,
     trim_outliers,
 )
 from mivarsel.methods import PipelineSweep
@@ -349,6 +350,30 @@ class TestCrossValidate:
         sweep = PipelineSweep(LinearSweep(), "linear", whiten=True)
         with pytest.raises(NumericalError, match="every grid point failed"):
             cross_validate(d, d, sweep, 3, 0, 1.0)
+
+    def test_whole_fold_failure_marks_every_point_of_that_fold(self):
+        # Two samples in two folds leave one learning row: no component fits.
+        d = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
+        sweep = ComponentSweep("pca", (1, 2))
+        _, _, mat_l, mat_v, messages = sweep_folds(d, sweep, 2, 0, 1.0)
+        assert np.all(np.isnan(mat_l)) and np.all(np.isnan(mat_v))
+        assert messages == [dict.fromkeys((0, 1), "learning fold too small for any component")] * 2
+
+    def test_row_error_is_the_first_failing_fold(self):
+        class Scripted:
+            kind = "linear"
+            grid = MetaGrid("linear", (("variant", ("a", "b")),))
+            plan = iter([{1: "b0"}, {}, {0: "a2", 1: "b2"}, {}])
+
+            def evaluate_fold(self, learn, valid, var_y):
+                return np.array([1.0, 2.0]), np.array([1.0, 2.0]), next(self.plan)
+
+            def fit(self, train, params):
+                return fit_linear(train)
+
+        train, test = _split_linear(seed=11, n=60, n_test=12)
+        report, _ = cross_validate(train, test, Scripted(), 4, 5, 1.0)
+        assert [r.error for r in report.rows] == ["fold 2: a2", "fold 0: b0"]
 
     def test_worker_count_never_changes_the_report(self):
         train, test = _split_linear(seed=11, n=60, n_test=12)

@@ -17,7 +17,13 @@ from mivarsel.dataset import (
 )
 from mivarsel import models
 from mivarsel.errors import ConfigError
-from mivarsel.evaluation import LinearSweep, RbfnSweep, nmse, pooled_target_variance
+from mivarsel.evaluation import (
+    LinearSweep,
+    RbfnSweep,
+    nmse,
+    pooled_target_variance,
+    sweep_folds,
+)
 from mivarsel.methods import (
     METHOD_TABLE,
     ExperimentConfig,
@@ -240,11 +246,10 @@ class TestPipelineSweep:
         sweep = PipelineSweep(
             LinearSweep(), "pca+linear", projection="pca", n_components=2, whiten=True
         )
-        nl, nv, msg = sweep.evaluate_fold(
-            d.take_rows(np.arange(14)), d.take_rows(np.arange(14, 20)), 1.0
-        )
-        assert np.all(np.isnan(nl)) and np.all(np.isnan(nv))
-        assert set(msg) == {0}
+        _, _, mat_l, mat_v, messages = sweep_folds(d, sweep, 3, 0, 1.0)
+        assert np.all(np.isnan(mat_l)) and np.all(np.isnan(mat_v))
+        assert [set(m) for m in messages] == [{0}] * 3
+        assert all("zero variance" in m[0] for m in messages)
 
     def test_projection_requires_component_count(self):
         with pytest.raises(ValueError, match="component count"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import tracemalloc
 
 import mpmath
@@ -428,6 +429,22 @@ class TestRowBlocks:
             value = session.mi(subset)
             assert math.isfinite(value)
             assert value == full_matrix_mi(x[:, subset], y, 4)
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_pickled_copy_carries_no_buffers_or_memo(self, kind):
+        x, y = _blocked_case(361, kind)
+        session = MiSession(x, y, k=6, jitter_seed=3)
+        subsets = [(0,), (0, 1), (1, 3), (0, 1, 2, 3)]
+        expected = session.values(subsets)
+        assert session._buffers and session._values
+        blob = pickle.dumps(session)
+        # The columns, the target, _order and the digamma table, and no B x N buffer.
+        assert len(blob) < x.nbytes + 3 * y.nbytes + 4096
+        copy = pickle.loads(blob)
+        assert (copy._buffers, copy._values, copy._target_rows, copy._edges) == ({}, {}, None, None)
+        assert np.array_equal(copy._order, session._order)
+        assert [v.hex() for v in copy.values(subsets)] == [v.hex() for v in expected]
+        assert session._buffers and session._values
 
     def test_traced_peak_is_a_few_blocks_at_n3000(self):
         # One N x N float64 matrix would be 72 MB here.

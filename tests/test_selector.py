@@ -5,12 +5,18 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mivarsel
 from mivarsel import mi, selector
 from mivarsel.dataset import Dataset
 from mivarsel.errors import ConfigError, DataError
@@ -399,7 +405,7 @@ class TestSubsetWalk:
     @staticmethod
     def _walk(d, p, lo=1, hi=None, k=5):
         session = MiSession(np.ascontiguousarray(d.X[:, :p]), d.y, k=k, jitter_seed=0)
-        return list(selector._walk(session, lo, (1 << p) if hi is None else hi))
+        return list(selector._walk(session, range(p), lo, (1 << p) if hi is None else hi))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 6])
     @pytest.mark.parametrize("kind", ["continuous", "integer"])
@@ -436,6 +442,36 @@ class TestSubsetWalk:
         for subset, est in results[1:]:
             assert subset.indices == results[0][0].indices
             assert est.value == results[0][1].value
+
+    def test_spawned_workers_agree_with_one_worker(self):
+        # Forked workers inherit the session; spawned ones unpickle a copy of it.
+        src = str(Path(mivarsel.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = textwrap.dedent(
+            """
+            import multiprocessing, sys
+            multiprocessing.set_start_method("spawn")
+            sys.path.insert(0, sys.argv[1])
+            from test_selector import _integer_dataset
+            from mivarsel.selector import exhaustive_search, select_variables
+
+            d = _integer_dataset(n=70, p=7, seed=5)
+            # The winner of (1, 3), (1,) alone, has duplicate joint points.
+            for pool in (range(7), (1, 3)):
+                one, two = (exhaustive_search(d, pool, k=4, workers=w) for w in (1, 2))
+                assert one == two and one[1].value.hex() == two[1].value.hex(), (one, two)
+            one, two = (select_variables(d, k=4, pool_size=6, workers=w) for w in (1, 2))
+            assert one == two and one.best_mi.value.hex() == two.best_mi.value.hex(), (one, two)
+            print(multiprocessing.get_start_method())
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "spawn"
 
     def test_traced_peak_within_buffer_budget(self):
         n, p = 300, 8
@@ -495,7 +531,7 @@ class TestBlockedWalk:
             assert (eps2 == 0.0).any()  # the jitter path is exercised
         session = MiSession(np.ascontiguousarray(d.X), d.y, k=5, jitter_seed=0)
         assert session.block < n
-        assert list(selector._walk(session, 1, 1 << 5)) == self._expected(d, 5, 5)
+        assert list(selector._walk(session, range(5), 1, 1 << 5)) == self._expected(d, 5, 5)
 
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
     def test_small_blocks_and_chunks_across_range_cuts(self, monkeypatch, kind):
@@ -506,9 +542,10 @@ class TestBlockedWalk:
         expected = self._expected(d, 6, 4)
         session = MiSession(np.ascontiguousarray(d.X), d.y, k=4, jitter_seed=0)
         assert (session.block, session.chunk) == (3, 6)
-        assert list(selector._walk(session, 1, 64)) == expected
+        columns = range(session.n_variables)
+        assert list(selector._walk(session, columns, 1, 64)) == expected
         for lo, hi in ((1, 5), (5, 6), (6, 19), (19, 40), (40, 64)):
-            assert list(selector._walk(session, lo, hi)) == expected[lo - 1 : hi - 1]
+            assert list(selector._walk(session, columns, lo, hi)) == expected[lo - 1 : hi - 1]
 
     @pytest.mark.parametrize("n", [255, 1000])
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
@@ -561,7 +598,8 @@ class TestWindowedWalk:
         d = _blocked_dataset(n, kind, p=4)
         session = MiSession(np.ascontiguousarray(d.X), d.y, k=6, jitter_seed=0)
         assert session.window < session.block < n
-        assert list(selector._walk(session, 1, 1 << 4)) == self._expected(n, kind)
+        walked = selector._walk(session, range(session.n_variables), 1, 1 << 4)
+        assert list(walked) == self._expected(n, kind)
         if share == 0.0:
             assert fell_back
 
@@ -610,32 +648,56 @@ class TestSelectionPipeline:
         d = _additive_dataset(n=120, decoys=28, seed=4)
         pool_size = 5
         unmemoised = _select_variables_without_memo(monkeypatch, d, k=5, pool_size=pool_size)
-        requested, evaluated = [], []
-        inner_mi, inner_evaluate = MiSession.mi, MiSession.evaluate
+        requested, estimated, searched = [], [], []
+        sessions = set()
+        inner_mi, inner_values, inner_evaluate = MiSession.mi, MiSession.values, MiSession.evaluate
+        batching = []
 
         def mi(self, subset):
             requested.append(tuple(sorted(subset)))
             return inner_mi(self, subset)
 
+        def values(self, subsets):
+            batching.append(True)
+            try:
+                return inner_values(self, subsets)
+            finally:
+                batching.pop()
+
         def evaluate(self, subsets):
-            evaluated.append((self, list(subsets)))
+            sessions.add(self)
+            (estimated if batching else searched).extend(subsets)
             return inner_evaluate(self, subsets)
 
         monkeypatch.setattr(MiSession, "mi", mi)
+        monkeypatch.setattr(MiSession, "values", values)
         monkeypatch.setattr(MiSession, "evaluate", evaluate)
         result = select_variables(d, k=5, pool_size=pool_size)
         assert result == unmemoised
-        # The dataset's session (ranking and greedy), then the pool's (the search).
-        sessions = list(dict.fromkeys(session for session, _ in evaluated))
-        assert [s.n_variables for s in sessions] == [d.n_variables, len(result.pool)]
-        estimated, searched = (
-            [c for session, chunk in evaluated if session is owner for c in chunk]
-            for owner in sessions
-        )
+        # Ranking, greedy and the search all evaluate in the dataset's session.
+        assert len(sessions) == 1 and sessions.pop().n_variables == d.n_variables
         assert len(set(requested)) < len(requested)  # greedy repeats subsets
         assert len(estimated) == len(set(requested))
         # The search estimates each of the pool's subsets once, in chunks.
         assert len(searched) == len(set(searched)) == (1 << len(result.pool)) - 1
+        assert set().union(*searched) == set(result.pool.indices)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_session_per_selection_and_per_search(self, monkeypatch, workers):
+        # Counted in this process: forked search workers count in their own copies.
+        built = []
+        inner = MiSession.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(MiSession, "__init__", counted)
+        d = _additive_dataset(n=120, decoys=6, seed=4)
+        result = select_variables(d, k=5, pool_size=5, workers=workers)
+        assert len(built) == 1
+        exhaustive_search(d, result.pool, k=5, workers=workers)
+        assert len(built) == 2
 
     def test_constant_target_is_data_error(self):
         rng = np.random.default_rng(0)
@@ -681,7 +743,7 @@ class TestSelectionPipeline:
             assert v == direct[j]
 
     def test_search_peak_excludes_the_ranking_session(self):
-        # The ranking/greedy session is released before the search builds its own.
+        # The search works in the ranking/greedy session's buffers; it builds none of its own.
         n, p = 300, 6
         d = _additive_dataset(n=n, decoys=18, seed=3)
         tracemalloc.start()
