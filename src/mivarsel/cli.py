@@ -281,7 +281,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         train, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
     )
     winner = select_winner(mat_l, mat_v)
-    params = sweep.grid.points()[winner]
+    params = sweep.grid.point(winner)
     model = replace(
         sweep.fit(train, params), preprocessing=cfg.preprocessing, n_inputs=raw_width
     )

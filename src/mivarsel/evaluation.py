@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, replace
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -42,6 +44,7 @@ from .models import (
 __all__ = [
     "MetaGrid",
     "GridPointResult",
+    "GridRows",
     "CvReport",
     "TestSetGuard",
     "LinearSweep",
@@ -223,6 +226,18 @@ class MetaGrid:
         names = [name for name, _ in self.axes]
         grids = [values for _, values in self.axes]
         return [dict(zip(names, combo)) for combo in product(*grids)]
+
+    def point(self, i: int) -> dict:
+        """``points()[i]``, found by index arithmetic without building the others."""
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError(f"grid point {i} is out of range for {n} points")
+        rest = i % n
+        picked = []
+        for name, values in reversed(self.axes):
+            rest, j = divmod(rest, len(values))
+            picked.append((name, values[j]))
+        return dict(reversed(picked))
 
 
 def median_pairwise_distance(x: np.ndarray) -> float:
@@ -494,18 +509,61 @@ class GridPointResult:
     nmse_v: tuple[float, ...]
     error: str | None = None
 
-    @property
-    def mean_nmse_v(self) -> float:
-        return float(np.mean(self.nmse_v))
 
-    @property
-    def mean_nmse_l(self) -> float:
-        return float(np.mean(self.nmse_l))
+class GridRows(Sequence):
+    """Read-only grid rows over a sweep's score matrices, each built when read.
+
+    Row ``i`` is the :class:`GridPointResult` of ``grid.point(i)`` with the
+    scores of row ``i`` of the (grid points, folds) matrices ``mat_l`` and
+    ``mat_v`` and the message ``errors.get(i)``. Only the matrices and the
+    messages are held, so a 30,000-point grid costs two small arrays, not
+    30,000 objects. Rows compare equal to a tuple of the same rows.
+    """
+
+    __slots__ = ("_grid", "_mat_l", "_mat_v", "_errors")
+
+    def __init__(self, grid: MetaGrid, mat_l: np.ndarray, mat_v: np.ndarray,
+                 errors: dict[int, str]) -> None:
+        self._grid = grid
+        self._mat_l = mat_l
+        self._mat_v = mat_v
+        self._errors = errors
+
+    def __len__(self) -> int:
+        return len(self._grid)
+
+    def __getitem__(self, i: int) -> GridPointResult:
+        params = self._grid.point(i)
+        i = operator.index(i) % len(self)
+        return GridPointResult(
+            index=i,
+            params=params,
+            nmse_l=tuple(self._mat_l[i].tolist()),
+            nmse_v=tuple(self._mat_v[i].tolist()),
+            error=self._errors.get(i),
+        )
+
+    def __iter__(self):
+        # One pass over the grid and the matrices, not a point() per row.
+        scores = zip(self._grid.points(), self._mat_l.tolist(), self._mat_v.tolist())
+        for i, (params, nmse_l, nmse_v) in enumerate(scores):
+            yield GridPointResult(i, params, tuple(nmse_l), tuple(nmse_v), self._errors.get(i))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, GridRows)):
+            return NotImplemented
+        return self is other or tuple(self) == tuple(other)
 
 
 @dataclass(frozen=True)
 class CvReport:
-    """Everything cross_validate decided and measured, in one record."""
+    """Everything cross_validate decided and measured, in one record.
+
+    ``rows`` holds one :class:`GridPointResult` per grid point in grid
+    order. :func:`cross_validate` passes a :class:`GridRows` over its
+    score matrices, so a row is built when it is read; a tuple of rows
+    gives the same report.
+    """
 
     kind: str
     l: int
@@ -514,7 +572,7 @@ class CvReport:
     n_train: int
     n_test: int
     folds: tuple[tuple[int, ...], ...]
-    rows: tuple[GridPointResult, ...]
+    rows: Sequence[GridPointResult]
     winner_index: int
     winner_params: dict
     winner_fold_nmse_l: tuple[float, ...]
@@ -535,11 +593,18 @@ class CvReport:
         return float(np.mean(self.winner_fold_nmse_v))
 
     def to_dict(self) -> dict:
-        """The report's fields, with ``rows`` as ``grid`` and the winner's means."""
+        """The report's fields, with ``rows`` as ``grid`` and the winner's means.
+
+        The rows are encoded one by one, whatever sequence holds them.
+        """
         doc = {}
-        for key, value in encode(self).items():
-            doc["grid" if key == "rows" else key] = value
-            if key == "winner_fold_nmse_v":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "rows":
+                doc["grid"] = [encode(row) for row in value]
+            else:
+                doc[f.name] = encode(value)
+            if f.name == "winner_fold_nmse_v":
                 doc["mean_nmse_l"] = self.mean_nmse_l
                 doc["mean_nmse_v"] = self.mean_nmse_v
         return doc
@@ -641,15 +706,16 @@ def cross_validate(
     on all training rows through the model family's plain fitting
     function, and the test set, handed out by its guard exactly once, is
     scored last, untrimmed. The report's ``trim_*`` fields record that
-    rule.
+    rule. The report keeps the (grid points, folds) score matrices and
+    each point's first failure message; its ``rows`` are a
+    :class:`GridRows` that builds each point's row when it is read.
     """
     guard = test if isinstance(test, TestSetGuard) else TestSetGuard(test)
     folds, splits, mat_l, mat_v, messages = sweep_folds(
         train, sweep, l, seed, var_y, workers=workers
     )
     winner_index = select_winner(mat_l, mat_v)
-    points = sweep.grid.points()
-    winner_params = points[winner_index]
+    winner_params = sweep.grid.point(winner_index)
 
     # The winner is re-fitted per fold through the canonical entry point,
     # which also pins down exactly which validation rows were trimmed.
@@ -676,16 +742,6 @@ def cross_validate(
     for fold_i, fold_messages in enumerate(messages):
         for i, message in fold_messages.items():
             errors.setdefault(i, f"fold {fold_i}: {message}")
-    rows = [
-        GridPointResult(
-            index=i,
-            params=params,
-            nmse_l=tuple(mat_l[i].tolist()),
-            nmse_v=tuple(mat_v[i].tolist()),
-            error=errors.get(i),
-        )
-        for i, params in enumerate(points)
-    ]
 
     report = CvReport(
         kind=sweep.kind,
@@ -695,7 +751,7 @@ def cross_validate(
         n_train=train.n_samples,
         n_test=guard.n_samples,
         folds=tuple(tuple(int(i) for i in f) for f in folds),
-        rows=tuple(rows),
+        rows=GridRows(sweep.grid, mat_l, mat_v, errors),
         winner_index=winner_index,
         winner_params=winner_params,
         winner_fold_nmse_l=tuple(winner_l),

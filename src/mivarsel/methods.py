@@ -266,7 +266,7 @@ def component_count_cv(
         train, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
     )
     winner = select_winner(mat_l, mat_v)
-    return int(sweep.grid.points()[winner]["components"])
+    return int(sweep.grid.point(winner)["components"])
 
 
 def _model_sweep(kind: str, features: np.ndarray, n_train: int, cfg: ExperimentConfig):

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mivarsel.dataset import Dataset
 from mivarsel.errors import DataError, NumericalError
 from mivarsel.evaluation import (
     ComponentSweep,
     CvReport,
+    GridPointResult,
+    GridRows,
     LinearSweep,
     LssvmSweep,
     MetaGrid,
@@ -33,7 +40,7 @@ from mivarsel.evaluation import (
     trim_outliers,
 )
 from mivarsel.methods import PipelineSweep
-from mivarsel.models import fit_linear, fit_lssvm, fit_rbfn, predict_linear
+from mivarsel.models import encode, fit_linear, fit_lssvm, fit_rbfn, predict_linear
 from oracles import lssvm_sweep_fold, rbfn_sweep_fold
 
 
@@ -158,6 +165,25 @@ class TestMetaGrid:
         assert pts[0] == {"a": 1.0, "b": 10.0}
         assert pts[1] == {"a": 1.0, "b": 20.0}
         assert pts[3] == {"a": 2.0, "b": 10.0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=2)),
+                     min_size=1, max_size=4),
+            min_size=1, max_size=3,
+        )
+    )
+    def test_point_is_the_points_entry(self, axes):
+        g = MetaGrid("demo", tuple((f"axis{k}", tuple(v)) for k, v in enumerate(axes)))
+        pts = g.points()
+        for i in range(-len(g), len(g)):
+            assert list(g.point(i).items()) == list(pts[i].items())
+            assert all(g.point(i)[name] is value for name, value in pts[i].items())
+        with pytest.raises(IndexError):
+            g.point(len(g))
+        with pytest.raises(IndexError):
+            g.point(-len(g) - 1)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one axis"):
@@ -465,6 +491,82 @@ class TestCrossValidate:
         assert report.var_y == var_y
         assert (report.n_train, report.n_test) == (30, 6)
         assert isinstance(report, CvReport)
+
+
+def _eager_rows(train, sweep, l, seed, var_y) -> tuple:
+    """The grid rows as one tuple of GridPointResult, built the way perfbench's replay does."""
+    _, _, mat_l, mat_v, messages = sweep_folds(train, sweep, l, seed, var_y)
+    return tuple(
+        GridPointResult(
+            index=i,
+            params=p,
+            nmse_l=tuple(float(v) for v in mat_l[i]),
+            nmse_v=tuple(float(v) for v in mat_v[i]),
+            error=next(
+                (f"fold {f}: {messages[f][i]}" for f in range(l) if i in messages[f]), None
+            ),
+        )
+        for i, p in enumerate(sweep.grid.points())
+    )
+
+
+class TestGridRows:
+    def test_lazy_rows_match_eager_rows_with_failed_points(self):
+        rng = np.random.default_rng(9)
+        t = rng.normal(size=(40, 3))
+        x = np.hstack([t, t @ rng.normal(size=(3, 3))])  # rank 3: counts 4..6 fail
+        y = t[:, 0] + 0.01 * rng.normal(size=40)
+        train, test = Dataset(x[:30], y[:30]), Dataset(x[30:], y[30:])
+        var_y = pooled_target_variance(train, test)
+        sweep = ComponentSweep("pca", range(1, 7))
+        report, _ = cross_validate(train, test, sweep, 3, 0, var_y)
+        eager = replace(report, rows=_eager_rows(train, sweep, 3, 0, var_y))
+        assert isinstance(report.rows, GridRows)
+        assert sum(r.error is not None for r in report.rows) == 3
+        assert math.isnan(report.rows[-1].nmse_v[0])
+        # NaN != NaN, so rows are compared through their encoded form
+        assert report.to_dict() == eager.to_dict()
+        assert grid_csv(report) == grid_csv(eager)
+        assert len(report.rows) == len(eager.rows) == 6
+        for i in range(-6, 6):
+            assert encode(report.rows[i]) == encode(eager.rows[i])
+        assert report.rows[-1].index == report.rows[np.int64(-1)].index == 5
+        assert type(report.rows[np.int64(-1)].index) is int
+        assert encode(list(report.rows)) == encode(list(eager.rows))
+        with pytest.raises(IndexError):
+            report.rows[6]
+        with pytest.raises(IndexError):
+            report.rows[-7]
+
+    def test_report_equals_its_tuple_built_copy(self):
+        train, test = _split_linear(seed=15, n=60, n_test=12)
+        var_y = pooled_target_variance(train, test)
+        sweep = RbfnSweep((2, 4), (1.0, 2.0), seed=1)
+        report, _ = cross_validate(train, test, sweep, 3, 2, var_y)
+        eager = replace(report, rows=_eager_rows(train, sweep, 3, 2, var_y))
+        assert report == eager and eager == report
+        assert report.rows == tuple(report.rows)
+
+    def test_report_holds_the_score_matrices_not_a_row_per_point(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(36, 2))
+        y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=36)
+        train, test = Dataset(x[:30], y[:30]), Dataset(x[30:], y[30:])
+        var_y = pooled_target_variance(train, test)
+        sweep = LssvmSweep(default_sigma_values(train.X, 60), default_gamma_values(100))
+        l = 3
+        assert len(sweep.grid) >= 6000
+        tracemalloc.start()
+        try:
+            report, model = cross_validate(train, test, sweep, l, 0, var_y)
+            del model
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        score_bytes = 2 * len(sweep.grid) * l * 8  # mat_l and mat_v, float64
+        assert len(report.rows) == len(sweep.grid)
+        assert held < 2 * score_bytes + 64_000
 
 
 def _sweep_fold_data(seed: int, outlier_in_learn: bool = True, outlier_in_valid: bool = True):
