@@ -543,12 +543,6 @@ class GridRows(Sequence):
             error=self._errors.get(i),
         )
 
-    def __iter__(self):
-        # One pass over the grid and the matrices, not a point() per row.
-        scores = zip(self._grid.points(), self._mat_l.tolist(), self._mat_v.tolist())
-        for i, (params, nmse_l, nmse_v) in enumerate(scores):
-            yield GridPointResult(i, params, tuple(nmse_l), tuple(nmse_v), self._errors.get(i))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, GridRows)):
             return NotImplemented
