@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _as_rows
 from .errors import NumericalError
 
 _PROJECTION_KINDS = ("pca", "pls")
@@ -161,8 +161,12 @@ def fit_pls(train: Dataset, n_components: int) -> Projection:
 
 
 def project_rows(p: Projection, x: np.ndarray) -> np.ndarray:
-    """Score matrix for raw input rows, using the fitted centering/scaling."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """Score matrix for raw input rows, using the fitted centering/scaling.
+
+    A 2-D float64 matrix is used as it is, with no copy; a 1-D row is
+    one row.
+    """
+    x = _as_rows(x)
     if x.shape[1] != p.x_mean.shape[0]:
         raise ValueError(
             f"projection fitted on {p.x_mean.shape[0]} variables, "

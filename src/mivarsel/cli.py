@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
     default_centroid_counts,
     default_component_counts,
-    grid_csv,
+    grid_csv_blocks,
     select_winner,
     sweep_folds,
 )
@@ -256,8 +256,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     _warn_if_uninformative(result)
     out = _out_dir(cfg)
     doc = {"config": cfg.to_dict(), "selection": result.to_dict(labels)}
-    (out / "selection.json").write_text(json.dumps(doc, indent=2) + "\n")
-    (out / "trace.json").write_text(json.dumps(encode(result.trace), indent=2) + "\n")
+    _write_json(out / "selection.json", doc)
+    _write_json(out / "trace.json", encode(result.trace))
     _progress(f"wrote {out / 'selection.json'}")
     _progress(f"wrote {out / 'trace.json'}")
     chosen = result.best.sorted_indices()
@@ -296,11 +296,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         "mean_nmse_v": float(np.mean(mat_v[winner])),
         "grid_points": len(sweep.grid),
     }
-    (out / "train.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(out / "train.json", summary)
     if selection is not None:
         doc = {"config": cfg.to_dict(), "selection": selection.to_dict(labels)}
-        (out / "selection.json").write_text(json.dumps(doc, indent=2) + "\n")
-        (out / "trace.json").write_text(json.dumps(encode(selection.trace), indent=2) + "\n")
+        _write_json(out / "selection.json", doc)
+        _write_json(out / "trace.json", encode(selection.trace))
     _progress(f"wrote {out / 'model.json'}")
     print(
         f"method {cfg.method} ({spec.label}): winner {params}, "
@@ -315,7 +315,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     rows = load_input_rows(args.data, cfg.target_column)
     _progress(f"predicting {rows.shape[0]} rows with {args.model}")
     predictions = model.predict(rows)
-    lines = "prediction\n" + "".join(repr(float(v)) + "\n" for v in predictions)
+    lines = "prediction\n" + "".join(f"{v!r}\n" for v in predictions.tolist())
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(lines)
@@ -325,14 +325,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_json(path: Path, doc) -> None:
+    """Write ``doc`` as JSON indented by 2 with a final newline, streamed to the file."""
+    with open(path, "w") as handle:
+        json.dump(doc, handle, indent=2)
+        handle.write("\n")
+
+
 def _write_method_artifacts(out: Path, cfg: ExperimentConfig, result, labels) -> dict:
-    """Write one method's artifacts and return the encoded result that report.json holds."""
+    """Write one method's artifacts and return the encoded result that report.json holds.
+
+    The JSON documents and the grid go to their files piece by piece, so
+    neither file's whole text is held in memory.
+    """
     encoded = result.to_dict(labels)
-    doc = {"config": cfg.to_dict(), "result": encoded}
-    (out / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
-    (out / "grid.csv").write_text(grid_csv(result.report))
+    _write_json(out / "report.json", {"config": cfg.to_dict(), "result": encoded})
+    with open(out / "grid.csv", "w") as handle:
+        handle.writelines(grid_csv_blocks(result.report))
     trace = None if result.selection is None else encode(result.selection.trace)
-    (out / "trace.json").write_text(json.dumps({"selection": trace}, indent=2) + "\n")
+    _write_json(out / "trace.json", {"selection": trace})
     save_pipeline(result.model, out / "model.json")
     return encoded
 
@@ -402,7 +413,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             _progress(f"method {r.method} ({r.label}) failed: {r.error}")
             method_docs.append(encode(r))
     doc = {"config": cfg.to_dict(), "best": best, "methods": method_docs}
-    (out / "benchmark.json").write_text(json.dumps(doc, indent=2) + "\n")
+    _write_json(out / "benchmark.json", doc)
     _progress(f"wrote {out / 'benchmark.json'}")
     print(_benchmark_table(results, best))
     return 0

@@ -297,20 +297,47 @@ def save_csv(d: Dataset, path: str | Path, target_label: str = "target") -> None
             handle.write("".join(",".join(map(repr, row)) + "\r\n" for row in block))
 
 
+def _as_rows(x) -> np.ndarray:
+    """``x`` as a float64 matrix of rows: a 1-D row is one row, and a 2-D
+    float64 array comes back as it is, with no copy."""
+    x = np.asarray(x, dtype=np.float64)
+    return x if x.ndim == 2 else np.atleast_2d(x)
+
+
 def normalize_spectrum_rows(x: np.ndarray) -> np.ndarray:
-    """Row-standardized matrix with the removed mean/std appended per row."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] < 2:
+    """Row-standardized matrix with the removed mean/std appended per row.
+
+    Row ``i`` of the (rows, M + 2) result is ``(x[i] - mean) / std``
+    followed by ``mean`` and ``std`` (sample convention, ``ddof=1``). The
+    row sums are taken once and serve both the mean and the centring
+    inside the variance, and everything is written into one output
+    matrix; these are the ufuncs ``x.mean(axis=1)`` and
+    ``x.std(axis=1, ddof=1)`` apply, in their order, so every value has
+    their bits. A 1-D row is one row; a constant row raises DataError.
+    """
+    x = _as_rows(x)
+    n, m = x.shape
+    if m < 2:
         raise DataError("spectrum normalization needs at least 2 variables per row")
-    means = x.mean(axis=1)
-    stds = x.std(axis=1, ddof=1)
-    degenerate = np.flatnonzero(stds == 0.0)
-    if degenerate.size:
+    out = np.empty((n, m + 2))
+    shape = out[:, :m]
+    means = np.add.reduce(x, axis=1)
+    means /= m
+    mean_column = means[:, None]
+    squares = x - mean_column
+    np.multiply(squares, squares, out=squares)
+    stds = np.add.reduce(squares, axis=1)
+    stds /= m - 1
+    np.sqrt(stds, out=stds)
+    if np.count_nonzero(stds) < n:
         raise DataError(
-            f"row {int(degenerate[0])} has a constant spectrum (zero standard deviation)"
+            f"row {int(np.argmin(stds != 0.0))} has a constant spectrum (zero standard deviation)"
         )
-    shape = (x - means[:, None]) / stds[:, None]
-    return np.hstack([shape, means[:, None], stds[:, None]])
+    np.subtract(x, mean_column, out=shape)
+    np.divide(shape, stds[:, None], out=shape)
+    out[:, m] = means
+    out[:, m + 1] = stds
+    return out
 
 
 def normalize_spectra(d: Dataset) -> Dataset:

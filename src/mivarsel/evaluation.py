@@ -65,9 +65,13 @@ __all__ = [
     "default_sigma_values",
     "default_gamma_values",
     "grid_csv",
+    "grid_csv_blocks",
 ]
 
 TRIM_PERCENTILE = 99.0
+
+# grid_csv_blocks joins about this many lines into each piece it yields.
+_GRID_BLOCK_LINES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +137,30 @@ def trim_outliers(errors) -> np.ndarray:
 
 
 def _kept(errors: np.ndarray) -> np.ndarray:
-    """Mask of the errors :func:`trim_outliers` keeps, along the last axis."""
-    dev = np.abs(errors - np.median(errors, axis=-1, keepdims=True))
-    return dev <= np.percentile(dev, TRIM_PERCENTILE, axis=-1, keepdims=True)
+    """Mask of the errors :func:`trim_outliers` keeps, along the last axis.
+
+    The same mask as ``dev <= np.percentile(dev, TRIM_PERCENTILE)`` with
+    ``dev = np.abs(errors - np.median(errors))`` along the last axis,
+    from one sort of the errors and one of the deviations instead of
+    numpy's partitions: the median is the mean of the one or two middle
+    values, and the threshold is numpy's ``linear`` rule, the lerp
+    ``a + d * t`` or, from ``t = 0.5`` on, ``b - d * (1 - t)`` between the
+    sorted deviations around the virtual index ``(n - 1) * 0.99``. A row
+    holding NaN has a NaN threshold, so it keeps nothing.
+    """
+    n = errors.shape[-1]
+    middle = np.sort(errors, axis=-1)[..., (n - 1) // 2 : n // 2 + 1]
+    median = np.add.reduce(middle, axis=-1, keepdims=True) / middle.shape[-1]
+    dev = np.abs(errors - median)
+    spread = np.sort(dev, axis=-1)
+    at = (n - 1) * (TRIM_PERCENTILE / 100)
+    lo = math.floor(at) if at < n - 1 else -1
+    hi = lo + 1 if lo >= 0 else -1
+    t = at - lo
+    a, b = spread[..., lo, None], spread[..., hi, None]
+    step = b - a
+    threshold = b - step * (1 - t) if t >= 0.5 else a + step * t
+    return (dev <= threshold) & ~np.isnan(spread[..., -1:])
 
 
 def _plain_nmse(errors: np.ndarray, var_y: float) -> float:
@@ -463,6 +488,10 @@ class LssvmSweep:
         ones = np.ones(learn.n_samples)
         d2_learn = sq_dists(learn.X, learn.X)
         d2_valid = sq_dists(valid.X, learn.X)
+        # 1/gamma down each row, built once per fold: adding the
+        # eigenvalues to a contiguous matrix is cheaper than broadcasting
+        # a column at every width, and gives the same sums.
+        inv_gamma = np.repeat(1.0 / self._gammas[:, None], learn.n_samples, axis=1)
         for si, sigma in enumerate(self._sigmas):
             base = si * n_gamma
             omega = _kernel_from_sq(d2_learn, sigma)
@@ -476,7 +505,8 @@ class LssvmSweep:
             vy = vecs.T @ y
             v1 = vecs.T @ ones
             with np.errstate(divide="ignore", invalid="ignore"):
-                w = 1.0 / (evals[None, :] + 1.0 / self._gammas[:, None])
+                w = evals + inv_gamma
+                np.divide(1.0, w, out=w)
                 bias = (w @ (v1 * vy)) / (w @ (v1 * v1))
                 coeff = w * (vy[None, :] - bias[:, None] * v1[None, :])
                 lam = coeff @ vecs.T
@@ -606,14 +636,26 @@ class CvReport:
 
 def grid_csv(report: CvReport) -> str:
     """Flat (grid point, fold, score) rows for external tooling."""
-    lines = ["grid_index,params,fold,nmse_l,nmse_v"]
+    return "".join(grid_csv_blocks(report))
+
+
+def grid_csv_blocks(report: CvReport):
+    """The text of :func:`grid_csv` in pieces of about ``_GRID_BLOCK_LINES`` lines.
+
+    A writer that takes the pieces one by one holds one piece of a large
+    grid at a time, not the whole text.
+    """
+    lines = ["grid_index,params,fold,nmse_l,nmse_v\n"]
     for row in report.rows:
         params = ";".join(f"{k}={v}" for k, v in row.params.items())
         for fold_i, (vl, vv) in enumerate(zip(row.nmse_l, row.nmse_v)):
             cl = "" if math.isnan(vl) else repr(vl)
             cv = "" if math.isnan(vv) else repr(vv)
-            lines.append(f"{row.index},{params},{fold_i},{cl},{cv}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{row.index},{params},{fold_i},{cl},{cv}\n")
+        if len(lines) >= _GRID_BLOCK_LINES:
+            yield "".join(lines)
+            lines = []
+    yield "".join(lines)
 
 
 # ---------------------------------------------------------------------------

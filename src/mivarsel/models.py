@@ -37,6 +37,7 @@ from .baselines import Projection, fit_pca, fit_pls, project_rows, transform
 from .dataset import (
     ColumnWhitener,
     Dataset,
+    _as_rows,
     fit_column_whitener,
     normalize_spectra,
     normalize_spectrum_rows,
@@ -62,25 +63,52 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a 2-D float64 array."""
+    return np.add.reduce(a * a, axis=1)
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances, (len(a), len(b)).
 
-    Uses the expanded product form; tiny negative values from rounding
-    are clipped to zero.
+    Uses the expanded product form ``|a|^2 + |b|^2 - 2 a.b``; tiny
+    negative values from rounding are clipped to zero. ``b_sq`` is
+    ``b``'s squared row norms: a fitted model computes those of its
+    support points or centroids once and passes them, and they are
+    computed here when it is None. The result is built in place in one
+    fresh (len(a), len(b)) buffer besides the product's, with the bits
+    of the expression written out. The product ``a @ b.T`` is one BLAS
+    call over all of ``a``, so a row's last bits can depend on the other
+    rows of ``a``, as they always have.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    d2 = (
-        (a * a).sum(axis=1)[:, None]
-        + (b * b).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.maximum(d2, 0.0)
+    a, b = _as_rows(a), _as_rows(b)
+    d2 = _sq_norms(a)[:, None] + (_sq_norms(b) if b_sq is None else b_sq)
+    product = a @ b.T
+    product *= 2.0
+    d2 -= product
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kernel_from_sq(d2: np.ndarray, widths) -> np.ndarray:
-    w2 = np.asarray(widths, dtype=np.float64) ** 2
-    return np.exp(-d2 / (2.0 * w2))
+    """The Gaussian kernel of squared distances ``d2`` in a new array."""
+    return _kernel_in_place(d2.copy(), _kernel_denominators(widths))
+
+
+def _kernel_denominators(widths) -> np.ndarray:
+    """The ``2 w^2`` that :func:`_kernel_from_sq` divides by."""
+    return 2.0 * np.asarray(widths, dtype=np.float64) ** 2
+
+
+def _kernel_in_place(d2: np.ndarray, two_w2) -> np.ndarray:
+    """``exp(-d2 / two_w2)`` written over ``d2``, the denominators given.
+
+    The negation comes first, as in ``-d2 / two_w2``, so even a NaN keeps
+    its sign bit. The sweeps call :func:`_kernel_from_sq`, which copies,
+    because they reuse one distance matrix for every width.
+    """
+    np.negative(d2, out=d2)
+    np.divide(d2, two_w2, out=d2)
+    return np.exp(d2, out=d2)
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -123,6 +151,10 @@ class RbfnModel:
         object.__setattr__(self, "centroids", centroids)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "weights", weights)
+        # Constants of every prediction, computed once; not fields, so
+        # documents, encode and == do not see them.
+        object.__setattr__(self, "_centroid_sq", _sq_norms(centroids))
+        object.__setattr__(self, "_two_w2", _kernel_denominators(widths))
 
     @property
     def n_centroids(self) -> int:
@@ -155,6 +187,9 @@ class LssvmModel:
             )
         object.__setattr__(self, "support_points", support)
         object.__setattr__(self, "coefficients", coeffs)
+        # Constants of every prediction, computed once (see RbfnModel).
+        object.__setattr__(self, "_support_sq", _sq_norms(support))
+        object.__setattr__(self, "_two_w2", _kernel_denominators(self.sigma))
 
     def predict(self, x):
         return predict_lssvm(self, x)
@@ -272,7 +307,8 @@ def solve_rbf_weights(
     x: np.ndarray, y: np.ndarray, centroids: np.ndarray, widths: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Least-squares output weights and bias for fixed centroids/widths."""
-    return _lstsq_with_bias(_kernel_from_sq(sq_dists(x, centroids), widths), y)
+    design = _kernel_in_place(sq_dists(x, centroids), _kernel_denominators(widths))
+    return _lstsq_with_bias(design, y)
 
 
 def fit_rbfn(train: Dataset, n_centroids: int, wsf: float, seed: int = 0) -> RbfnModel:
@@ -287,7 +323,7 @@ def fit_rbfn(train: Dataset, n_centroids: int, wsf: float, seed: int = 0) -> Rbf
 
 def predict_rbfn(m: RbfnModel, x):
     points, single = _as_points(x, m.centroids.shape[1])
-    design = _kernel_from_sq(sq_dists(points, m.centroids), m.widths)
+    design = _kernel_in_place(sq_dists(points, m.centroids, m._centroid_sq), m._two_w2)
     out = design @ m.weights + m.bias
     return float(out[0]) if single else out
 
@@ -303,7 +339,7 @@ def fit_lssvm(train: Dataset, sigma: float, gamma: float) -> LssvmModel:
     a = np.zeros((n + 1, n + 1))
     a[0, 1:] = 1.0
     a[1:, 0] = 1.0
-    a[1:, 1:] = _kernel_from_sq(sq_dists(x, x), sigma)
+    a[1:, 1:] = _kernel_in_place(sq_dists(x, x), _kernel_denominators(sigma))
     a[np.arange(1, n + 1), np.arange(1, n + 1)] += 1.0 / gamma
     rhs = np.concatenate([[0.0], y])
     try:
@@ -324,7 +360,7 @@ def fit_lssvm(train: Dataset, sigma: float, gamma: float) -> LssvmModel:
 
 def predict_lssvm(m: LssvmModel, x):
     points, single = _as_points(x, m.support_points.shape[1])
-    kernel = _kernel_from_sq(sq_dists(points, m.support_points), m.sigma)
+    kernel = _kernel_in_place(sq_dists(points, m.support_points, m._support_sq), m._two_w2)
     out = kernel @ m.coefficients + m.bias
     return float(out[0]) if single else out
 
@@ -364,21 +400,26 @@ class PipelineModel:
     def __post_init__(self) -> None:
         if self.preprocessing not in PREPROCESSINGS:
             raise ValueError(f"unknown preprocessing {self.preprocessing!r}")
+        columns = None
         if self.variables is not None:
             object.__setattr__(
                 self, "variables", tuple(int(j) for j in self.variables)
             )
+            columns = np.array(self.variables, dtype=np.intp)
+        # The variables as an index array, built once; not a field.
+        object.__setattr__(self, "_columns", columns)
 
     def transform_rows(self, x) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        """Raw rows (a 1-D row or a matrix) mapped into the model's input space."""
+        pts = _as_rows(x)
         if self.n_inputs is not None and pts.shape[1] != self.n_inputs:
             raise DataError(
                 f"model was trained on {self.n_inputs} input columns, rows have {pts.shape[1]}"
             )
         if self.preprocessing == "spectrum-normalize":
             pts = normalize_spectrum_rows(pts)
-        if self.variables is not None:
-            pts = pts[:, list(self.variables)]
+        if self._columns is not None:
+            pts = pts[:, self._columns]
         if self.projection is not None:
             pts = project_rows(self.projection, pts)
         if self.whitener is not None:
@@ -388,13 +429,20 @@ class PipelineModel:
     def predict(self, x):
         """Predictions for raw rows: one float for a 1-D row, an array for a matrix.
 
-        The regressor predicts the whole batch with matrix products, so a
-        row's last bits can depend on the other rows of its batch. A
-        prediction is bit-exact only against one made from the same batch.
+        The rows are converted to float64 once, and every later step takes
+        that matrix as it is, with no copy. The constants of
+        the path (the variables' index array, the squared norms of the
+        support points or centroids and the kernel denominators) were
+        computed once, when the pipeline and its model were built or
+        loaded, and the kernel is built in the batch's own distance
+        buffer; the bits are those of the plain expressions. The regressor
+        predicts the whole batch with matrix products, so a row's last
+        bits can depend on the other rows of its batch. A prediction is
+        bit-exact only against one made from the same batch.
         """
-        single = np.asarray(x).ndim == 1
-        out = np.asarray(self.model.predict(self.transform_rows(x)))
-        return float(out[0]) if single else out
+        pts = np.asarray(x, dtype=np.float64)
+        out = self.model.predict(self.transform_rows(pts))
+        return float(out[0]) if pts.ndim == 1 else out
 
 
 def fit_mapping(

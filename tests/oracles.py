@@ -7,9 +7,10 @@ the same canonical convention as production, ascending variable order
 with one addition per variable, which is what makes bit-level
 comparisons on eps and the neighbor counts legitimate.
 
-The full-matrix MI path, the k-means, the sweep references and the
-row-by-row CSV writer further down are the package's earlier code, kept to pin down that later
-restructurings of it change no bit. They call the package's jitter,
+The full-matrix MI path, the k-means, the sweep references, the
+row-by-row CSV writer and the predict path further down are the
+package's earlier code, kept to pin down that later restructurings of
+it change no bit. They call the package's jitter,
 digamma table, distance, kernel and width primitives, so agreement
 checks the restructuring, not those primitives.
 
@@ -400,3 +401,111 @@ def csv_module_save(d, path, target_label: str = "target") -> None:
             writer.writerow(
                 [repr(float(v)) for v in d.X[i]] + [repr(float(d.y[i]))]
             )
+
+
+def kept_by_numpy(errors):
+    """``evaluation._kept`` as numpy's median and 99th percentile compute it."""
+    dev = np.abs(errors - np.median(errors, axis=-1, keepdims=True))
+    return dev <= np.percentile(dev, 99.0, axis=-1, keepdims=True)
+
+
+# The predict path as the package wrote it before it computed each
+# model's constants once and built the kernel in place: every call
+# recomputes the support points' squared norms and copies at each step.
+
+
+def normalize_spectrum_rows(x):
+    """``dataset.normalize_spectrum_rows`` through numpy's mean, std and hstack."""
+    from mivarsel.errors import DataError
+
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] < 2:
+        raise DataError("spectrum normalization needs at least 2 variables per row")
+    means = x.mean(axis=1)
+    stds = x.std(axis=1, ddof=1)
+    degenerate = np.flatnonzero(stds == 0.0)
+    if degenerate.size:
+        raise DataError(
+            f"row {int(degenerate[0])} has a constant spectrum (zero standard deviation)"
+        )
+    shape = (x - means[:, None]) / stds[:, None]
+    return np.hstack([shape, means[:, None], stds[:, None]])
+
+
+def project_rows(p, x):
+    """``baselines.project_rows``: centre, scale, then multiply by the loadings."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != p.x_mean.shape[0]:
+        raise ValueError(
+            f"projection fitted on {p.x_mean.shape[0]} variables, rows have {x.shape[1]}"
+        )
+    xs = x - p.x_mean
+    if p.x_scale is not None:
+        xs = xs / p.x_scale
+    return xs @ p.loadings
+
+
+def sq_dists_expression(a, b):
+    """``models.sq_dists`` as one expression, both norms computed on each call."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def _gaussian(d2, widths):
+    w2 = np.asarray(widths, dtype=np.float64) ** 2
+    return np.exp(-d2 / (2.0 * w2))
+
+
+def _points(x, dim):
+    arr = np.asarray(x, dtype=np.float64)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(f"expected points of dimension {dim}, got array of shape {np.shape(x)}")
+    return arr, single
+
+
+def predict_rbfn(m, x):
+    points, single = _points(x, m.centroids.shape[1])
+    out = _gaussian(sq_dists_expression(points, m.centroids), m.widths) @ m.weights + m.bias
+    return float(out[0]) if single else out
+
+
+def predict_lssvm(m, x):
+    points, single = _points(x, m.support_points.shape[1])
+    kernel = _gaussian(sq_dists_expression(points, m.support_points), m.sigma)
+    out = kernel @ m.coefficients + m.bias
+    return float(out[0]) if single else out
+
+
+def predict_linear(m, x):
+    points, single = _points(x, m.coefficients.shape[0])
+    out = points @ m.coefficients + m.intercept
+    return float(out[0]) if single else out
+
+
+def pipeline_predict(pipeline, x):
+    """``PipelineModel.predict``: coerce, map step by step, then predict the batch."""
+    from mivarsel.errors import DataError
+    from mivarsel.models import LinearModel, LssvmModel, RbfnModel
+
+    single = np.asarray(x).ndim == 1
+    pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if pipeline.n_inputs is not None and pts.shape[1] != pipeline.n_inputs:
+        raise DataError(
+            f"model was trained on {pipeline.n_inputs} input columns, rows have {pts.shape[1]}"
+        )
+    if pipeline.preprocessing == "spectrum-normalize":
+        pts = normalize_spectrum_rows(pts)
+    if pipeline.variables is not None:
+        pts = pts[:, list(pipeline.variables)]
+    if pipeline.projection is not None:
+        pts = project_rows(pipeline.projection, pts)
+    if pipeline.whitener is not None:
+        pts = (pts - pipeline.whitener.means) / pipeline.whitener.stds
+    predict = {RbfnModel: predict_rbfn, LssvmModel: predict_lssvm, LinearModel: predict_linear}
+    out = np.asarray(predict[type(pipeline.model)](pipeline.model, pts))
+    return float(out[0]) if single else out

@@ -21,10 +21,12 @@ from mivarsel.dataset import (
     load_csv,
     load_input_rows,
     normalize_spectra,
+    normalize_spectrum_rows,
     parse_tecator,
     save_csv,
 )
 from mivarsel.errors import DataError
+import oracles
 from oracles import csv_module_save
 
 
@@ -433,6 +435,51 @@ class TestNormalizeSpectra:
     def test_needs_two_variables(self):
         with pytest.raises(DataError):
             normalize_spectra(Dataset(np.ones((2, 1)), np.zeros(2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_rows=st.sampled_from([0, 1, 2, 3, 43, 300]),
+        width=st.integers(2, 140),
+        exponent=st.integers(-320, 308),
+        offset=st.sampled_from([0.0, 1.0, -3e5, 1e200]),
+        layout=st.sampled_from(["C", "F", "strided", "1-D"]),
+        constant_row=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_pass_moments_have_numpys_bits(
+        self, n_rows, width, exponent, offset, layout, constant_row, seed
+    ):
+        """The row moments from one set of row sums, written into one
+        output, equal numpy's mean, std and hstack bit for bit, whatever
+        the scale and the memory layout of the rows; both raise the same
+        error on a constant row."""
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore", under="ignore"):
+            x = rng.normal(size=(n_rows, 2 * width)) * 10.0**exponent + offset
+        if constant_row and n_rows:
+            x[rng.integers(n_rows)] = offset + 1.0
+        x = {"C": x[:, :width], "F": np.asfortranarray(x[:, :width]), "strided": x[:, ::2],
+             "1-D": x[0, :width] if n_rows else x[:, :width]}[layout]
+
+        def outcome(normalize):
+            try:
+                with np.errstate(all="ignore"):
+                    return normalize(x).tobytes()
+            except DataError as exc:
+                return str(exc)
+
+        assert outcome(normalize_spectrum_rows) == outcome(oracles.normalize_spectrum_rows)
+
+    def test_one_row_and_its_matrix_agree(self):
+        row = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+        matrix = normalize_spectrum_rows(row[None, :])
+        assert normalize_spectrum_rows(row).tobytes() == matrix.tobytes()
+        assert normalize_spectrum_rows(row).shape == (1, 7)
+
+    @pytest.mark.parametrize("rows", [np.ones((1, 1)), np.ones(1), np.ones((3, 1))])
+    def test_one_variable_rows_raise(self, rows):
+        with pytest.raises(DataError, match="at least 2 variables"):
+            normalize_spectrum_rows(rows)
 
 
 class TestWhitening:

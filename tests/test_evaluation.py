@@ -41,7 +41,8 @@ from mivarsel.evaluation import (
 )
 from mivarsel.methods import PipelineSweep
 from mivarsel.models import encode, fit_linear, fit_lssvm, fit_rbfn, predict_linear
-from oracles import lssvm_sweep_fold, rbfn_sweep_fold
+from mivarsel.evaluation import _kept
+from oracles import kept_by_numpy, lssvm_sweep_fold, rbfn_sweep_fold
 
 
 class TestNmse:
@@ -141,6 +142,39 @@ class TestTrimOutliers:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             trim_outliers([])
+
+    _SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 80), st.integers(81, 250)),
+        n_rows=st.integers(1, 5),
+        exponent=st.integers(-300, 300),
+        ties=st.booleans(),
+        specials=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 249), st.sampled_from(_SPECIAL)),
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sorted_mask_is_numpys_median_and_percentile_mask(
+        self, n, n_rows, exponent, ties, specials, seed
+    ):
+        """One sort for the median and one for the deviations keep the
+        errors numpy's median and linear 99th percentile keep, with NaN,
+        infinities, signed zeros, subnormals and ties, row by row and for
+        one vector. Past 100 errors the 99th percentile lies below the
+        largest one, so a NaN there must still void the row."""
+        rng = np.random.default_rng(seed)
+        if ties:
+            e = rng.integers(-2, 3, size=(n_rows, n)).astype(np.float64) * 10.0**exponent
+        else:
+            e = rng.normal(size=(n_rows, n)) * 10.0**exponent
+        for row, col, value in specials:
+            e[row % n_rows, col % n] = value
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_kept(e), kept_by_numpy(e))
+            assert np.array_equal(_kept(e[0]), kept_by_numpy(e[0]))
 
 
 class TestTestSetGuard:

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import pickle
+import tracemalloc
+from dataclasses import fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from mivarsel.dataset import Dataset, load_input_rows
-from mivarsel.errors import NumericalError
+from mivarsel.errors import DataError, NumericalError
 from mivarsel.models import (
     LssvmModel,
     PipelineModel,
@@ -21,6 +29,7 @@ from mivarsel.models import (
     encode,
     fit_linear,
     fit_lssvm,
+    fit_mapping,
     fit_rbfn,
     kmeans,
     load_pipeline,
@@ -528,3 +537,163 @@ class TestDecodeTypes:
         doc["data"]["model"]["data"]["bias"] = -6
         assert decode(doc).model.bias == -6.0
         assert type(decode(doc).model.bias) is float
+
+
+@cache
+def _fitted_pipelines() -> dict:
+    """Freshly fitted RBFN, LS-SVM and linear pipelines over 8-wide spectra."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(40, 8)) + np.linspace(0.0, 2.0, 8)
+    y = np.sin(x[:, 0]) + x[:, 3] * x[:, 5]
+    train = Dataset(x, y)
+
+    def pipeline(preprocessing, fit_model, **mapping_args):
+        rows = Dataset(oracles.normalize_spectrum_rows(x), y) if preprocessing != "none" else train
+        mapping, mapped = fit_mapping(rows, **mapping_args)
+        return replace(mapping, model=fit_model(mapped), preprocessing=preprocessing, n_inputs=8)
+
+    return {
+        "fitted-rbfn": pipeline(
+            "spectrum-normalize", lambda d: fit_rbfn(d, 4, 1.3, seed=2), variables=(0, 3, 5, 9)
+        ),
+        "fitted-lssvm": pipeline(
+            "none", lambda d: fit_lssvm(d, 1.7, 50.0), projection="pca", n_components=3,
+            whiten=True,
+        ),
+        "fitted-linear": pipeline("none", fit_linear, projection="pls", n_components=2),
+    }
+
+
+@cache
+def _pipeline(name: str) -> PipelineModel:
+    fitted = _fitted_pipelines()
+    return fitted[name] if name in fitted else load_pipeline(_DATA / f"{name}.json")
+
+
+def _input_width(pipeline: PipelineModel) -> int:
+    return 8 if pipeline.n_inputs == 8 else 3
+
+
+def _outcome(predict, pipeline, x):
+    """What a predict call gives: its type, shape and bits, or its error and message."""
+    try:
+        with np.errstate(all="ignore"):
+            out = predict(pipeline, x)
+    except (DataError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(out), np.shape(out), np.asarray(out, dtype=np.float64).tobytes()
+
+
+_PIPELINES = [*_GOLDEN, "fitted-rbfn", "fitted-lssvm", "fitted-linear"]
+# The pipelines that record their input width and so can reject a wrong one.
+_WIDTH_CHECKED = [n for n in _PIPELINES if n not in ("pipeline-no-n-inputs", "model-plain")]
+
+
+class TestLeanPredictPath:
+    """The predict path with each model's constants computed once and the
+    kernel built in place gives the bits of the plain expressions
+    (``oracles.pipeline_predict``), for every committed document and for
+    freshly fitted pipelines."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(_PIPELINES),
+        n_rows=st.sampled_from([0, 1, 2, 43, 3000]),
+        exponent=st.one_of(st.integers(-300, 300), st.sampled_from([-160, 0, 160, 308])),
+        offset=st.sampled_from([0.0, 1.0, -1e3, 1e150]),
+        seed=st.integers(0, 2**16),
+        one_d=st.booleans(),
+    )
+    def test_bits_match_the_plain_expressions(self, name, n_rows, exponent, offset, seed, one_d):
+        pipeline = _pipeline(name)
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore"):
+            x = rng.normal(size=(n_rows, _input_width(pipeline))) * 10.0**exponent + offset
+        if one_d and n_rows == 1:
+            x = x[0]
+        assert _outcome(PipelineModel.predict, pipeline, x) == _outcome(
+            oracles.pipeline_predict, pipeline, x
+        )
+
+    @pytest.mark.parametrize("name", _PIPELINES)
+    def test_one_d_row_is_a_float_and_a_matrix_an_array(self, name):
+        pipeline = _pipeline(name)
+        rows = load_input_rows(_DATA / "rows.csv") if _input_width(pipeline) == 3 else (
+            np.random.default_rng(3).normal(size=(5, 8))
+        )
+        one = pipeline.predict(rows[0])
+        matrix = pipeline.predict(rows[:1])
+        assert type(one) is float
+        assert isinstance(matrix, np.ndarray) and matrix.shape == (1,)
+        assert np.float64(one).tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("row", [[2.0, 2.0, 2.0], [[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]]])
+    def test_constant_row_raises(self, row):
+        with pytest.raises(DataError, match="constant spectrum"):
+            _pipeline("pipeline-mi-normalize").predict(row)
+
+    def test_one_variable_row_raises(self):
+        pipeline = replace(_pipeline("pipeline-mi-normalize"), n_inputs=None)
+        with pytest.raises(DataError, match="at least 2 variables"):
+            pipeline.predict([[1.0], [2.0]])
+
+    @pytest.mark.parametrize("name", _WIDTH_CHECKED)
+    @pytest.mark.parametrize("width", [1, 2, 4, 9])
+    def test_wrong_width_raises(self, name, width):
+        pipeline = _pipeline(name)
+        if width == _input_width(pipeline):
+            width += 1
+        with pytest.raises(DataError, match="input columns"):
+            pipeline.predict(np.ones((2, width)) + np.arange(width))
+
+    @pytest.mark.parametrize("name", _PIPELINES)
+    def test_pickled_and_replaced_models_predict_the_same_bits(self, name):
+        pipeline = _pipeline(name)
+        x = np.random.default_rng(4).normal(size=(43, _input_width(pipeline))) + 2.0
+        want = pipeline.predict(x).tobytes()
+        assert pickle.loads(pickle.dumps(pipeline)).predict(x).tobytes() == want
+        assert replace(pipeline).predict(x).tobytes() == want
+        assert replace(pipeline, model=replace(pipeline.model)).predict(x).tobytes() == want
+
+    @pytest.mark.parametrize("name", _PIPELINES)
+    def test_constants_are_not_fields(self, name):
+        model = _pipeline(name).model
+        doc = encode(model)["data"]
+        assert list(doc) == [f.name for f in fields(model)]
+        assert not any(key.startswith("_") for key in doc)
+
+    def test_predict_functions_match_the_plain_expressions(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(30, 4))
+        d = Dataset(x, x[:, 0] ** 2 - x[:, 1])
+        probe = rng.normal(size=(17, 4)) * 3.0
+        for model, ours, plain in [
+            (fit_rbfn(d, 5, 0.8, seed=1), predict_rbfn, oracles.predict_rbfn),
+            (fit_lssvm(d, 1.1, 20.0), predict_lssvm, oracles.predict_lssvm),
+            (fit_linear(d), predict_linear, oracles.predict_linear),
+        ]:
+            assert ours(model, probe).tobytes() == plain(model, probe).tobytes()
+            assert np.float64(ours(model, probe[3])).tobytes() == np.float64(
+                plain(model, probe[3])
+            ).tobytes()
+        assert sq_dists(probe, x).tobytes() == oracles.sq_dists_expression(probe, x).tobytes()
+        assert sq_dists(x, x).tobytes() == oracles.sq_dists_expression(x, x).tobytes()
+
+    def test_batch_kernel_holds_two_distance_buffers(self):
+        """A 3,000-row LS-SVM batch over 172 support points peaks at the
+        distance matrix and the product it is built from (2 x 4.1 MB); the
+        copying expression held a third buffer of the same size."""
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(172, 10))
+        model = fit_lssvm(Dataset(x, x[:, 0] + np.sin(x[:, 1])), 2.0, 100.0)
+        rows = rng.normal(size=(3000, 10))
+        predict_lssvm(model, rows)
+        buffer = rows.shape[0] * x.shape[0] * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            predict_lssvm(model, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * buffer + 64_000
