@@ -172,7 +172,7 @@ def _train_only_variance(train) -> float:
 
 
 def _grid_size_line(spec, n_train: int, n_variables: int, cfg: ExperimentConfig) -> str:
-    if spec.projection is not None and spec.model == "linear":
+    if spec.sweeps_components:
         counts = default_component_counts(n_train, n_variables, cfg.folds)
         return f"component grid: {len(counts)} points"
     if spec.model == "rbfn":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,17 +115,19 @@ def _read_table(path: str | Path) -> tuple[list[str] | None, int, list]:
     The first row is a header when any of its cells fails to parse as a
     number; the header is None otherwise. Blank lines are skipped, and
     so is a leading UTF-8 byte-order mark (Excel writes one). A
-    file with no quote and no lone carriage return comes back as text
-    lines, since for it the csv rules reduce to splitting each line at
-    its commas; any other file comes back as the csv module's rows.
+    file with no quote whose lines all end alike, in LF or in CRLF,
+    comes back as text lines, since for it the csv rules reduce to
+    splitting each line at its commas; any other file comes back as the
+    csv module's rows.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    plain = text.replace("\r\n", "\n")
-    if '"' in plain or "\r" in plain:
+    crlf = "\r" in text
+    # Counting CRs against LFs finds a bare LF once no CR stands alone.
+    if '"' in text or re.search(r"\r(?!\n)", text) or crlf and text.count("\r") != text.count("\n"):
         reader = csv.reader(io.StringIO(text, newline=""))
         try:
             rows = [row for row in reader if row]
@@ -133,7 +136,7 @@ def _read_table(path: str | Path) -> tuple[list[str] | None, int, list]:
                 f"{path}: cannot read the CSV row ending at line {reader.line_num}: {exc}"
             ) from None
     else:
-        rows = [line for line in plain.split("\n") if line]
+        rows = [line for line in text.split("\r\n" if crlf else "\n") if line]
     if not rows:
         raise DataError(f"{path} is empty")
 

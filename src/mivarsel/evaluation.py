@@ -168,18 +168,14 @@ def _plain_nmse(errors: np.ndarray, var_y: float) -> float:
     return float(np.mean(errors**2) / var_y)
 
 
-def _trimmed_nmse(errors: np.ndarray, var_y: float) -> float:
-    """The score of validation errors: the ones :func:`trim_outliers` keeps."""
-    return _plain_nmse(errors[trim_outliers(errors)], var_y)
-
-
 def _trimmed_nmse_rows(errors: np.ndarray, var_y: float) -> list[float]:
-    """:func:`_trimmed_nmse` of each row of a (rows, samples) error matrix.
+    """The score of each row of a (rows, samples) matrix of validation errors.
 
-    The median and the percentile are taken along the rows in one call
+    A row scores the errors :func:`trim_outliers` keeps of it. The
+    median and the percentile are taken along the rows in one call
     each, giving the same values as one call per row, and each row's
     kept errors are averaged on their own, so every score has the bits
-    :func:`_trimmed_nmse` gives it (:func:`_trimmed_nmse_masked` does not).
+    of that row scored alone (:func:`_trimmed_nmse_masked` does not).
     """
     return [_plain_nmse(e[m], var_y) for e, m in zip(errors, _kept(errors))]
 
@@ -331,7 +327,7 @@ class LinearSweep:
     def evaluate_fold(self, learn, valid, var_y):
         m = fit_linear(learn)
         nmse_l = np.array([_plain_nmse(m.predict(learn.X) - learn.y, var_y)])
-        nmse_v = np.array([_trimmed_nmse(m.predict(valid.X) - valid.y, var_y)])
+        nmse_v = np.array(_trimmed_nmse_rows((m.predict(valid.X) - valid.y)[None], var_y))
         return nmse_l, nmse_v, {}
 
 
@@ -381,6 +377,7 @@ class ComponentSweep:
         pred_l = np.full(learn.n_samples, learn.y.mean())
         pred_v = np.full(valid.n_samples, learn.y.mean())
         by_count = {c: i for i, c in enumerate(self._counts)}
+        scored, errs_v = [], []
         for c in range(1, usable + 1):
             pred_l = pred_l + scores_l[:, c - 1] * beta[c - 1]
             pred_v = pred_v + scores_v[:, c - 1] * beta[c - 1]
@@ -388,7 +385,10 @@ class ComponentSweep:
             if i is None:
                 continue
             nmse_l[i] = _plain_nmse(pred_l - learn.y, var_y)
-            nmse_v[i] = _trimmed_nmse(pred_v - valid.y, var_y)
+            scored.append(i)
+            errs_v.append(pred_v - valid.y)
+        if scored:
+            nmse_v[scored] = _trimmed_nmse_rows(np.stack(errs_v), var_y)
         for i, c in enumerate(self._counts):
             if c > usable:
                 messages[i] = (

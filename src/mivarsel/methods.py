@@ -85,6 +85,11 @@ class MethodSpec:
         return self.input_step if self.input_step in ("pca", "pls") else None
 
     @property
+    def sweeps_components(self) -> bool:
+        """PCR and PLSR: the sweep picks the component count their projection's methods reuse."""
+        return self.projection is not None and self.model == "linear"
+
+    @property
     def input_label(self) -> str:
         if self.uses_selection:
             return "MI selection"
@@ -315,7 +320,7 @@ def build_method_sweep(
     cross-validated component counts across methods of one benchmark.
     """
     spec = METHOD_TABLE[cfg.method]
-    if spec.projection is not None and spec.model == "linear":
+    if spec.sweeps_components:
         counts = default_component_counts(train.n_samples, train.n_variables, cfg.folds)
         return ComponentSweep(spec.projection, counts), None, None
     if spec.projection is not None:
@@ -355,8 +360,10 @@ def run_method(
         train, test, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
     )
     model = replace(fitted, preprocessing=cfg.preprocessing, n_inputs=raw_width)
-    if spec.projection is not None and spec.model == "linear":
+    if spec.sweeps_components:
         components = int(report.winner_params["components"])
+        # methods 1 and 2 fix the count their dependents reuse
+        shared.setdefault(("components", spec.projection), components)
 
     if selection is not None:
         n_inputs = len(selection.best)
@@ -391,16 +398,10 @@ def reproduce(
     shared: dict = {}
     results: list[MethodResult | MethodFailure] = []
     for m in chosen:
-        mcfg = replace(cfg, method=m)
-        spec = METHOD_TABLE[m]
         try:
-            result = run_method(train, test, mcfg, _shared=shared)
-            # methods 1 and 2 fix the count their dependents reuse
-            if spec.projection is not None and spec.model == "linear":
-                shared.setdefault(("components", spec.projection), result.components)
-            results.append(result)
+            results.append(run_method(train, test, replace(cfg, method=m), _shared=shared))
         except (ValueError, ConfigError, DataError, NumericalError) as exc:
-            results.append(MethodFailure(m, spec.label, str(exc)))
+            results.append(MethodFailure(m, METHOD_TABLE[m].label, str(exc)))
     return results
 
 

@@ -229,26 +229,26 @@ class MiSession:
     row whose window eps^2 exceeds its squared target distance to either
     sample just outside the window is redone on its full row. n_x is
     counted on the full row, n_y wherever eps^2 was found. With one
-    block (N <= 181) the window is the whole row. The target's window
-    distances are kept until another block, a fallback or the jitter
-    path needs their buffer. ``evaluate`` gives a subset with duplicate
-    joint points (some eps^2 = 0) the value of a second session over
-    jittered copies of its columns and the target.
+    block (N <= 181) the window is the whole row. A block's window and
+    its target distances are computed once, next to its highest column,
+    and serve every subset of the chunk. ``evaluate`` gives a subset
+    with duplicate joint points (some eps^2 = 0) the value of a second
+    session over jittered copies of its columns and the target.
 
     Memory, in B x N buffers made on first use: one prefix per depth a
-    chunk keeps, the highest column, one column's scratch, the target,
-    the joint distances, a boolean mask (1/8) and the chunk's indices
-    (_CHUNK_BLOCKS), plus numpy's copy of one slice of them while it
-    reduces. A lone subset takes 5 1/8 (about 1.3 MB once N passes
-    181), whatever its length; a walk over a pool of P keeps at most
-    P - 1 prefixes, P + 6 1/8 in all. Windows, fallbacks and the
-    jittered session work inside these buffers. At N <= 181 they are N x N.
+    chunk keeps, the highest column, one column's scratch, the target
+    window, the joint distances, a boolean mask (1/8) and the chunk's
+    indices (_CHUNK_BLOCKS), plus numpy's copy of one slice of them
+    while it reduces. A lone subset takes 5 1/8 (about 1.3 MB once N
+    passes 181), whatever its length; a walk over a pool of P keeps at
+    most P - 1 prefixes, P + 6 1/8 in all; the first row that falls back
+    adds one for the target's full rows. The jittered session works
+    inside these buffers. At N <= 181 they are N x N.
 
     The shared buffers make a session non-reentrant: give each thread
     or process its own. A pickled copy carries the sorted columns and
     target, ``_order`` and the settings, so it gives the same bits and
-    draws the same jitter; it starts with no buffers, no memo and no
-    kept target window.
+    draws the same jitter; it starts with no buffers and no memo.
     """
 
     def __init__(self, x, y, k: int = DEFAULT_K, jitter_seed: int = 0) -> None:
@@ -279,13 +279,11 @@ class MiSession:
         _check_ranges([float(self._y[-1] - self._y[0])], "the target")
         self._psi = digamma_table(n)
         self._buffers: dict = {}
-        self._target_rows: tuple[int, int] | None = None
-        self._edges: np.ndarray | None = None
         self._values: dict[tuple[int, ...], float] = {}
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.update(_buffers={}, _target_rows=None, _edges=None, _values={})
+        state.update(_buffers={}, _values={})
         return state
 
     def _buffer(self, name, rows: int, width: int | None = None) -> np.ndarray:
@@ -306,29 +304,24 @@ class MiSession:
         lo, hi = max(0, start - self.window), min(self.n_samples, stop + self.window)
         return (lo, hi) if hi - lo > self.k else (0, self.n_samples)
 
-    def _target(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Target distances of rows start .. stop - 1 to the block's window, and its edges.
+    def _target(self, start: int, stop: int) -> tuple[int, int, np.ndarray, np.ndarray | None]:
+        """Window [lo, hi) of rows start .. stop - 1, their target distances to it, its edges.
 
-        The edges are each row's squared target distance to the nearer
-        of the two samples just outside the window, None when the window
-        is the whole row. No sample outside the window is nearer in the
-        target, so a window eps^2 no larger than the edge is exact. The
-        distances are kept until another block needs the buffer.
+        The distances go to the "window" buffer. The edges are each
+        row's squared target distance to the nearer of the two samples
+        just outside the window, None when the window is the whole row.
+        No sample outside the window is nearer in the target, so a
+        window eps^2 no larger than the edge is exact.
         """
         lo, hi = self._window(start, stop)
-        dy2 = self._buffer("target", stop - start, hi - lo)
-        if self._target_rows == (start, stop):
-            return dy2, self._edges
         rows = self._y[start:stop]
-        _sq_diffs(rows, self._y[lo:hi], dy2)
+        dy2 = _sq_diffs(rows, self._y[lo:hi], self._buffer("window", stop - start, hi - lo))
         edges = None
         if lo > 0 or hi < self.n_samples:
             below = np.square(rows - self._y[lo - 1]) if lo > 0 else np.inf
             above = np.square(rows - self._y[hi]) if hi < self.n_samples else np.inf
             edges = np.minimum(below, above)
-        self._target_rows = (start, stop)
-        self._edges = edges
-        return dy2, edges
+        return lo, hi, dy2, edges
 
     def _key(self, subset) -> tuple[int, ...]:
         return tuple(_validate_subset(_subset_indices(subset), self.n_variables))
@@ -387,7 +380,6 @@ class MiSession:
         x, y = self._columns[list(columns)][:, caller].T, self._y[caller]
         twin = MiSession(*_jittered(x, y, self.jitter_seed), k=self.k)
         twin._buffers = self._buffers
-        self._target_rows = None
         return float(twin._evaluate([tuple(range(len(columns)))])[0][0])
 
     def _evaluate(self, subsets) -> tuple[np.ndarray, np.ndarray]:
@@ -404,10 +396,11 @@ class MiSession:
             for start in range(0, self.n_samples, self.block):
                 stop = min(self.n_samples, start + self.block)
                 highest = _sq_diffs(top[start:stop], top, self._buffer("highest", stop - start))
+                window = self._target(start, stop)
                 for i, (subset, shared, kept) in enumerate(plan):
                     dx2 = self._distances(subset, shared, kept, high, highest, start, stop)
                     tied[first + i] |= self._count_rows(
-                        dx2, start, index[0, i, start:stop], index[1, i, start:stop]
+                        dx2, start, window, index[0, i, start:stop], index[1, i, start:stop]
                     )
             for i in range(0, len(chunk), self.block):
                 rows = min(self.block, len(chunk) - i)
@@ -443,22 +436,21 @@ class MiSession:
         return total
 
     def _count_rows(
-        self, dx2: np.ndarray, start: int, index_x: np.ndarray, index_y: np.ndarray
+        self, dx2: np.ndarray, start: int, window: tuple, index_x: np.ndarray, index_y: np.ndarray
     ) -> bool:
         """Digamma indices n_x + 1 and n_y + 1 of one block's samples; True if some eps^2 is 0.
 
         ``dx2`` holds the squared X-distances of samples start,
-        start + 1, ... to every sample, and is not modified. Comparisons
-        stay in the squared domain: squaring is monotone on nonnegative
-        distances, so strict inequalities are preserved. The counts take
+        start + 1, ... to every sample, and ``window`` is the block's
+        :meth:`_target`; neither is modified. Comparisons stay in the
+        squared domain: squaring is monotone on nonnegative distances,
+        so strict inequalities are preserved. The counts take
         in the sample's own distance 0, which is below any positive
         eps^2, so they are n + 1 as they stand; a sample with eps^2 = 0
         has no such hit and gets one added.
         """
         rows, k = dx2.shape[0], self.k
-        stop = start + rows
-        lo, hi = self._window(start, stop)
-        dy2, edges = self._target(start, stop)
+        lo, hi, dy2, edges = window
         dz2 = np.maximum(dx2[:, lo:hi], dy2, out=self._buffer("dz2", rows, hi - lo))
         # Each sample's own entry, (i, start + i), is not a neighbour.
         dz2.reshape(-1)[start - lo :: hi - lo + 1] = np.inf
@@ -493,13 +485,12 @@ class MiSession:
     ) -> None:
         """eps^2 and n_y + 1 of the block's rows ``failed`` from their full rows, in place.
 
-        The target's full rows go to its buffer, so its kept window
-        distances are dropped.
+        The target's full rows go to the "target" buffer, apart from the
+        block's window.
         """
         count, k = len(failed), self.k
         samples = start + failed
         dy2 = _sq_diffs(self._y[samples], self._y, self._buffer("target", count))
-        self._target_rows = None
         dz2 = np.take(dx2, failed, axis=0, out=self._buffer("dz2", count), mode="clip")
         np.maximum(dz2, dy2, out=dz2)
         dz2[np.arange(count), samples] = np.inf

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -229,6 +231,36 @@ class TestCsvReader:
         path.write_text('x,target\n"1,5",2.0\n')
         with pytest.raises(DataError, match="row 0, column 0"):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x0,x1\r\n1.0,2.0\r\n\r\n\r\n3.0,4.0\r\n\r\n",
+            "x0,x1\n1.0,2.0\r\n3.0,4.0\n\r\n5.0,6.0",
+            "x0,x1\r1.0,2.0\r\r3.0,4.0\r",
+            "x0,x1\r\n1.0,2.0\r3.0,4.0\n",
+            "x0,x1\r\r\n1.0,2.0\r\n",
+            "\ufeffx0,x1\r\n1.0,\x0c2.0\r\n",
+        ],
+        ids=["crlf-blank-lines", "mixed-lf-crlf", "lone-cr", "lone-cr-among-crlf",
+             "cr-before-crlf", "bom-form-feed"],
+    )
+    def test_line_endings_give_the_csv_modules_rows(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = [row for row in csv.reader(io.StringIO(text.lstrip("\ufeff"), newline="")) if row]
+        header, width, rows = _read_table(path)
+        assert [header, *map(dataset._cells, rows)] == expected
+        assert width == len(expected[1])
+
+    def test_crlf_inside_a_quoted_label_round_trips(self, tmp_path):
+        path = tmp_path / "d.csv"
+        d = Dataset(np.array([[1.5, -2.0], [3.0, 0.25]]), np.array([7.0, 8.0]), ("a\r\nb", 'c,"d"'))
+        save_csv(d, path)
+        back = load_csv(path)
+        assert back.labels == d.labels
+        assert back.X.tobytes() == d.X.tobytes() and back.y.tobytes() == d.y.tobytes()
+        assert load_input_rows(path).tobytes() == d.X.tobytes()
 
     def test_hash_is_a_bad_cell_not_a_comment(self, tmp_path):
         path = tmp_path / "d.csv"

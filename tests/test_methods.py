@@ -15,6 +15,7 @@ from mivarsel.dataset import (
     normalize_spectra,
     normalize_spectrum_rows,
 )
+from mivarsel import methods as methods_module
 from mivarsel import models
 from mivarsel.errors import ConfigError
 from mivarsel.evaluation import (
@@ -101,6 +102,9 @@ class TestMethodTable:
     def test_selection_methods(self):
         assert all(METHOD_TABLE[i].uses_selection for i in (11, 12, 13))
         assert not any(METHOD_TABLE[i].uses_selection for i in range(1, 11))
+
+    def test_component_count_methods(self):
+        assert [i for i in METHOD_TABLE if METHOD_TABLE[i].sweeps_components] == [1, 2]
 
 
 class TestExperimentConfig:
@@ -378,6 +382,26 @@ class TestReproduce:
         assert by_method[7].components == by_method[2].components
         assert by_method[10].components == by_method[2].components
         assert all(r.report.test_reads == 1 for r in results)
+
+    @pytest.mark.parametrize("methods, calls", [((1, 3), []), ((3,), ["pca"]), ((2, 1, 7, 4), [])])
+    def test_component_count_cv_runs_only_without_a_count_method(self, monkeypatch, methods, calls):
+        # Methods 1 and 2 sweep the count themselves and leave it for the
+        # projection methods after them, which then run no count CV.
+        seen = []
+
+        def counted(train, projection, *args):
+            seen.append(projection)
+            return component_count_cv(train, projection, *args)
+
+        monkeypatch.setattr(methods_module, "component_count_cv", counted)
+        train, test = _nonlinear_split(seed=22, n=50, n_test=12, m=6)
+        results = reproduce(train, test, ExperimentConfig(**SMALL), methods=methods)
+        assert all(isinstance(r, MethodResult) for r in results)
+        assert seen == calls
+        by_method = {r.method: r for r in results}
+        for dependent, source in ((3, 1), (4, 1), (7, 2)):
+            if dependent in by_method and source in by_method:
+                assert by_method[dependent].components == by_method[source].components
 
     def test_method_subset_and_order_respected(self):
         train, test = _nonlinear_split(seed=19, n=50, n_test=12, m=6)

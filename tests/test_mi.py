@@ -441,7 +441,7 @@ class TestRowBlocks:
         # The columns, the target, _order and the digamma table, and no B x N buffer.
         assert len(blob) < x.nbytes + 3 * y.nbytes + 4096
         copy = pickle.loads(blob)
-        assert (copy._buffers, copy._values, copy._target_rows, copy._edges) == ({}, {}, None, None)
+        assert (copy._buffers, copy._values) == ({}, {})
         assert np.array_equal(copy._order, session._order)
         assert [v.hex() for v in copy.values(subsets)] == [v.hex() for v in expected]
         assert session._buffers and session._values
