@@ -1,13 +1,13 @@
-"""One BLAS thread per process: numpy's bundled OpenBLAS, pinned at import.
+"""The package's parallelism: one BLAS thread per process, one worker-pool helper.
 
 The CV sweeps make many small BLAS calls (a 129 x 129 ``eigh``, products
 of a few hundred rows). A second OpenBLAS thread buys them little wall
-time for much more CPU, oversubscribes the cores the sweep's ``workers``
-threads and the search's processes already use, and changes the last
-bits of the results with the host's core count. So the package owns its
-parallelism: importing it sets numpy's OpenBLAS to one thread for the
-whole process. Forked workers inherit the setting and spawned workers
-import the package again, so they are pinned too.
+time for much more CPU, oversubscribes the cores the ``workers``
+processes already use, and changes the last bits of the results with the
+host's core count. So the package owns its parallelism: importing it
+sets numpy's OpenBLAS to one thread for the whole process, which forked
+workers inherit and spawned workers set again on import, and the CV
+folds and the subset search both run on :func:`map_tasks`'s processes.
 
 The thread count is set through the library's own export, found by
 ``ctypes`` in the directory where numpy's wheel bundles its shared
@@ -18,8 +18,10 @@ names the BLAS, and nothing is raised.
 
 from __future__ import annotations
 
+import concurrent.futures
 import ctypes
 import os
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +34,7 @@ _EXPORTS = (
 
 _PIN: dict = {}
 _GET = None
+_POOL_TASK = None
 
 
 def _blas_name() -> str:
@@ -90,3 +93,27 @@ def blas_threads() -> dict:
     if _GET is not None:
         record["threads"] = int(_GET())
     return record
+
+
+def _set_pool_task(task, state) -> None:
+    global _POOL_TASK
+    _POOL_TASK = partial(task, state)
+
+
+def _run_pool_task(item):
+    return _POOL_TASK(item)
+
+
+def map_tasks(task, state, items, workers: int) -> list:
+    """``[task(state, item) for item in items]``, in order, on up to ``workers`` processes.
+
+    ``items`` is a sequence. With one process or one item the tasks run
+    here, with no pool; otherwise each process gets ``state`` once, at start.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [task(state, item) for item in items]
+    with concurrent.futures.ProcessPoolExecutor(
+        workers, initializer=_set_pool_task, initargs=(task, state)
+    ) as pool:
+        return list(pool.map(_run_pool_task, items))

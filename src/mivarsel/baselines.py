@@ -163,8 +163,8 @@ def fit_pls(train: Dataset, n_components: int) -> Projection:
 def project_rows(p: Projection, x: np.ndarray) -> np.ndarray:
     """Score matrix for raw input rows, using the fitted centering/scaling.
 
-    A 2-D float64 matrix is used as it is, with no copy; a 1-D row is
-    one row.
+    A C-ordered 2-D float64 matrix is used as it is, with no copy; a 1-D
+    row is one row.
     """
     x = _as_rows(x)
     if x.shape[1] != p.x_mean.shape[0]:

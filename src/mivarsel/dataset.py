@@ -301,9 +301,11 @@ def save_csv(d: Dataset, path: str | Path, target_label: str = "target") -> None
 
 
 def _as_rows(x) -> np.ndarray:
-    """``x`` as a float64 matrix of rows: a 1-D row is one row, and a 2-D
-    float64 array comes back as it is, with no copy."""
-    x = np.asarray(x, dtype=np.float64)
+    """``x`` as a C-ordered float64 matrix of rows: a 1-D row is one row,
+    and a C-ordered 2-D float64 array comes back as it is, with no copy.
+    Other layouts are copied into row order, so a row's bits never depend
+    on how the caller's array is laid out in memory."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     return x if x.ndim == 2 else np.atleast_2d(x)
 
 
@@ -318,7 +320,7 @@ def normalize_spectrum_rows(x: np.ndarray) -> np.ndarray:
     ``x.std(axis=1, ddof=1)`` apply, in their order, so every value has
     their bits. A 1-D row is one row; a constant row raises DataError.
     """
-    x = _as_rows(x)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, m = x.shape
     if m < 2:
         raise DataError("spectrum normalization needs at least 2 variables per row")

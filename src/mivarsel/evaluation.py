@@ -15,7 +15,6 @@ winner is always re-fitted through the plain single-model entry points.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import operator
 from collections.abc import Sequence
@@ -24,6 +23,7 @@ from itertools import product
 
 import numpy as np
 
+from ._blas import map_tasks
 from .dataset import Dataset
 from .errors import DataError, NumericalError
 from .models import (
@@ -662,6 +662,17 @@ def grid_csv_blocks(report: CvReport):
 # Driver
 
 
+def _run_fold(state, i: int):
+    """Fold ``i``'s (nmse_l, nmse_v, messages) under the (sweep, splits, var_y) state."""
+    sweep, splits, var_y = state
+    learn, valid = splits[i]
+    try:
+        return sweep.evaluate_fold(learn, valid, var_y)
+    except _SWEEP_ERRORS as exc:
+        failed = np.full(len(sweep.grid), np.nan)
+        return failed, failed.copy(), dict.fromkeys(range(len(sweep.grid)), str(exc))
+
+
 def sweep_folds(
     train: Dataset,
     sweep,
@@ -676,8 +687,9 @@ def sweep_folds(
     Returns (folds, splits, mat_l, mat_v, messages) with score matrices of
     shape (grid points, folds) and one {grid index: reason} dict per fold.
     A sweep error raised out of a whole fold marks every grid point of
-    that fold NaN with the error's text. Fold results land in preassigned
-    slots, so worker count and completion order never change the outcome.
+    that fold NaN with the error's text. The folds run on up to ``workers``
+    processes (:func:`map_tasks`) and land in fold order, so worker count
+    and completion order never change the outcome.
     """
     folds = kfold_split(train.n_samples, l, seed)
     everything = np.arange(train.n_samples)
@@ -685,23 +697,9 @@ def sweep_folds(
         (train.take_rows(np.setdiff1d(everything, f)), train.take_rows(f))
         for f in folds
     ]
+    fold_results = map_tasks(_run_fold, (sweep, splits, var_y), range(l), workers)
 
     n_points = len(sweep.grid)
-
-    def run_fold(i: int):
-        learn, valid = splits[i]
-        try:
-            return sweep.evaluate_fold(learn, valid, var_y)
-        except _SWEEP_ERRORS as exc:
-            failed = np.full(n_points, np.nan)
-            return failed, failed.copy(), dict.fromkeys(range(n_points), str(exc))
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            fold_results = list(pool.map(run_fold, range(l)))
-    else:
-        fold_results = [run_fold(i) for i in range(l)]
-
     mat_l = np.column_stack([r[0] for r in fold_results])
     mat_v = np.column_stack([r[1] for r in fold_results])
     if mat_l.shape != (n_points, l):

@@ -112,8 +112,8 @@ def _kernel_in_place(d2: np.ndarray, two_w2) -> np.ndarray:
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
-    """Coerce a single point or a matrix of points to (n, dim)."""
-    arr = np.asarray(x, dtype=np.float64)
+    """Coerce a single point or a matrix of points to C-ordered (n, dim)."""
+    arr = np.ascontiguousarray(x, dtype=np.float64)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
@@ -419,7 +419,7 @@ class PipelineModel:
         if self.preprocessing == "spectrum-normalize":
             pts = normalize_spectrum_rows(pts)
         if self._columns is not None:
-            pts = pts[:, self._columns]
+            pts = pts.take(self._columns, axis=1)
         if self.projection is not None:
             pts = project_rows(self.projection, pts)
         if self.whitener is not None:

@@ -22,13 +22,13 @@ entry points exposed in :mod:`mivarsel.mi`, bit for bit.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
+from ._blas import map_tasks
 from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .mi import DEFAULT_K, MiEstimate, MiSession, _subset_indices, _variable_index
@@ -330,17 +330,10 @@ def _better(
     return a if a[1] < b[1] else b
 
 
-_WORKER_SESSION: MiSession | None = None
-
-
-def _init_search_worker(session: MiSession) -> None:
-    global _WORKER_SESSION
-    _WORKER_SESSION = session
-
-
-def _range_winner(columns, bounds: tuple[int, int], session: MiSession | None = None):
-    """The best (MI, column tuple) of one range, in ``session`` or this worker's copy."""
-    return reduce(_better, _walk(session or _WORKER_SESSION, columns, *bounds))
+def _range_winner(state: tuple[MiSession, Sequence[int]], bounds: tuple[int, int]):
+    """The best (MI, column tuple) of one range of the (session, sorted columns) search."""
+    session, columns = state
+    return reduce(_better, _walk(session, columns, *bounds))
 
 
 def _search(
@@ -348,8 +341,9 @@ def _search(
 ) -> tuple[float, tuple[int, ...]]:
     """(MI, column tuple) of the best non-empty subset of the sorted ``columns``.
 
-    The ranges are searched in this process at one worker, or on a pool
-    of ``workers`` processes that each get a copy of ``session``.
+    At ``workers`` > 1 the search is split into ``8 * workers`` ranges
+    that :func:`map_tasks` runs on worker processes, each with its own
+    copy of ``session``; at one worker it is one range, walked here.
     """
     if len(columns) > MAX_POOL_SIZE:
         raise ValueError(
@@ -359,13 +353,7 @@ def _search(
     ranges = 8 * workers if workers > 1 else 1
     cuts = np.linspace(1, 1 << len(columns), ranges + 1).astype(np.int64).tolist()
     bounds = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    winner = partial(_range_winner, columns)
-    if workers <= 1:
-        return reduce(_better, (winner(b, session) for b in bounds))
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_search_worker, initargs=(session,)
-    ) as pool:
-        return reduce(_better, pool.map(winner, bounds))
+    return reduce(_better, map_tasks(_range_winner, (session, columns), bounds, workers))
 
 
 def exhaustive_search(

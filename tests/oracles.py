@@ -501,7 +501,8 @@ def pipeline_predict(pipeline, x):
     if pipeline.preprocessing == "spectrum-normalize":
         pts = normalize_spectrum_rows(pts)
     if pipeline.variables is not None:
-        pts = pts[:, list(pipeline.variables)]
+        # ``take`` keeps the rows in row order, as the package's selection does.
+        pts = pts.take(list(pipeline.variables), axis=1)
     if pipeline.projection is not None:
         pts = project_rows(pipeline.projection, pts)
     if pipeline.whitener is not None:

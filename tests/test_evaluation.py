@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import json
 import math
+import operator
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mivarsel import _blas
 from mivarsel.dataset import Dataset
 from mivarsel.errors import DataError, NumericalError
 from mivarsel.evaluation import (
@@ -411,11 +414,12 @@ class TestCrossValidate:
         with pytest.raises(NumericalError, match="every grid point failed"):
             cross_validate(d, d, sweep, 3, 0, 1.0)
 
-    def test_whole_fold_failure_marks_every_point_of_that_fold(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_whole_fold_failure_marks_every_point_of_that_fold(self, workers):
         # Two samples in two folds leave one learning row: no component fits.
         d = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
         sweep = ComponentSweep("pca", (1, 2))
-        _, _, mat_l, mat_v, messages = sweep_folds(d, sweep, 2, 0, 1.0)
+        _, _, mat_l, mat_v, messages = sweep_folds(d, sweep, 2, 0, 1.0, workers=workers)
         assert np.all(np.isnan(mat_l)) and np.all(np.isnan(mat_v))
         assert messages == [dict.fromkeys((0, 1), "learning fold too small for any component")] * 2
 
@@ -435,13 +439,55 @@ class TestCrossValidate:
         report, _ = cross_validate(train, test, Scripted(), 4, 5, 1.0)
         assert [r.error for r in report.rows] == ["fold 2: a2", "fold 0: b0"]
 
-    def test_worker_count_never_changes_the_report(self):
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            ComponentSweep("pca", range(1, 4)),
+            PipelineSweep(RbfnSweep((2, 3), (1.0, 2.0), seed=1), "rbfn", variables=(0, 2)),
+            PipelineSweep(LssvmSweep((0.5, 2.0), (1.0, 100.0)), "lssvm", whiten=True),
+        ],
+        ids=["pcr", "rbfn", "lssvm"],
+    )
+    def test_worker_count_never_changes_the_report(self, sweep):
         train, test = _split_linear(seed=11, n=60, n_test=12)
         var_y = pooled_target_variance(train, test)
+        r1, r2, r3 = (
+            cross_validate(train, test, sweep, 4, 5, var_y, workers=w)[0] for w in (1, 2, 3)
+        )
+        assert r1.to_dict() == r2.to_dict() == r3.to_dict()
+
+    def test_pool_is_never_larger_than_the_task_list(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """A process pool that starts no process: it runs the tasks here."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(_blas, "_POOL_TASK", None)
+        train, _ = _split_linear(seed=11, n=60, n_test=12)
         sweep = ComponentSweep("pca", range(1, 4))
-        r1, _ = cross_validate(train, test, sweep, 4, 5, var_y, workers=1)
-        r3, _ = cross_validate(train, test, sweep, 4, 5, var_y, workers=3)
-        assert r1.to_dict() == r3.to_dict()
+        pooled = sweep_folds(train, sweep, 4, 5, 1.0, workers=64)
+        assert sizes == [4]
+        here = sweep_folds(train, sweep, 4, 5, 1.0, workers=1)
+        assert sizes == [4]
+        for got, want in zip(pooled[2:4], here[2:4]):
+            assert got.tobytes() == want.tobytes()
+        assert pooled[4] == here[4]
+        assert _blas.map_tasks(operator.add, 1, [2], 64) == [3]
+        assert sizes == [4]
 
     def test_external_guard_is_honored(self):
         train, test = _split_linear(seed=12, n=40, n_test=8)

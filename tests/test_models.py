@@ -486,6 +486,22 @@ class TestGoldenDocuments:
         got = model.predict(load_input_rows(_DATA / "rows.csv"))
         assert [repr(float(v)) for v in got] == lines[1:]
 
+    @pytest.mark.parametrize("name", [*_GOLDEN, "lssvm-40-inputs"])
+    def test_row_layout_never_changes_the_bits(self, name):
+        """Rows in column order predict the bits of the same rows in row order."""
+        rng = np.random.default_rng(5)
+        if name == "lssvm-40-inputs":
+            x = rng.normal(size=(60, 40))
+            model = PipelineModel(model=fit_lssvm(Dataset(x, np.sin(x[:, 0]) + x[:, 1]), 3.0, 10.0))
+            batches = [rng.normal(size=(int(n), 40)) for n in rng.integers(2, 301, size=50)]
+        else:
+            model = load_pipeline(_DATA / f"{name}.json")
+            rows = load_input_rows(_DATA / "rows.csv")
+            batches = [rows, rows.mean(axis=0) + rng.normal(size=(300, rows.shape[1]))]
+        for rows in batches:
+            want = model.predict(np.ascontiguousarray(rows))
+            assert model.predict(np.asfortranarray(rows)).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", _GOLDEN)
     def test_encodes_to_the_same_bytes(self, name, tmp_path):
         text = (_DATA / f"{name}.json").read_text()

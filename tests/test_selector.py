@@ -444,7 +444,7 @@ class TestSubsetWalk:
             assert est.value == results[0][1].value
 
     def test_spawned_workers_agree_with_one_worker(self):
-        # Forked workers inherit the session; spawned ones unpickle a copy of it.
+        # Forked workers inherit the session and the folds; spawned ones unpickle copies.
         src = str(Path(mivarsel.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -454,6 +454,8 @@ class TestSubsetWalk:
             multiprocessing.set_start_method("spawn")
             sys.path.insert(0, sys.argv[1])
             from test_selector import _integer_dataset
+            from mivarsel.dataset import Dataset
+            from mivarsel.evaluation import RbfnSweep, cross_validate, pooled_target_variance
             from mivarsel.selector import exhaustive_search, select_variables
 
             d = _integer_dataset(n=70, p=7, seed=5)
@@ -463,6 +465,15 @@ class TestSubsetWalk:
                 assert one == two and one[1].value.hex() == two[1].value.hex(), (one, two)
             one, two = (select_variables(d, k=4, pool_size=6, workers=w) for w in (1, 2))
             assert one == two and one.best_mi.value.hex() == two.best_mi.value.hex(), (one, two)
+            # The CV folds go through the same pool helper, on spawned workers too.
+            train, test = Dataset(d.X[:56], d.y[:56]), Dataset(d.X[56:], d.y[56:])
+            var_y = pooled_target_variance(train, test)
+            sweep = RbfnSweep((2, 3), (1.0, 2.0), seed=1)
+            one, two = (
+                cross_validate(train, test, sweep, 4, 0, var_y, workers=w)[0].to_dict()
+                for w in (1, 2)
+            )
+            assert one == two, (one, two)
             print(multiprocessing.get_start_method())
             """
         )
