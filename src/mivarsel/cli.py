@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._blas import blas_threads
-from .dataset import fetch_tecator, load_csv, load_input_rows
+from .dataset import TECATOR_URL, fetch_tecator, load_csv, load_input_rows
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
     default_centroid_counts,
@@ -212,10 +212,7 @@ def _plan_lines(train, cfg: ExperimentConfig, methods) -> list[str]:
 def cmd_fetch_data(args: argparse.Namespace) -> int:
     dest = data_dir()
     _progress(f"fetching Tecator into {dest}")
-    if args.url is not None:
-        train_path, test_path = fetch_tecator(dest, url=args.url)
-    else:
-        train_path, test_path = fetch_tecator(dest)
+    train_path, test_path = fetch_tecator(dest, url=args.url)
     _progress(f"wrote {train_path}")
     _progress(f"wrote {test_path}")
     return 0
@@ -463,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fetch-data", help="download the Tecator archive into the cache")
-    p.add_argument("--url", default=None, help="override the archive URL")
+    p.add_argument("--url", default=TECATOR_URL, help="the archive URL (default: %(default)s)")
     p.set_defaults(func=cmd_fetch_data)
 
     p = sub.add_parser("estimate", help="write the per-variable MI table")

@@ -64,7 +64,6 @@ __all__ = [
     "default_wsf_values",
     "default_sigma_values",
     "default_gamma_values",
-    "grid_csv",
     "grid_csv_blocks",
 ]
 
@@ -95,7 +94,7 @@ def nmse(predictions, targets, var_y_all: float) -> float:
         )
     if not var_y_all > 0.0:
         raise ValueError(f"variance normalizer must be positive, got {var_y_all}")
-    return float(np.mean((p - t) ** 2) / var_y_all)
+    return _plain_nmse(p - t, var_y_all)
 
 
 def pooled_target_variance(train: Dataset, test: Dataset) -> float:
@@ -634,13 +633,8 @@ class CvReport:
         return doc
 
 
-def grid_csv(report: CvReport) -> str:
-    """Flat (grid point, fold, score) rows for external tooling."""
-    return "".join(grid_csv_blocks(report))
-
-
 def grid_csv_blocks(report: CvReport):
-    """The text of :func:`grid_csv` in pieces of about ``_GRID_BLOCK_LINES`` lines.
+    """Flat (grid point, fold, score) CSV rows in pieces of about ``_GRID_BLOCK_LINES`` lines.
 
     A writer that takes the pieces one by one holds one piece of a large
     grid at a time, not the whole text.

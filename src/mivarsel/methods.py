@@ -154,6 +154,8 @@ class ExperimentConfig:
             )
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
         for name in ("gamma_count", "sigma_count", "wsf_count", "max_centroids"):

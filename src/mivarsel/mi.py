@@ -515,9 +515,6 @@ class MiSession:
         contributions.sort(axis=1)
         return psi[self.k] + psi[self.n_samples] - contributions.mean(axis=1)
 
-    def estimate(self, subset) -> MiEstimate:
-        return MiEstimate(self.mi(subset), self.k, self.n_samples)
-
 
 def _check_ranges(ranges: Sequence[float], what: str) -> None:
     """NumericalError unless squared distances over ``ranges`` are normal floats.
@@ -556,4 +553,4 @@ def estimate_mi(
     from ``jitter_seed``. Runs a one-off :class:`MiSession`, so both
     give the same bits.
     """
-    return MiSession(d.X, d.y, k=k, jitter_seed=jitter_seed).estimate(subset)
+    return MiEstimate(MiSession(d.X, d.y, k=k, jitter_seed=jitter_seed).mi(subset), k, d.n_samples)

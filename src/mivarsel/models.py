@@ -153,15 +153,15 @@ class RbfnModel:
         object.__setattr__(self, "weights", weights)
         # Constants of every prediction, computed once; not fields, so
         # documents, encode and == do not see them.
+        object.__setattr__(self, "_dim", centroids.shape[1])
         object.__setattr__(self, "_centroid_sq", _sq_norms(centroids))
         object.__setattr__(self, "_two_w2", _kernel_denominators(widths))
 
-    @property
-    def n_centroids(self) -> int:
-        return self.centroids.shape[0]
-
     def predict(self, x):
-        return predict_rbfn(self, x)
+        points, single = _as_points(x, self._dim)
+        d2 = sq_dists(points, self.centroids, self._centroid_sq)
+        out = _kernel_in_place(d2, self._two_w2) @ self.weights + self.bias
+        return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -188,11 +188,15 @@ class LssvmModel:
         object.__setattr__(self, "support_points", support)
         object.__setattr__(self, "coefficients", coeffs)
         # Constants of every prediction, computed once (see RbfnModel).
+        object.__setattr__(self, "_dim", support.shape[1])
         object.__setattr__(self, "_support_sq", _sq_norms(support))
         object.__setattr__(self, "_two_w2", _kernel_denominators(self.sigma))
 
     def predict(self, x):
-        return predict_lssvm(self, x)
+        points, single = _as_points(x, self._dim)
+        d2 = sq_dists(points, self.support_points, self._support_sq)
+        out = _kernel_in_place(d2, self._two_w2) @ self.coefficients + self.bias
+        return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -204,9 +208,12 @@ class LinearModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", _frozen(np.atleast_1d(self.coefficients)))
+        object.__setattr__(self, "_dim", self.coefficients.shape[0])
 
     def predict(self, x):
-        return predict_linear(self, x)
+        points, single = _as_points(x, self._dim)
+        out = points @ self.coefficients + self.intercept
+        return float(out[0]) if single else out
 
 
 def kmeans(x: np.ndarray, n_clusters: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,13 +328,6 @@ def fit_rbfn(train: Dataset, n_centroids: int, wsf: float, seed: int = 0) -> Rbf
     return RbfnModel(centers, widths, weights, bias, float(wsf))
 
 
-def predict_rbfn(m: RbfnModel, x):
-    points, single = _as_points(x, m.centroids.shape[1])
-    design = _kernel_in_place(sq_dists(points, m.centroids, m._centroid_sq), m._two_w2)
-    out = design @ m.weights + m.bias
-    return float(out[0]) if single else out
-
-
 def fit_lssvm(train: Dataset, sigma: float, gamma: float) -> LssvmModel:
     """Solve the LS-SVM dual system for the given kernel width and weight."""
     if sigma <= 0.0 or gamma <= 0.0:
@@ -358,21 +358,8 @@ def fit_lssvm(train: Dataset, sigma: float, gamma: float) -> LssvmModel:
     return LssvmModel(x, solution[1:], float(solution[0]), float(sigma), float(gamma))
 
 
-def predict_lssvm(m: LssvmModel, x):
-    points, single = _as_points(x, m.support_points.shape[1])
-    kernel = _kernel_in_place(sq_dists(points, m.support_points, m._support_sq), m._two_w2)
-    out = kernel @ m.coefficients + m.bias
-    return float(out[0]) if single else out
-
-
 def fit_linear(train: Dataset) -> LinearModel:
     return LinearModel(*_lstsq_with_bias(train.X, train.y))
-
-
-def predict_linear(m: LinearModel, x):
-    points, single = _as_points(x, m.coefficients.shape[0])
-    out = points @ m.coefficients + m.intercept
-    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +373,9 @@ class PipelineModel:
     predict accepts rows in the space the experiment started from:
     raw spectra when the pipeline normalizes them itself, otherwise the
     training matrix's space. ``n_inputs`` is that space's width; rows of
-    another width raise DataError. Documents written before the width
-    was recorded load with ``n_inputs=None`` and skip the check.
+    another width raise DataError. Documents written before the width was
+    recorded load with ``n_inputs=None`` and check instead that rows reach
+    past the highest variable, or else fit the projection or the model.
     """
 
     preprocessing: str = "none"
@@ -402,22 +390,29 @@ class PipelineModel:
             raise ValueError(f"unknown preprocessing {self.preprocessing!r}")
         columns = None
         if self.variables is not None:
-            object.__setattr__(
-                self, "variables", tuple(int(j) for j in self.variables)
-            )
+            object.__setattr__(self, "variables", tuple(int(j) for j in self.variables))
             columns = np.array(self.variables, dtype=np.intp)
         # The variables as an index array, built once; not a field.
         object.__setattr__(self, "_columns", columns)
+        # The raw widths rows may have when n_inputs is not recorded; not a field.
+        reads = len(self.projection.x_mean) if self.projection else getattr(self.model, "_dim", 0)
+        low = max(self.variables) + 1 if self.variables else reads
+        high = math.inf if self.variables or not reads else reads
+        added = 2 if self.preprocessing == "spectrum-normalize" else 0  # its mean and std columns
+        object.__setattr__(self, "_widths", (low - added, high - added))
 
     def transform_rows(self, x) -> np.ndarray:
         """Raw rows (a 1-D row or a matrix) mapped into the model's input space."""
         pts = _as_rows(x)
-        if self.n_inputs is not None and pts.shape[1] != self.n_inputs:
-            raise DataError(
-                f"model was trained on {self.n_inputs} input columns, rows have {pts.shape[1]}"
-            )
+        width = pts.shape[1]
+        if self.n_inputs is not None and width != self.n_inputs:
+            raise DataError(f"model was trained on {self.n_inputs} input columns, rows have {width}")
         if self.preprocessing == "spectrum-normalize":
             pts = normalize_spectrum_rows(pts)
+        low, high = self._widths
+        if not low <= width <= high:
+            least = "at least " if high > low else ""
+            raise DataError(f"model takes {least}{low} input columns, rows have {width}")
         if self._columns is not None:
             pts = pts.take(self._columns, axis=1)
         if self.projection is not None:

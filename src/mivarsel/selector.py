@@ -31,7 +31,7 @@ import numpy as np
 from ._blas import map_tasks
 from .dataset import Dataset
 from .errors import ConfigError, DataError
-from .mi import DEFAULT_K, MiEstimate, MiSession, _subset_indices, _variable_index
+from .mi import DEFAULT_K, MiEstimate, MiSession, _subset_indices, _validate_subset, _variable_index
 from .models import encode
 
 PROVENANCES = ("ranking", "greedy", "pooled", "exhaustive")
@@ -369,14 +369,7 @@ def exhaustive_search(
     smaller sorted index tuple. The result does not depend on
     ``workers``; parallelism only splits the enumeration range.
     """
-    cand = sorted(_variable_index(j) for j in _subset_indices(candidates))
-    if len(set(cand)) != len(cand):
-        raise ValueError(f"candidate indices are not distinct: {cand}")
-    if not cand:
-        raise ValueError("candidate pool is empty")
-    for j in cand:
-        if not 0 <= j < d.n_variables:
-            raise ValueError(f"candidate index {j} out of range for {d.n_variables} variables")
+    cand = _validate_subset(_subset_indices(candidates), d.n_variables)
     session = MiSession(d.X, d.y, k=k, jitter_seed=jitter_seed)
     value, indices = _search(session, cand, workers)
     return VariableSubset(indices, "exhaustive"), MiEstimate(value, k, d.n_samples)

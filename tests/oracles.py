@@ -385,9 +385,7 @@ def rbf_kernel(x, c, sigma: float) -> float:
 
 def kkt_residual(m, train) -> float:
     """Max dual-optimality violation max_i |lambda_i - gamma (y_i - yhat_i)| of an LS-SVM."""
-    from mivarsel.models import predict_lssvm
-
-    residuals = train.y - predict_lssvm(m, train.X)
+    residuals = train.y - m.predict(train.X)
     return float(np.max(np.abs(m.coefficients - m.gamma * residuals)))
 
 

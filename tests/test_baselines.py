@@ -15,7 +15,7 @@ from mivarsel.baselines import (
     transform,
 )
 from mivarsel.dataset import Dataset, fit_column_whitener
-from mivarsel.models import LinearModel, PipelineModel, decode, encode, fit_linear, predict_linear
+from mivarsel.models import LinearModel, PipelineModel, decode, encode, fit_linear
 
 
 def _random_dataset(n=40, m=6, seed=0) -> Dataset:
@@ -97,8 +97,8 @@ class TestPls:
         assert p.n_components == 5
         scores_train = transform(p, d)
         inner = fit_linear(scores_train)
-        pls_pred = predict_linear(inner, scores_train.X)
-        ols_pred = predict_linear(fit_linear(d), d.X)
+        pls_pred = inner.predict(scores_train.X)
+        ols_pred = fit_linear(d).predict(d.X)
         assert np.allclose(pls_pred, ols_pred, atol=1e-6)
 
     def test_zero_covariance_stops_early(self):
@@ -180,8 +180,8 @@ class TestIntegration:
         d = _random_dataset(n=50, m=6, seed=18)
         p = fit_pca(d, 6)
         scores = transform(p, d)
-        pcr_pred = predict_linear(fit_linear(scores), scores.X)
-        ols_pred = predict_linear(fit_linear(d), d.X)
+        pcr_pred = fit_linear(scores).predict(scores.X)
+        ols_pred = fit_linear(d).predict(d.X)
         assert np.allclose(pcr_pred, ols_pred, atol=1e-6)
 
     def test_whitened_scores_have_unit_variance(self):

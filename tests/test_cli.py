@@ -255,6 +255,28 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert err.count("'target' appears more than once in the header, at columns 1, 2") == 2
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("pipeline-no-n-inputs", "model takes at least 2 input columns, rows have 1"),
+            ("pipeline-pca-whiten", "model takes 3 input columns, rows have 1"),
+            ("model-plain", "model takes 3 input columns, rows have 1"),
+        ],
+    )
+    def test_narrow_rows_without_a_recorded_width_are_a_data_error(
+        self, tmp_path, capsys, name, message
+    ):
+        doc = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+        doc["data"].pop("n_inputs", None)  # as written before the width was recorded
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc) + "\n")
+        rows = tmp_path / "narrow.csv"
+        rows.write_text("x0\n0.5\n1.5\n")
+        assert main(["predict", "--model", str(model_path), "--data", str(rows)]) == 3
+        captured = capsys.readouterr()
+        assert f"data error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_document_without_width_still_predicts(self, csvs, capsys):
         train, test, out = csvs
         main(["train", *_args(csvs), *_GRIDS, "--method", "13"])
@@ -464,6 +486,16 @@ class TestExitCodes:
                        "--out", str(out), "--config", str(bad)])
             assert rc == 2, field
             assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error_before_the_data_is_read(self, csvs, tmp_path, capsys):
+        # Continuous data: no tie draws jitter, so only the config check can reject the seed.
+        assert main(["select", *_args(csvs), "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv = ["select", "--config", str(cfg), "--train", str(tmp_path / "absent.csv")]
+        assert main([*argv, "--out", str(csvs[2])]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_oversized_csv_field_is_data_error(self, tmp_path, capsys):
         big = tmp_path / "big.csv"

@@ -34,7 +34,7 @@ from mivarsel.evaluation import (
     default_gamma_values,
     default_sigma_values,
     default_wsf_values,
-    grid_csv,
+    grid_csv_blocks,
     kfold_split,
     median_pairwise_distance,
     nmse,
@@ -43,7 +43,7 @@ from mivarsel.evaluation import (
     trim_outliers,
 )
 from mivarsel.methods import PipelineSweep
-from mivarsel.models import encode, fit_linear, fit_lssvm, fit_rbfn, predict_linear
+from mivarsel.models import encode, fit_linear, fit_lssvm, fit_rbfn
 from mivarsel.evaluation import _kept
 from oracles import kept_by_numpy, lssvm_sweep_fold, rbfn_sweep_fold
 
@@ -287,8 +287,8 @@ class TestSweepsAgainstCanonicalFits:
         nl, nv, msg = LinearSweep().evaluate_fold(learn, valid, 2.0)
         m = fit_linear(learn)
         assert msg == {}
-        assert nl[0] == np.mean((predict_linear(m, learn.X) - learn.y) ** 2) / 2.0
-        assert nv[0] == _trimmed_mse(predict_linear(m, valid.X) - valid.y) / 2.0
+        assert nl[0] == np.mean((m.predict(learn.X) - learn.y) ** 2) / 2.0
+        assert nv[0] == _trimmed_mse(m.predict(valid.X) - valid.y) / 2.0
 
     @pytest.mark.parametrize("projection", ["pca", "pls"])
     def test_component_sweep_matches_per_count_fits(self, projection):
@@ -557,7 +557,7 @@ class TestCrossValidate:
         report, _ = cross_validate(
             train, test, ComponentSweep("pca", range(1, 7)), 3, 0, var_y
         )
-        lines = grid_csv(report).strip().split("\n")
+        lines = "".join(grid_csv_blocks(report)).strip().split("\n")
         assert lines[0] == "grid_index,params,fold,nmse_l,nmse_v"
         assert len(lines) == 1 + 6 * 3
         last = lines[-1].split(",")
@@ -606,7 +606,7 @@ class TestGridRows:
         assert math.isnan(report.rows[-1].nmse_v[0])
         # NaN != NaN, so rows are compared through their encoded form
         assert report.to_dict() == eager.to_dict()
-        assert grid_csv(report) == grid_csv(eager)
+        assert "".join(grid_csv_blocks(report)) == "".join(grid_csv_blocks(eager))
         assert len(report.rows) == len(eager.rows) == 6
         for i in range(-6, 6):
             assert encode(report.rows[i]) == encode(eager.rows[i])

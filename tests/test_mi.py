@@ -321,13 +321,6 @@ class TestMiSession:
         for subset in ([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2], [2, 0]):
             assert session.mi(subset) == estimate_mi(d, subset, k=6).value
 
-    def test_estimate_wrapper(self):
-        rng = np.random.default_rng(4)
-        session = MiSession(rng.normal(size=(40, 2)), rng.normal(size=40), k=3)
-        est = session.estimate([0])
-        assert isinstance(est, MiEstimate)
-        assert est.k == 3 and est.n_samples == 40
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MiSession(np.zeros((5, 1)), np.zeros(5), k=5)

@@ -33,9 +33,6 @@ from mivarsel.models import (
     fit_rbfn,
     kmeans,
     load_pipeline,
-    predict_linear,
-    predict_lssvm,
-    predict_rbfn,
     save_pipeline,
     solve_rbf_weights,
     sq_dists,
@@ -190,7 +187,7 @@ class TestRbfn:
         y = 2.0 + 1.5 * np.exp(-x[:, 0] ** 2 / 0.8)
         d = Dataset(x, y)
         best = min(
-            _nmse_train(predict_rbfn(fit_rbfn(d, 1, w, seed=1), x), y)
+            _nmse_train(fit_rbfn(d, 1, w, seed=1).predict(x), y)
             for w in np.logspace(-1, 1, 15)
         )
         assert best < 1e-2
@@ -202,7 +199,7 @@ class TestRbfn:
         )
         d = Dataset(x, y)
         best = min(
-            _nmse_train(predict_rbfn(fit_rbfn(d, 2, w, seed=3), x), y)
+            _nmse_train(fit_rbfn(d, 2, w, seed=3).predict(x), y)
             for w in np.logspace(-1, 1, 15)
         )
         assert best < 0.05
@@ -211,7 +208,7 @@ class TestRbfn:
         x = np.linspace(0, 1, 8)[:, None]
         y = np.sin(3 * x[:, 0])
         m = fit_rbfn(Dataset(x, y), n_centroids=8, wsf=0.2, seed=0)
-        assert _nmse_train(predict_rbfn(m, x), y) < 1e-6
+        assert _nmse_train(m.predict(x), y) < 1e-6
 
     def test_centroids_never_read_targets(self):
         rng = np.random.default_rng(5)
@@ -259,11 +256,11 @@ class TestRbfn:
             + 0.25 * math.exp(-(1.4 ** 2) / (2 * 4.0))
             + 0.75
         )
-        assert predict_rbfn(m, [x]) == pytest.approx(expected, abs=1e-12)
+        assert m.predict([x]) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_weights_return_bias(self):
         m = RbfnModel(np.array([[0.0, 0.0]]), np.array([1.0]), np.array([0.0]), 3.25, 1.0)
-        assert predict_rbfn(m, [5.0, -2.0]) == 3.25
+        assert m.predict([5.0, -2.0]) == 3.25
 
     def test_matrix_prediction_matches_pointwise(self):
         # Batch and single-point calls may take different BLAS paths;
@@ -272,10 +269,10 @@ class TestRbfn:
         x = rng.normal(size=(30, 2))
         y = x[:, 0] + x[:, 1] ** 2
         m = fit_rbfn(Dataset(x, y), 4, 1.2, seed=2)
-        batch = predict_rbfn(m, x)
-        assert np.array_equal(batch, predict_rbfn(m, x))
+        batch = m.predict(x)
+        assert np.array_equal(batch, m.predict(x))
         for i in range(30):
-            assert batch[i] == pytest.approx(predict_rbfn(m, x[i]), rel=1e-12)
+            assert batch[i] == pytest.approx(m.predict(x[i]), rel=1e-12)
 
     def test_validation(self):
         d = Dataset(np.zeros((4, 1)), np.zeros(4))
@@ -285,7 +282,7 @@ class TestRbfn:
             fit_rbfn(d, 2, 0.0, seed=0)
         m = fit_rbfn(Dataset(np.arange(4.0)[:, None], np.arange(4.0)), 2, 1.0)
         with pytest.raises(ValueError):
-            predict_rbfn(m, [[1.0, 2.0]])
+            m.predict([[1.0, 2.0]])
 
 
 class TestLssvm:
@@ -298,13 +295,13 @@ class TestLssvm:
     def test_interpolation_limit(self):
         d = self._dataset()
         m = fit_lssvm(d, sigma=1.0, gamma=1e8)
-        rel = np.max(np.abs(predict_lssvm(m, d.X) - d.y)) / np.max(np.abs(d.y))
+        rel = np.max(np.abs(m.predict(d.X) - d.y)) / np.max(np.abs(d.y))
         assert rel < 1e-3
 
     def test_regularization_limit_collapses_to_mean(self):
         d = self._dataset()
         m = fit_lssvm(d, sigma=1.0, gamma=1e-8)
-        pred = predict_lssvm(m, d.X)
+        pred = m.predict(d.X)
         assert np.ptp(pred) < 1e-4
         assert pred.mean() == pytest.approx(d.y.mean(), abs=1e-4)
 
@@ -348,11 +345,11 @@ class TestLssvm:
     def test_prediction_at_training_point_high_gamma(self):
         d = self._dataset(n=25, seed=3)
         m = fit_lssvm(d, sigma=1.5, gamma=1e8)
-        assert predict_lssvm(m, d.X[4]) == pytest.approx(d.y[4], abs=1e-4)
+        assert m.predict(d.X[4]) == pytest.approx(d.y[4], abs=1e-4)
 
     def test_zero_coefficients_return_bias(self):
         m = LssvmModel(np.zeros((3, 2)), np.zeros(3), -1.5, 1.0, 1.0)
-        assert predict_lssvm(m, [4.0, 4.0]) == -1.5
+        assert m.predict([4.0, 4.0]) == -1.5
 
     def test_hand_sum_tiny_model(self):
         m = LssvmModel(
@@ -367,7 +364,7 @@ class TestLssvm:
             - 0.25 * math.exp(-0.5)
             + 0.1
         )
-        assert predict_lssvm(m, [1.0]) == pytest.approx(expected, abs=1e-12)
+        assert m.predict([1.0]) == pytest.approx(expected, abs=1e-12)
 
     def test_parameter_validation(self):
         d = self._dataset(n=10)
@@ -379,7 +376,7 @@ class TestLssvm:
     def test_single_sample_fit(self):
         d = Dataset(np.array([[1.0]]), np.array([3.0]))
         m = fit_lssvm(d, 1.0, 10.0)
-        assert predict_lssvm(m, [1.0]) == pytest.approx(3.0, abs=1e-6)
+        assert m.predict([1.0]) == pytest.approx(3.0, abs=1e-6)
 
 
 class TestLinear:
@@ -403,7 +400,7 @@ class TestLinear:
         m = fit_linear(d)
         assert m.coefficients[0] == pytest.approx(3.0, abs=1e-12)
         assert m.intercept == pytest.approx(-1.0, abs=1e-12)
-        assert predict_linear(m, [2.0]) == pytest.approx(5.0, abs=1e-12)
+        assert m.predict([2.0]) == pytest.approx(5.0, abs=1e-12)
 
     def test_rank_deficient_uses_minimum_norm(self):
         # Duplicate columns: infinitely many solutions; least-norm
@@ -412,7 +409,7 @@ class TestLinear:
         y = np.array([2.0, 4.0, 6.0])
         m = fit_linear(Dataset(x, y))
         assert m.coefficients[0] == pytest.approx(m.coefficients[1], abs=1e-10)
-        assert predict_linear(m, [4.0, 4.0]) == pytest.approx(8.0, abs=1e-8)
+        assert m.predict([4.0, 4.0]) == pytest.approx(8.0, abs=1e-8)
 
 
 class TestSerialization:
@@ -601,8 +598,9 @@ def _outcome(predict, pipeline, x):
 
 
 _PIPELINES = [*_GOLDEN, "fitted-rbfn", "fitted-lssvm", "fitted-linear"]
-# The pipelines that record their input width and so can reject a wrong one.
-_WIDTH_CHECKED = [n for n in _PIPELINES if n not in ("pipeline-no-n-inputs", "model-plain")]
+# The pipelines that take one input width only: every document but the one
+# that selects variables without recording its width, which takes wider rows.
+_WIDTH_CHECKED = [n for n in _PIPELINES if n != "pipeline-no-n-inputs"]
 
 
 class TestLeanPredictPath:
@@ -662,6 +660,27 @@ class TestLeanPredictPath:
         with pytest.raises(DataError, match="input columns"):
             pipeline.predict(np.ones((2, width)) + np.arange(width))
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("pipeline-no-n-inputs", "model takes at least 2 input columns, rows have 1"),
+            ("pipeline-pca-whiten", "model takes 3 input columns, rows have 1"),
+            ("model-plain", "model takes 3 input columns, rows have 1"),
+        ],
+    )
+    def test_narrow_rows_raise_without_a_recorded_width(self, name, message):
+        pipeline = replace(_pipeline(name), n_inputs=None)
+        with pytest.raises(DataError, match=message):
+            pipeline.predict(np.array([[0.5], [1.5]]))
+
+    def test_wider_rows_keep_their_bits_without_a_recorded_width(self):
+        pipeline = _pipeline("pipeline-no-n-inputs")
+        rows = load_input_rows(_DATA / "rows.csv")
+        wide = np.hstack([rows, rows + 1.0])
+        assert pipeline.predict(wide).tobytes() == pipeline.predict(rows).tobytes()
+        with pytest.raises(DataError, match="model takes 3 input columns, rows have 6"):
+            replace(_pipeline("pipeline-pca-whiten"), n_inputs=None).predict(wide)
+
     @pytest.mark.parametrize("name", _PIPELINES)
     def test_pickled_and_replaced_models_predict_the_same_bits(self, name):
         pipeline = _pipeline(name)
@@ -683,13 +702,13 @@ class TestLeanPredictPath:
         x = rng.normal(size=(30, 4))
         d = Dataset(x, x[:, 0] ** 2 - x[:, 1])
         probe = rng.normal(size=(17, 4)) * 3.0
-        for model, ours, plain in [
-            (fit_rbfn(d, 5, 0.8, seed=1), predict_rbfn, oracles.predict_rbfn),
-            (fit_lssvm(d, 1.1, 20.0), predict_lssvm, oracles.predict_lssvm),
-            (fit_linear(d), predict_linear, oracles.predict_linear),
+        for model, plain in [
+            (fit_rbfn(d, 5, 0.8, seed=1), oracles.predict_rbfn),
+            (fit_lssvm(d, 1.1, 20.0), oracles.predict_lssvm),
+            (fit_linear(d), oracles.predict_linear),
         ]:
-            assert ours(model, probe).tobytes() == plain(model, probe).tobytes()
-            assert np.float64(ours(model, probe[3])).tobytes() == np.float64(
+            assert model.predict(probe).tobytes() == plain(model, probe).tobytes()
+            assert np.float64(model.predict(probe[3])).tobytes() == np.float64(
                 plain(model, probe[3])
             ).tobytes()
         assert sq_dists(probe, x).tobytes() == oracles.sq_dists_expression(probe, x).tobytes()
@@ -703,12 +722,12 @@ class TestLeanPredictPath:
         x = rng.normal(size=(172, 10))
         model = fit_lssvm(Dataset(x, x[:, 0] + np.sin(x[:, 1])), 2.0, 100.0)
         rows = rng.normal(size=(3000, 10))
-        predict_lssvm(model, rows)
+        model.predict(rows)
         buffer = rows.shape[0] * x.shape[0] * 8
         gc.collect()
         tracemalloc.start()
         try:
-            predict_lssvm(model, rows)
+            model.predict(rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -379,7 +379,7 @@ class TestExhaustiveSearch:
             raise AssertionError("the search ran")
 
         monkeypatch.setattr(selector, "MiSession", no_walk)
-        with pytest.raises(ValueError, match="candidate index -5 out of range"):
+        with pytest.raises(ValueError, match="index -5 out of range"):
             exhaustive_search(d, (0, -5), k=6)
 
     def test_negative_index_outside_the_winner_still_rejected(self):
@@ -387,7 +387,7 @@ class TestExhaustiveSearch:
         d = _additive_dataset(n=120, decoys=4, seed=3)
         winner, _ = exhaustive_search(d, (0, 1, 5), k=6)
         assert winner.indices == (0, 1)
-        with pytest.raises(ValueError, match="candidate index -1 out of range"):
+        with pytest.raises(ValueError, match="index -1 out of range"):
             exhaustive_search(d, (0, 1, -1), k=6)
 
 
