@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _as_rows
+from .dataset import Dataset, _as_rows, _frozen
 from .errors import NumericalError
 
 _PROJECTION_KINDS = ("pca", "pls")
@@ -46,8 +46,8 @@ class Projection:
     def __post_init__(self) -> None:
         if self.kind not in _PROJECTION_KINDS:
             raise ValueError(f"unknown projection kind {self.kind!r}")
-        loadings = np.ascontiguousarray(self.loadings, dtype=np.float64)
-        x_mean = np.ascontiguousarray(self.x_mean, dtype=np.float64)
+        loadings = _frozen(self.loadings)
+        x_mean = _frozen(self.x_mean)
         if loadings.ndim != 2 or x_mean.ndim != 1:
             raise ValueError("loadings must be (M, n_components), x_mean (M,)")
         if loadings.shape != (x_mean.shape[0], self.n_components):
@@ -55,15 +55,12 @@ class Projection:
                 f"loadings shape {loadings.shape} inconsistent with "
                 f"{x_mean.shape[0]} variables and {self.n_components} components"
             )
-        loadings.flags.writeable = False
-        x_mean.flags.writeable = False
         object.__setattr__(self, "loadings", loadings)
         object.__setattr__(self, "x_mean", x_mean)
         if self.x_scale is not None:
-            x_scale = np.ascontiguousarray(self.x_scale, dtype=np.float64)
+            x_scale = _frozen(self.x_scale)
             if x_scale.shape != x_mean.shape:
                 raise ValueError("x_scale must match x_mean in shape")
-            x_scale.flags.writeable = False
             object.__setattr__(self, "x_scale", x_scale)
 
 

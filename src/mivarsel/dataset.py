@@ -36,12 +36,23 @@ _TECATOR_N_TEST = 43
 _TECATOR_WAVELENGTHS = [850.0 + 2.0 * i for i in range(_TECATOR_N_CHANNELS)]
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only, C-ordered float64 array: the one way a record
+    takes an array. One that already is such is shared; a writeable one, or
+    a view of one, is copied, so a record never freezes its caller's array."""
+    out = np.ascontiguousarray(a, dtype=np.float64)
+    if out.flags.writeable and (out is a or out.base is not None):
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable regression dataset: X is (N, M), y is (N,).
 
-    Safe to share across concurrent workers; the arrays are marked
-    read-only at construction.
+    Safe to share across concurrent workers; the arrays are taken by
+    :func:`_frozen`, so they are read-only and the caller's stay as they were.
     """
 
     X: np.ndarray
@@ -49,8 +60,8 @@ class Dataset:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        X = np.ascontiguousarray(self.X, dtype=np.float64)
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
+        X = _frozen(self.X)
+        y = _frozen(self.y)
         if X.ndim != 2:
             raise DataError(f"X must be 2-dimensional, got shape {X.shape}")
         if y.ndim != 1:
@@ -70,8 +81,6 @@ class Dataset:
                     f"{len(labels)} labels for {X.shape[1]} variables"
                 )
             object.__setattr__(self, "labels", labels)
-        X.flags.writeable = False
-        y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -368,9 +377,7 @@ class ColumnWhitener:
 
     def __post_init__(self) -> None:
         for name in ("means", "stds"):
-            values = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def apply(self, d: Dataset) -> Dataset:
         if d.n_variables != self.means.shape[0]:

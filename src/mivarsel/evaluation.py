@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from ._blas import map_tasks
-from .dataset import Dataset
+from .dataset import Dataset, _as_rows
 from .errors import DataError, NumericalError
 from .models import (
     LinearModel,
@@ -262,7 +262,7 @@ class MetaGrid:
 
 def median_pairwise_distance(x: np.ndarray) -> float:
     """Median Euclidean distance over all distinct row pairs."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = _as_rows(x)
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least 2 rows for a pairwise distance")

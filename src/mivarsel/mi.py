@@ -118,14 +118,16 @@ def window_half_width(n: int) -> int:
     return math.ceil(n * _WINDOW_SHARE)
 
 
-def _sq_diffs(rows: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sq_diffs(rows: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Squared differences between a block of samples and the samples ``values``.
 
-    (len(rows), len(values)), written into ``out`` when given. Each
-    entry has the bits of the same entry of the full matrix
-    ``(values[:, None] - values[None, :]) ** 2``.
+    Written into ``out``, (len(rows), len(values)). Each entry has the
+    bits of the same entry of ``(values[:, None] - values[None, :]) ** 2``:
+    ``v - r`` is exactly ``-(r - v)``. The one broadcast operand is a
+    column, which keeps numpy's ufunc buffers to one.
     """
-    out = np.subtract(rows[:, None], values[None, :], out=out)
+    out[...] = values
+    np.subtract(out, rows[:, None], out=out)
     return np.square(out, out=out)
 
 

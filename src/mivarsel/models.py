@@ -38,6 +38,7 @@ from .dataset import (
     ColumnWhitener,
     Dataset,
     _as_rows,
+    _frozen,
     fit_column_whitener,
     normalize_spectra,
     normalize_spectrum_rows,
@@ -53,14 +54,6 @@ def preprocess(d: Dataset, preprocessing: str) -> Dataset:
 
 
 _KMEANS_MAX_ITER = 100
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out is a:
-        out = out.copy()
-    out.flags.writeable = False
-    return out
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
@@ -112,16 +105,11 @@ def _kernel_in_place(d2: np.ndarray, two_w2) -> np.ndarray:
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
-    """Coerce a single point or a matrix of points to C-ordered (n, dim)."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
+    """``x`` as rows by :func:`_as_rows`, each of ``dim`` columns, and whether it was one point."""
+    arr = _as_rows(x)
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(
-            f"expected points of dimension {dim}, got array of shape {np.shape(x)}"
-        )
-    return arr, single
+        raise ValueError(f"expected points of dimension {dim}, got array of shape {np.shape(x)}")
+    return arr, np.ndim(x) < 2
 
 
 @dataclass(frozen=True)
@@ -375,7 +363,8 @@ class PipelineModel:
     training matrix's space. ``n_inputs`` is that space's width; rows of
     another width raise DataError. Documents written before the width was
     recorded load with ``n_inputs=None`` and check instead that rows reach
-    past the highest variable, or else fit the projection or the model.
+    past the highest variable, or else fit the projection or the model (one
+    that normalizes spectra and then selects variables cannot, and raises).
     """
 
     preprocessing: str = "none"
@@ -399,7 +388,9 @@ class PipelineModel:
         low = max(self.variables) + 1 if self.variables else reads
         high = math.inf if self.variables or not reads else reads
         added = 2 if self.preprocessing == "spectrum-normalize" else 0  # its mean and std columns
-        object.__setattr__(self, "_widths", (low - added, high - added))
+        # None when variables index normalized rows, which tell nothing of the raw width.
+        unknown = added and self.variables and self.n_inputs is None
+        object.__setattr__(self, "_widths", None if unknown else (low - added, high - added))
 
     def transform_rows(self, x) -> np.ndarray:
         """Raw rows (a 1-D row or a matrix) mapped into the model's input space."""
@@ -409,6 +400,8 @@ class PipelineModel:
             raise DataError(f"model was trained on {self.n_inputs} input columns, rows have {width}")
         if self.preprocessing == "spectrum-normalize":
             pts = normalize_spectrum_rows(pts)
+        if self._widths is None:
+            raise DataError("model records no n_inputs, the raw width it needs to select variables")
         low, high = self._widths
         if not low <= width <= high:
             least = "at least " if high > low else ""

@@ -277,6 +277,17 @@ class TestTrainPredict:
         assert f"data error: {message}" in captured.err
         assert captured.out == ""
 
+    def test_normalizing_document_without_a_recorded_width_is_a_data_error(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        doc = json.loads((data / "pipeline-mi-normalize.json").read_text())
+        del doc["data"]["n_inputs"]  # as written before the width was recorded
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc) + "\n")
+        assert main(["predict", "--model", str(model_path), "--data", str(data / "rows.csv")]) == 3
+        captured = capsys.readouterr()
+        assert "data error: model records no n_inputs" in captured.err
+        assert captured.out == ""
+
     def test_document_without_width_still_predicts(self, csvs, capsys):
         train, test, out = csvs
         main(["train", *_args(csvs), *_GRIDS, "--method", "13"])

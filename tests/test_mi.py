@@ -439,6 +439,22 @@ class TestRowBlocks:
         assert [v.hex() for v in copy.values(subsets)] == [v.hex() for v in expected]
         assert session._buffers and session._values
 
+    def test_sq_diffs_into_a_buffer_holds_one_ufunc_buffer(self):
+        """The block's squared differences have the full matrix's bits, and
+        a call into a preallocated buffer allocates no more than numpy's
+        one ufunc buffer, since its one broadcast operand is a column."""
+        y = np.random.default_rng(8).normal(size=300) * 1e3
+        out = np.empty((90, 300))
+        assert mi._sq_diffs(y[90:180], y, out).tobytes() == sq_diffs(y)[90:180].tobytes()
+        out = np.empty((300, 300))
+        tracemalloc.start()
+        try:
+            mi._sq_diffs(y, y, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= np.getbufsize() * 8 + 4096
+
     def test_traced_peak_is_a_few_blocks_at_n3000(self):
         # One N x N float64 matrix would be 72 MB here.
         n, m = 3000, 6

@@ -17,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mivarsel.dataset import Dataset, load_input_rows
+from mivarsel.baselines import Projection
+from mivarsel.dataset import ColumnWhitener, Dataset, load_input_rows
 from mivarsel.errors import DataError, NumericalError
 from mivarsel.models import (
+    LinearModel,
     LssvmModel,
     PipelineModel,
     RbfnModel,
@@ -459,6 +461,52 @@ class TestSerialization:
             LssvmModel(np.zeros((2, 1)), np.zeros(2), 0.0, -1.0, 1.0)
 
 
+def _record_fields(cls) -> tuple[dict, dict]:
+    """Array fields and other fields of a small valid record of type ``cls``."""
+    rng = np.random.default_rng(9)
+    positive = rng.random(4) + 0.5
+    return {
+        Dataset: ({"X": rng.normal(size=(4, 3)), "y": rng.normal(size=4)}, {}),
+        ColumnWhitener: ({"means": rng.normal(size=3), "stds": positive[:3]}, {}),
+        Projection: (
+            {"loadings": rng.normal(size=(3, 2)), "x_mean": rng.normal(size=3),
+             "x_scale": positive[:3]},
+            {"kind": "pca", "y_center": None, "n_components": 2},
+        ),
+        RbfnModel: (
+            {"centroids": rng.normal(size=(4, 3)), "widths": positive, "weights": rng.normal(size=4)},
+            {"bias": 0.5, "wsf": 1.5},
+        ),
+        LssvmModel: (
+            {"support_points": rng.normal(size=(4, 3)), "coefficients": rng.normal(size=4)},
+            {"bias": 0.5, "sigma": 1.0, "gamma": 10.0},
+        ),
+        LinearModel: ({"coefficients": rng.normal(size=3)}, {"intercept": 0.5}),
+    }[cls]
+
+
+class TestRecordArrays:
+    """Every record holds read-only arrays of its own: a caller's writeable
+    array is copied, never frozen, and a read-only one is shared."""
+
+    @pytest.mark.parametrize(
+        "cls", [Dataset, ColumnWhitener, Projection, RbfnModel, LssvmModel, LinearModel]
+    )
+    def test_the_caller_keeps_its_arrays(self, cls):
+        arrays, others = _record_fields(cls)
+        before = {name: a.copy() for name, a in arrays.items()}
+        record = cls(**arrays, **others)
+        for name, a in arrays.items():
+            held = getattr(record, name)
+            assert a.flags.writeable and a.tobytes() == before[name].tobytes()
+            assert not held.flags.writeable
+            assert not np.shares_memory(held, a)
+            assert held.tobytes() == a.tobytes()
+        again = cls(**{name: getattr(record, name) for name in arrays}, **others)
+        for name in arrays:
+            assert getattr(again, name) is getattr(record, name)
+
+
 _DATA = Path(__file__).parent / "data"
 _GOLDEN = [
     "pipeline-linear",
@@ -672,6 +720,15 @@ class TestLeanPredictPath:
         pipeline = replace(_pipeline(name), n_inputs=None)
         with pytest.raises(DataError, match=message):
             pipeline.predict(np.array([[0.5], [1.5]]))
+
+    def test_normalizing_rows_raise_without_a_recorded_width(self):
+        """Its variables index normalized rows, whose mean and std take in
+        every raw column, so no raw width is known to check rows against."""
+        pipeline = replace(_pipeline("pipeline-mi-normalize"), n_inputs=None)
+        rows = load_input_rows(_DATA / "rows.csv")
+        for x in (rows, rows[0], np.hstack([rows, np.zeros((len(rows), 1))])):
+            with pytest.raises(DataError, match="model records no n_inputs"):
+                pipeline.predict(x)
 
     def test_wider_rows_keep_their_bits_without_a_recorded_width(self):
         pipeline = _pipeline("pipeline-no-n-inputs")
