@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _as_rows, _frozen
+from .dataset import Dataset, _as_rows, _frozen, _sealed
 from .errors import NumericalError
 
 _PROJECTION_KINDS = ("pca", "pls")
@@ -180,4 +180,4 @@ def transform(p: Projection, d: Dataset) -> Dataset:
     scores = project_rows(p, d.X)
     prefix = "pc" if p.kind == "pca" else "lv"
     labels = tuple(f"{prefix}{i + 1}" for i in range(p.n_components))
-    return Dataset(scores, d.y, labels)
+    return Dataset(_sealed(scores), d.y, labels)

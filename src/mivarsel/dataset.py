@@ -47,6 +47,14 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+def _sealed(a) -> np.ndarray:
+    """``a``, an array the package has just built, made read-only, so that
+    :func:`_frozen` shares it instead of copying it again."""
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable regression dataset: X is (N, M), y is (N,).
@@ -95,7 +103,7 @@ class Dataset:
     def take_rows(self, indices) -> "Dataset":
         """New Dataset restricted to the given sample rows."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.X[idx], self.y[idx], self.labels)
+        return Dataset(_sealed(self.X[idx]), _sealed(self.y[idx]), self.labels)
 
     def take_variables(self, indices) -> "Dataset":
         """New Dataset restricted to the given variable columns."""
@@ -103,7 +111,8 @@ class Dataset:
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[i] for i in idx)
-        return Dataset(self.X[:, idx], self.y, labels)
+        # take builds the columns in row order; X[:, idx] would need a second copy.
+        return Dataset(_sealed(self.X.take(idx, axis=1)), self.y, labels)
 
 
 def _parse_cell(text: str, row: int, column: int) -> float:
@@ -258,7 +267,7 @@ def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
     labels = None
     if header is not None:
         labels = tuple(header[j] for j in keep)
-    return Dataset(matrix[:, keep], matrix[:, target_idx], labels)
+    return Dataset(_sealed(matrix.take(keep, axis=1)), matrix[:, target_idx], labels)
 
 
 def load_input_rows(path: str | Path, target_column: str | int = "target") -> np.ndarray:
@@ -365,7 +374,7 @@ def normalize_spectra(d: Dataset) -> Dataset:
     labels = None
     if d.labels is not None:
         labels = d.labels + ("row_mean", "row_std")
-    return Dataset(out, d.y, labels)
+    return Dataset(_sealed(out), d.y, labels)
 
 
 @dataclass(frozen=True)
@@ -385,7 +394,7 @@ class ColumnWhitener:
                 f"whitener fitted on {self.means.shape[0]} variables, "
                 f"dataset has {d.n_variables}"
             )
-        return Dataset((d.X - self.means) / self.stds, d.y, d.labels)
+        return Dataset(_sealed((d.X - self.means) / self.stds), d.y, d.labels)
 
 
 def fit_column_whitener(train: Dataset) -> ColumnWhitener:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _sealed
 from .errors import ConfigError, DataError, NumericalError
 from .evaluation import (
     ComponentSweep,
@@ -216,7 +216,7 @@ class PipelineSweep:
 
     def evaluate_fold(self, learn, valid, var_y):
         mapping, learn_m = self._fit_map(learn)
-        valid_m = Dataset(mapping.transform_rows(valid.X), valid.y)
+        valid_m = Dataset(_sealed(mapping.transform_rows(valid.X)), valid.y)
         return self.inner.evaluate_fold(learn_m, valid_m, var_y)
 
     def fit(self, train: Dataset, params: dict) -> PipelineModel:

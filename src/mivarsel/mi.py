@@ -35,6 +35,14 @@ window, n_x from the full row, and a row the window cannot settle is
 redone on its full row, so every value keeps its bits. This is the
 idea of the box-assisted neighbour search of Kraskov et al. (2004),
 with a sorted one-dimensional box.
+
+When one block holds every sample (N <= 181 by default), the window is
+the whole row and the squared distance matrices are symmetric bit for
+bit: fl(v - r) = -fl(r - v), and every entry sums its columns in the
+same order. So a sample's counts along its row are the counts down its
+column. That block sorts its rows for eps^2, the same k-th order
+statistic a partition finds, and counts down contiguous columns, in the
+buffers it already holds.
 """
 
 from __future__ import annotations
@@ -231,7 +239,9 @@ class MiSession:
     row whose window eps^2 exceeds its squared target distance to either
     sample just outside the window is redone on its full row. n_x is
     counted on the full row, n_y wherever eps^2 was found. With one
-    block (N <= 181) the window is the whole row. A block's window and
+    block (N <= 181) the window is the whole row, no row falls back, and
+    both counts are column sums against eps^2 laid along every row of
+    the joint-distance buffer (see :meth:`_count_rows`). A block's window and
     its target distances are computed once, next to its highest column,
     and serve every subset of the chunk. ``evaluate`` gives a subset
     with duplicate joint points (some eps^2 = 0) the value of a second
@@ -245,7 +255,8 @@ class MiSession:
     passes 181), whatever its length; a walk over a pool of P keeps at
     most P - 1 prefixes, P + 6 1/8 in all; the first row that falls back
     adds one for the target's full rows. The jittered session works
-    inside these buffers. At N <= 181 they are N x N.
+    inside these buffers. At N <= 181 they are N x N, and the one-block
+    counts use no buffer more.
 
     The shared buffers make a session non-reentrant: give each thread
     or process its own. A pickled copy carries the sorted columns and
@@ -450,26 +461,45 @@ class MiSession:
         in the sample's own distance 0, which is below any positive
         eps^2, so they are n + 1 as they stand; a sample with eps^2 = 0
         has no such hit and gets one added.
+
+        A block of fewer than N rows partitions its window rows for
+        eps^2 and counts along rows, against eps^2 broadcast as a column.
+        The one block of all N rows (N <= 181 by default) works on
+        symmetric N x N matrices: fl(v - r) = -fl(r - v) and every entry
+        sums its columns in the same order, so sample i's row counts are
+        its column counts. It sorts the rows, which at this width is
+        faster than partition and gives the same k-th order statistic,
+        writes eps^2 along every row of the joint-distance buffer (no new
+        buffer), and counts down the columns of two contiguous
+        comparisons, with no broadcast.
         """
         rows, k = dx2.shape[0], self.k
         lo, hi, dy2, edges = window
         dz2 = np.maximum(dx2[:, lo:hi], dy2, out=self._buffer("dz2", rows, hi - lo))
         # Each sample's own entry, (i, start + i), is not a neighbour.
         dz2.reshape(-1)[start - lo :: hi - lo + 1] = np.inf
-        dz2.partition(k - 1, axis=1)
-        eps2 = dz2[:, k - 1].copy()
-        # Counts never exceed N, so 32 bits suffice, and the narrower
-        # accumulator makes the row reduction about twice as fast.
+        # Counts never exceed N, so they are summed in the narrowest type
+        # that holds N (one block) or in 32 bits; a narrow accumulator
+        # makes the reduction about twice as fast as the default 64 bits.
+        if rows == self.n_samples:
+            dz2.sort(axis=1)
+            eps2 = dz2[:, k - 1].copy()
+            dz2[...] = eps2  # dz2[j, i] = eps2[i]: column i bounds sample i
+            bound, axis, counts = dz2, 0, np.min_scalar_type(rows)
+        else:
+            dz2.partition(k - 1, axis=1)
+            eps2 = dz2[:, k - 1].copy()
+            bound, axis, counts = eps2[:, None], 1, np.int32
         mask = self._buffer("mask", rows, hi - lo)
-        np.less(dy2, eps2[:, None], out=mask)
-        np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32, out=index_y)
+        np.less(dy2, bound, out=mask)
+        np.add.reduce(mask.view(np.uint8), axis=axis, dtype=counts, out=index_y)
         if edges is not None:
             failed = np.flatnonzero(eps2 > edges)
             if failed.size:
                 self._full_rows(dx2, start, failed, eps2, index_y)
         mask = self._buffer("mask", rows)
-        np.less(dx2, eps2[:, None], out=mask)
-        np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32, out=index_x)
+        np.less(dx2, bound, out=mask)
+        np.add.reduce(mask.view(np.uint8), axis=axis, dtype=counts, out=index_x)
         if eps2.all():
             return False
         no_self_hit = eps2 == 0.0

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import tempfile
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mivarsel import dataset
+from mivarsel.baselines import fit_pca, transform
 from mivarsel.dataset import (
     ColumnWhitener,
     Dataset,
@@ -67,6 +70,45 @@ class TestDataset:
         cols = d.take_variables([2, 0])
         assert cols.labels == ("c", "a")
         assert cols.X[1].tolist() == [5.0, 3.0]
+
+    @pytest.mark.parametrize("take, count", [("take_rows", 1000), ("take_variables", 100)])
+    def test_taking_half_traces_one_copy(self, take, count):
+        d = Dataset(np.random.default_rng(0).normal(size=(1000, 100)), np.zeros(1000))
+        indices = np.arange(0, count, 2)
+        tracemalloc.start()
+        try:
+            half = getattr(d, take)(indices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert half.X.nbytes == 400_000
+        assert peak < 1.25 * (half.X.nbytes + half.y.nbytes)
+
+    @pytest.mark.parametrize(
+        "build",
+        ["take_rows", "take_variables", "normalize_spectra", "whiten", "project", "load_csv"],
+    )
+    def test_a_matrix_the_package_builds_is_held_without_a_copy(self, build, monkeypatch, tmp_path):
+        rng = np.random.default_rng(9)
+        d = Dataset(rng.normal(size=(8, 3)), rng.normal(size=8))
+        save_csv(d, tmp_path / "d.csv")
+        builders = {
+            "take_rows": partial(d.take_rows, [0, 2, 5]),
+            "take_variables": partial(d.take_variables, [2, 0]),
+            "normalize_spectra": partial(normalize_spectra, d),
+            "whiten": partial(fit_column_whitener(d).apply, d),
+            "project": partial(transform, fit_pca(d, 2), d),
+            "load_csv": partial(load_csv, tmp_path / "d.csv"),
+        }
+        taken, frozen = [], dataset._frozen
+
+        def spy(a):
+            taken.append(a)
+            return frozen(a)
+
+        monkeypatch.setattr(dataset, "_frozen", spy)
+        record = builders[build]()
+        assert record.X is taken[0] and not record.X.flags.writeable
 
 
 class TestCsvIo:

@@ -15,6 +15,7 @@ from mivarsel.dataset import (
     normalize_spectra,
     normalize_spectrum_rows,
 )
+from mivarsel import dataset as dataset_module
 from mivarsel import methods as methods_module
 from mivarsel import models
 from mivarsel.errors import ConfigError
@@ -230,6 +231,26 @@ class TestPipelineSweep:
         assert msg == {}
         assert np.array_equal(got_l, want_l, equal_nan=True)
         assert np.array_equal(got_v, want_v, equal_nan=True)
+
+    def test_mapped_validation_rows_are_held_without_a_copy(self, monkeypatch):
+        train, _ = _nonlinear_split(seed=10)
+        seen, taken, frozen = [], [], dataset_module._frozen
+
+        class Inner:
+            grid = ()
+
+            def evaluate_fold(self, learn, valid, var_y):
+                seen.append(valid)
+
+        def spy(a):
+            taken.append(a)
+            return frozen(a)
+
+        sweep = PipelineSweep(Inner(), "mi+inner", variables=(0, 2))
+        learn, valid = train.take_rows(np.arange(60)), train.take_rows(np.arange(60, 80))
+        monkeypatch.setattr(dataset_module, "_frozen", spy)
+        sweep.evaluate_fold(learn, valid, 1.0)
+        assert any(seen[0].X is a for a in taken)
 
     def test_fit_bundles_all_parts(self):
         train, test = _nonlinear_split(seed=11)

@@ -386,16 +386,27 @@ class TestRowBlocks:
             assert block_rows(n) == rows
         assert MiSession(np.zeros((361, 1)), np.arange(361.0)).block == 90
 
-    @pytest.mark.parametrize("n", [182, 255, 361, 1000])
+    @pytest.mark.parametrize(
+        "n, elements",
+        [(182, None), (255, None), (361, None), (1000, None), (256, 10**6), (600, 10**6)],
+        ids=["182", "255", "361", "1000", "256-one-block", "600-one-block"],
+    )
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
-    def test_bit_identical_to_whole_matrices(self, n, kind):
+    def test_bit_identical_to_whole_matrices(self, monkeypatch, n, elements, kind):
         # 182 = 180 + 2 rows, 255 = 128 + 127, 361 = 4 x 90 + 1, 1000 = 31 x 32 + 8.
+        # 256 and 600 are forced into one block, whose column counts need
+        # more than 8 bits: column 3's two clusters, 1e-3 wide, give some
+        # samples over 255 X-neighbours at N = 600.
         x, y = _blocked_case(n, kind)
+        if elements:
+            monkeypatch.setattr(mi, "_BLOCK_ELEMENTS", elements)
+            rng = np.random.default_rng(n + 1)
+            x[:, 3] = rng.integers(0, 2, size=n) + 1e-3 * rng.normal(size=n)
         if kind == "tied":
             eps2, _, _ = neighborhood_arrays(sq_diffs(x[:, 0]), sq_diffs(y), 6)
             assert (eps2 == 0.0).any()  # the jitter path is exercised
         session = MiSession(x, y, k=6)
-        assert session.block < n
+        assert (session.block == n) if elements else (session.block < n)
         for subset in ((0,), (3,), (0, 1), (1, 3), (0, 2, 3), (0, 1, 2, 3)):
             assert session.mi(subset) == full_matrix_mi(x[:, subset], y, 6)
 
