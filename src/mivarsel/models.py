@@ -444,8 +444,10 @@ def fit_mapping(
 
     Returns the mapping as a :class:`PipelineModel` with no model yet
     and the training rows it maps. Other rows go through the mapping's
-    ``transform_rows``, the path ``predict`` takes.
+    ``transform_rows``, the path ``predict`` takes, and must have the
+    training rows' width.
     """
+    width = train.n_variables
     if variables is not None:
         train = train.take_variables(list(variables))
     proj = None
@@ -456,7 +458,9 @@ def fit_mapping(
     if whiten:
         whitener = fit_column_whitener(train)
         train = whitener.apply(train)
-    mapping = PipelineModel(model=None, variables=variables, projection=proj, whitener=whitener)
+    mapping = PipelineModel(
+        model=None, variables=variables, projection=proj, whitener=whitener, n_inputs=width
+    )
     return mapping, train
 
 

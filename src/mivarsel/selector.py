@@ -145,40 +145,19 @@ def rank_by_individual_mi(
 
 def _ranking(values: np.ndarray, count: int) -> VariableSubset:
     """The ``count`` highest of the individual MIs ``values``, as a ranking."""
-    # lexsort: primary key last -> descending MI, then ascending index.
-    order = np.lexsort((np.arange(len(values)), -values))
+    order = np.argsort(-values, kind="stable")  # descending MI, then ascending index
     return VariableSubset(tuple(int(j) for j in order[:count]), "ranking")
 
 
-def _best_addition(
-    session: MiSession, current: tuple[int, ...]
-) -> tuple[int, float]:
-    """Best single addition (candidate, resulting MI); ties go to the lower index."""
-    candidates = [j for j in range(session.n_variables) if j not in current]
-    if not candidates:
-        raise ValueError("no remaining variables to add")
-    best_j, best_mi = -1, -np.inf
-    for j, value in zip(candidates, session.values([current + (j,) for j in candidates])):
-        if value > best_mi:
-            best_j, best_mi = j, value
-    return best_j, best_mi
-
-
-def _best_removal(
-    session: MiSession, current: tuple[int, ...], protected: int
+def _best(
+    session: MiSession, candidates: Sequence[int], subsets: Sequence[tuple[int, ...]]
 ) -> tuple[int, float] | None:
-    """Best single removal (candidate, resulting MI), or None if nothing is removable.
+    """(candidate, MI) of the first strict maximum of the subsets' MIs; None if there are none.
 
-    ``protected`` (the most recent addition) is never removed, and ties
-    go to the lower column index.
+    ``subsets[i]`` is what ``candidates[i]`` leads to. With the candidates
+    in ascending column order, an exact MI tie goes to the lower index.
     """
-    candidates = [j for j in sorted(current) if j != protected]
-    reduced = [tuple(c for c in current if c != j) for j in candidates]
-    best: tuple[int, float] | None = None
-    for j, value in zip(candidates, session.values(reduced)):
-        if best is None or value > best[1]:
-            best = (j, value)
-    return best
+    return max(zip(candidates, session.values(subsets)), key=lambda pair: pair[1], default=None)
 
 
 def greedy_select(
@@ -190,42 +169,44 @@ def greedy_select(
 ) -> tuple[VariableSubset, SelectionTrace]:
     """Grow a subset by joint MI until a forward step strictly decreases it.
 
-    After every accepted forward step a backward step may remove one
-    older variable when that strictly increases the MI (repeatedly, if
-    ``iterate_backward``). The returned subset is the accepted state
-    before the stopping forward step; its MI is the running maximum of
-    the whole procedure. The trace records every accepted addition,
-    every backward decision, and the final rejected forward step.
+    The forward step adds the variable whose addition gives the highest
+    joint MI. After every accepted forward step a backward step removes
+    the older variable whose removal gives the highest MI, when that
+    strictly increases the MI (repeatedly, if ``iterate_backward``); the
+    newest variable is never removed. Both steps use one tie rule: of
+    candidates with exactly equal MI, the lowest column index wins.
+
+    The returned subset is the accepted state before the stopping
+    forward step; its MI is the running maximum of the whole procedure.
+    The trace records every accepted addition, every backward decision,
+    and the final rejected forward step.
     """
     session = _session_for(d, k, jitter_seed, session)
     state: list[int] = []
     state_mi = -np.inf
     steps: list[TraceStep] = []
     while len(state) < session.n_variables:
-        cand, cand_mi = _best_addition(session, tuple(state))
+        free = [j for j in range(session.n_variables) if j not in state]
+        cand, cand_mi = _best(session, free, [tuple(state) + (j,) for j in free])
         if state and cand_mi < state_mi:
-            steps.append(
-                TraceStep("stop", cand, tuple(state) + (cand,), cand_mi, "stopped")
-            )
+            steps.append(TraceStep("stop", cand, tuple(state) + (cand,), cand_mi, "stopped"))
             break
         state.append(cand)
         state_mi = cand_mi
         steps.append(TraceStep("forward", cand, tuple(state), cand_mi, "added"))
         while len(state) >= 2:
-            best = _best_removal(session, tuple(state), protected=state[-1])
-            if best is not None and best[1] > state_mi:
-                removed, state_mi = best
-                state.remove(removed)
-                steps.append(
-                    TraceStep("backward", removed, tuple(state), state_mi, "removed")
-                )
-                if iterate_backward:
-                    continue
-            else:
-                steps.append(
-                    TraceStep("backward", None, tuple(state), state_mi, "kept")
-                )
-            break
+            older = sorted(state[:-1])
+            removed, removed_mi = _best(
+                session, older, [tuple(c for c in state if c != j) for j in older]
+            )
+            if not removed_mi > state_mi:
+                steps.append(TraceStep("backward", None, tuple(state), state_mi, "kept"))
+                break
+            state.remove(removed)
+            state_mi = removed_mi
+            steps.append(TraceStep("backward", removed, tuple(state), state_mi, "removed"))
+            if not iterate_backward:
+                break
     return VariableSubset(tuple(state), "greedy"), SelectionTrace(tuple(steps))
 
 
@@ -236,20 +217,15 @@ def build_candidate_pool(ranking, selected, pool_size: int) -> VariableSubset:
     already present, in rank order, until the pool holds exactly
     ``pool_size`` variables.
     """
-    rank_idx = tuple(_variable_index(j) for j in _subset_indices(ranking))
-    sel_idx = tuple(_variable_index(j) for j in _subset_indices(selected))
+    rank_idx = [_variable_index(j) for j in _subset_indices(ranking)]
+    sel_idx = [_variable_index(j) for j in _subset_indices(selected)]
     if len(sel_idx) > pool_size:
         raise ValueError(
             f"selected set has {len(sel_idx)} variables, larger than the pool size {pool_size}"
         )
-    pool = list(sel_idx)
-    have = set(pool)
-    for j in rank_idx:
-        if len(pool) == pool_size:
-            break
-        if j not in have:
-            pool.append(j)
-            have.add(j)
+    if len(set(sel_idx)) != len(sel_idx):
+        raise ValueError(f"selected set has repeated indices: {sel_idx}")
+    pool = list(dict.fromkeys(sel_idx + rank_idx))[:pool_size]
     if len(pool) < pool_size:
         raise ValueError(
             f"ranking provides only {len(pool)} distinct variables, "

@@ -434,6 +434,48 @@ class TestReproduce:
         assert "8 subsets (7 non-empty)" in plan  # pool of 3
 
 
+@pytest.fixture()
+def wide_test(tmp_path):
+    """Train CSV with 5 inputs and a test CSV with one extra leading column (6 inputs)."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(60, 5))
+    xt = rng.normal(size=(20, 6))
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    save_csv(Dataset(x, x[:, 0] + x[:, 1] ** 2 + 0.05 * rng.normal(size=60)), train)
+    save_csv(Dataset(xt, xt[:, 1] + xt[:, 2] ** 2), test)
+    return train, test, tmp_path / "reports"
+
+
+class TestTestSetWidth:
+    """A test set must have the training set's width, whichever method scores it."""
+
+    @pytest.mark.parametrize("method", ["11", "12", "13"])
+    def test_run_method_on_selected_variables_is_a_data_error(self, wide_test, capsys, method):
+        # The selected columns exist in the wider rows too; the width still decides.
+        assert main(["run-method", *_args(wide_test), *_GRIDS, "--method", method]) == 3
+        captured = capsys.readouterr()
+        assert "data error: model was trained on 5 input columns, rows have 6" in captured.err
+        assert "NMSE_T" not in captured.out
+        assert not (wide_test[2] / "custom" / f"method-{int(method):02d}").exists()
+
+    def test_reproduce_renders_every_method_failed(self, wide_test, capsys):
+        assert main(["reproduce", *_args(wide_test), *_GRIDS]) == 0
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[2:]
+        assert len(rows) == 13
+        assert all("failed: " in row and "rows have 6" in row for row in rows)
+        assert "*" not in captured.out
+        assert captured.err.count(") failed: ") == 13
+        out = wide_test[2] / "custom" / "seed-0"
+        doc = json.loads((out / "benchmark.json").read_text())
+        assert doc["best"] == []
+        assert [m["method"] for m in doc["methods"]] == list(range(1, 14))
+        for m in doc["methods"]:
+            assert sorted(m) == ["error", "label", "method"]
+            assert "rows have 6" in m["error"]
+        assert sorted(p.name for p in out.iterdir()) == ["benchmark.json"]
+
+
 def _pipeline_document(**fields) -> dict:
     """A pipeline document around a two-input linear model, with ``fields`` set as given."""
     model = {"format": "mivarsel-model", "version": 1, "kind": "linear",

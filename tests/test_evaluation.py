@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mivarsel import _blas
+from mivarsel import _blas, evaluation
 from mivarsel.dataset import Dataset
 from mivarsel.errors import DataError, NumericalError
 from mivarsel.evaluation import (
@@ -547,7 +547,7 @@ class TestCrossValidate:
         text = json.dumps(doc, allow_nan=False)  # strict JSON: no NaN tokens
         assert json.loads(text) == doc
 
-    def test_grid_csv_shape_and_failed_cells(self):
+    def test_grid_csv_shape_and_failed_cells(self, monkeypatch):
         rng = np.random.default_rng(9)
         t = rng.normal(size=(40, 3))
         x = np.hstack([t, t @ rng.normal(size=(3, 3))])
@@ -557,11 +557,17 @@ class TestCrossValidate:
         report, _ = cross_validate(
             train, test, ComponentSweep("pca", range(1, 7)), 3, 0, var_y
         )
-        lines = "".join(grid_csv_blocks(report)).strip().split("\n")
+        (text,) = grid_csv_blocks(report)
+        lines = text.strip().split("\n")
         assert lines[0] == "grid_index,params,fold,nmse_l,nmse_v"
         assert len(lines) == 1 + 6 * 3
         last = lines[-1].split(",")
         assert last[1] == "components=6" and last[3] == "" and last[4] == ""
+        # Small pieces join to the one-piece text, each but the last ending a line.
+        monkeypatch.setattr(evaluation, "_GRID_BLOCK_LINES", 4)
+        pieces = list(grid_csv_blocks(report))
+        assert len(pieces) > 2 and "".join(pieces) == text
+        assert all(piece.endswith("\n") for piece in pieces[:-1])
 
     def test_report_embeds_run_parameters(self):
         train, test = _split_linear(seed=16, n=30, n_test=6)

@@ -18,7 +18,7 @@ from mivarsel.dataset import (
 from mivarsel import dataset as dataset_module
 from mivarsel import methods as methods_module
 from mivarsel import models
-from mivarsel.errors import ConfigError
+from mivarsel.errors import ConfigError, DataError
 from mivarsel.evaluation import (
     LinearSweep,
     RbfnSweep,
@@ -262,6 +262,17 @@ class TestPipelineSweep:
         assert model.variables == (1, 0, 3)
         direct = fit_linear(train.take_variables([1, 0, 3]))
         assert np.array_equal(model.predict(test.X), direct.predict(test.X[:, [1, 0, 3]]))
+
+    @pytest.mark.parametrize(
+        "mapping_args", [{"variables": (0, 2)}, {"projection": "pls", "n_components": 2}]
+    )
+    def test_mapping_takes_only_the_training_width(self, mapping_args):
+        train, test = _nonlinear_split(seed=11)
+        mapping, _ = PipelineSweep(LinearSweep(), "linear", **mapping_args)._fit_map(train)
+        assert mapping.n_inputs == train.n_variables
+        wider = np.column_stack([test.X[:, :1], test.X])  # the selected columns are still there
+        with pytest.raises(DataError, match="trained on 12 input columns, rows have 13"):
+            mapping.transform_rows(wider)
 
     def test_mapping_failure_marks_every_point(self):
         rng = np.random.default_rng(12)

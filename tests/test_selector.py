@@ -27,8 +27,7 @@ from mivarsel.selector import (
     SelectionTrace,
     TraceStep,
     VariableSubset,
-    _best_addition,
-    _best_removal,
+    _best,
     build_candidate_pool,
     exhaustive_search,
     greedy_select,
@@ -125,19 +124,31 @@ def _session(d: Dataset, k: int) -> MiSession:
     return MiSession(d.X, d.y, k=k)
 
 
+def _forward_best(session: MiSession, current: tuple[int, ...]):
+    """_best over greedy_select's forward candidates: every variable not in ``current``."""
+    free = [j for j in range(session.n_variables) if j not in current]
+    return _best(session, free, [current + (j,) for j in free])
+
+
+def _backward_best(session: MiSession, current: tuple[int, ...], protected: int):
+    """_best over greedy_select's backward candidates: ``current`` but ``protected``, ascending."""
+    older = sorted(j for j in current if j != protected)
+    return _best(session, older, [tuple(c for c in current if c != j) for j in older])
+
+
 class TestForwardStep:
     """greedy_select's forward step: the addition with the highest joint MI."""
 
     def test_empty_current_matches_ranking_top(self):
         d = _additive_dataset()
         top = rank_by_individual_mi(d, count=1, k=6).indices[0]
-        j, value = _best_addition(_session(d, 6), ())
+        j, value = _forward_best(_session(d, 6), ())
         assert j == top
         assert value == estimate_mi(d, [top], k=6).value
 
     def test_xor_partner_is_found(self):
         d = _xor_dataset()
-        j, value = _best_addition(_session(d, 6), (0,))
+        j, value = _forward_best(_session(d, 6), (0,))
         assert j == 1
         assert value > estimate_mi(d, [0], k=6).value
 
@@ -147,7 +158,7 @@ class TestForwardStep:
         y = x[:, 2] - 0.5 * x[:, 1] + 0.2 * rng.normal(size=30)
         d = Dataset(x, y)
         current = (2,)
-        j, value = _best_addition(_session(d, 4), current)
+        j, value = _forward_best(_session(d, 4), current)
         sweep = {
             j: estimate_mi(d, current + (j,), k=4).value
             for j in range(4)
@@ -157,10 +168,10 @@ class TestForwardStep:
         assert j == best
         assert value == sweep[best]
 
-    def test_error_when_exhausted(self):
-        d = _xor_dataset(n=60)
-        with pytest.raises(ValueError):
-            _best_addition(_session(d, 4), (0, 1))
+    def test_none_when_exhausted(self):
+        session = _session(_xor_dataset(n=60), 4)
+        assert _forward_best(session, (0, 1)) is None
+        assert _best(session, [], []) is None
 
 
 class TestBackwardStep:
@@ -177,14 +188,14 @@ class TestBackwardStep:
         session = _session(Dataset(x, y), 6)
         # Removing either duplicate (0 or 2) raises MI identically; the
         # tie must resolve to the lower column index.
-        removed, value = _best_removal(session, (0, 2, 1), protected=1)
+        removed, value = _backward_best(session, (0, 2, 1), protected=1)
         assert removed == 0
         assert value == session.mi((2, 1)) == session.mi((0, 1))
         assert value > session.mi((0, 2, 1))
 
     def test_jointly_necessary_pair_is_kept(self):
         session = _session(_xor_dataset(), 6)
-        removed, value = _best_removal(session, (0, 1), protected=1)
+        removed, value = _backward_best(session, (0, 1), protected=1)
         assert removed == 0
         assert not value > session.mi((0, 1))
 
@@ -193,7 +204,7 @@ class TestBackwardStep:
         x = rng.normal(size=(300, 2))
         y = x[:, 1] + 0.05 * rng.normal(size=300)
         session = _session(Dataset(x, y), 6)
-        removed, value = _best_removal(session, (0, 1), protected=1)
+        removed, value = _backward_best(session, (0, 1), protected=1)
         assert removed == 0
         assert value > session.mi((0, 1))
 
@@ -203,9 +214,22 @@ class TestBackwardStep:
         y = x[:, 0] + 0.05 * rng.normal(size=150)
         session = _session(Dataset(x, y), 6)
         # Variable 2 is a decoy, yet protected: only 0 or 1 may go.
-        removed, _ = _best_removal(session, (0, 1, 2), protected=2)
+        removed, _ = _backward_best(session, (0, 1, 2), protected=2)
         assert removed in (0, 1)
-        assert _best_removal(session, (2,), protected=2) is None
+        assert _backward_best(session, (2,), protected=2) is None
+
+
+def _proxy_dataset(seed: int) -> Dataset:
+    """Column 0 is a noisy copy of y = x1 + x2, column 3 a decoy.
+
+    The proxy enters first; once both x's are in, it only adds noise, and
+    the backward step drops it.
+    """
+    rng = np.random.default_rng(seed)
+    x1, x2 = rng.uniform(size=150), rng.uniform(size=150)
+    y = x1 + x2
+    proxy = y + 0.15 * rng.normal(size=150)
+    return Dataset(np.column_stack([proxy, x1, x2, rng.uniform(size=150)]), y)
 
 
 class TestGreedySelect:
@@ -247,6 +271,47 @@ class TestGreedySelect:
         assert subset.indices == (0,)
         assert [s.kind for s in trace.steps] == ["forward"]
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("iterate_backward", [False, True])
+    def test_backward_step_removes_a_proxy(self, seed, iterate_backward):
+        d = _proxy_dataset(seed)
+        subset, trace = greedy_select(d, k=6, iterate_backward=iterate_backward)
+        first, second = trace.steps[1].candidate, trace.steps[3].candidate
+        expected = [
+            ("forward", 0, (0,), "added"),
+            ("forward", first, (0, first), "added"),
+            ("backward", None, (0, first), "kept"),
+            ("forward", second, (0, first, second), "added"),
+            ("backward", 0, (first, second), "removed"),
+        ]
+        if iterate_backward:
+            expected.append(("backward", None, (first, second), "kept"))
+        expected.append(("stop", 0, (first, second, 0), "stopped"))
+        assert {first, second} == {1, 2}
+        assert [(s.kind, s.candidate, s.subset, s.decision) for s in trace.steps] == expected
+        assert subset.indices == (first, second)
+        for step in trace.steps:
+            assert step.mi == estimate_mi(d, step.subset, k=6).value
+
+    def test_each_step_hands_values_its_candidates_in_column_order(self):
+        # One batch per step: the forward candidates are the free columns,
+        # the backward ones the state's older columns, both ascending.
+        d = _proxy_dataset(0)
+        session = _session(d, 6)
+        batches, values = [], session.values
+        session.values = lambda subsets: batches.append(list(subsets)) or values(subsets)
+        _, trace = greedy_select(d, k=6, iterate_backward=True, session=session)
+        state, expected = (), []
+        for step in trace.steps:
+            if step.kind == "backward":
+                expected.append([tuple(c for c in state if c != j) for j in sorted(state[:-1])])
+            else:
+                expected.append([state + (j,) for j in range(d.n_variables) if j not in state])
+            if step.decision in ("added", "removed"):
+                state = step.subset
+        assert "removed" in [s.decision for s in trace.steps]
+        assert batches == expected
+
     def test_iterate_backward_flag_runs(self):
         d = _additive_dataset(n=150, decoys=2, seed=3)
         once, _ = greedy_select(d, k=5, iterate_backward=False)
@@ -282,6 +347,8 @@ class TestCandidatePool:
             build_candidate_pool(ranking, VariableSubset((0, 1, 2)), 2)
         with pytest.raises(ValueError):
             build_candidate_pool(ranking, VariableSubset((0,)), 5)
+        with pytest.raises(ValueError):
+            build_candidate_pool((0, 1, 2), (1, 1), 3)  # a repeated selected index
 
     def test_non_integer_indices_raise(self):
         with pytest.raises(TypeError, match="variable index"):
