@@ -105,9 +105,10 @@ def fit_pca(train: Dataset, n_components: int) -> Projection:
 def fit_pls(train: Dataset, n_components: int) -> Projection:
     """Scalar-target PLS by iterative deflation.
 
-    Components are ordered by extraction. Extraction stops early if the
-    deflated inputs lose all covariance with the target; the returned
-    projection then has fewer components than requested.
+    Components are ordered by extraction. Extraction stops early once the
+    covariance norm falls to ``_PLS_COVARIANCE_TOL`` of its first value,
+    which no rescaling of inputs or target moves; the returned projection
+    then has fewer components than requested.
     """
     _check_component_count(train, n_components)
     xc, x_mean = _centered_inputs(train)
@@ -116,13 +117,11 @@ def fit_pls(train: Dataset, n_components: int) -> Projection:
     y_work = train.y - y_center
     weights: list[np.ndarray] = []
     x_loadings: list[np.ndarray] = []
-    first_cov = None
+    stop = _PLS_COVARIANCE_TOL * float(np.linalg.norm(xc.T @ y_work))
     for _ in range(n_components):
         w = x_work.T @ y_work
         cov_norm = float(np.linalg.norm(w))
-        if first_cov is None:
-            first_cov = cov_norm
-        if cov_norm <= _PLS_COVARIANCE_TOL * max(first_cov, 1.0):
+        if cov_norm <= stop:
             break
         w /= cov_norm
         t = x_work @ w

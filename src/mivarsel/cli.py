@@ -37,7 +37,7 @@ from .methods import (
     run_method,
 )
 from .models import PREPROCESSINGS, encode, load_pipeline, preprocess, save_pipeline
-from .selector import _ranking, individual_mis, select_variables
+from .selector import MAX_POOL_SIZE, _ranking, individual_mis, select_variables
 
 __all__ = ["main", "DATA_DIR_ENV"]
 
@@ -195,8 +195,8 @@ def _plan_lines(train, cfg: ExperimentConfig, methods) -> list[str]:
     if any(METHOD_TABLE[i].uses_selection for i in methods):
         p = min(cfg.pool_size, m)
         lines.append(
-            f"variable selection: pool of up to {p} variables, "
-            f"exhaustive search over {2 ** p} subsets ({2 ** p - 1} non-empty)"
+            f"variable selection: pool of {p} variables, grown to a larger greedy subset's size "
+            f"up to {MAX_POOL_SIZE}, searching at least {2 ** p} subsets ({2 ** p - 1} non-empty)"
         )
     for i in methods:
         spec = METHOD_TABLE[i]
@@ -413,6 +413,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     _write_json(out / "benchmark.json", doc)
     _progress(f"wrote {out / 'benchmark.json'}")
     print(_benchmark_table(results, best))
+    if not best:  # no method succeeded: exit with the first failure's code
+        raise results[0].exception
     return 0
 
 

@@ -219,14 +219,13 @@ class TestSetGuard:
 
 @dataclass(frozen=True)
 class MetaGrid:
-    """Named axes of candidate meta-parameter values for one model kind.
+    """Named axes of candidate meta-parameter values.
 
     The grid order is the cartesian product with the first axis slowest,
     and ties in validation score are always resolved toward the earlier
     grid point.
     """
 
-    kind: str
     axes: tuple[tuple[str, tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
@@ -318,7 +317,7 @@ class LinearSweep:
 
     def __init__(self) -> None:
         self.kind = "linear"
-        self.grid = MetaGrid("linear", (("variant", ("ols",)),))
+        self.grid = MetaGrid((("variant", ("ols",)),))
 
     def fit(self, train: Dataset, params: dict) -> LinearModel:
         return fit_linear(train)
@@ -331,22 +330,26 @@ class LinearSweep:
 
 
 class ComponentSweep:
-    """Component-count search for PCA or PLS regression.
+    """Component-count search for PCA or PLS regression over the counts 1..n.
 
     Each fold fits one projection at the largest feasible count; smaller
     counts reuse its leading score columns. Scores from either projection
     are mutually orthogonal, so the least-squares coefficient of each
     component is independent of the others and predictions accumulate
-    column by column.
+    column by column. A component is usable while its learning scores
+    carry more than 1e-20 of the learning inputs' energy, a floor that no
+    rescaling moves and that centering's rounding stays below.
     """
 
     def __init__(self, projection: str, counts) -> None:
         if projection not in ("pca", "pls"):
             raise ValueError(f"unknown projection kind {projection!r}")
+        counts = tuple(int(c) for c in counts)
+        if counts != tuple(range(1, len(counts) + 1)):
+            raise ValueError(f"component counts must be 1..n in order, got {counts}")
         self.projection = projection
         self.kind = "pcr" if projection == "pca" else "plsr"
-        self.grid = MetaGrid(self.kind, (("components", tuple(int(c) for c in counts)),))
-        self._counts = [int(c) for c in counts]
+        self.grid = MetaGrid((("components", counts),))
 
     def fit(self, train: Dataset, params: dict) -> PipelineModel:
         mapping, scores = fit_mapping(
@@ -355,11 +358,10 @@ class ComponentSweep:
         return replace(mapping, model=fit_linear(scores))
 
     def evaluate_fold(self, learn, valid, var_y):
-        g = len(self._counts)
+        g = len(self.grid)
         nmse_l = np.full(g, np.nan)
         nmse_v = np.full(g, np.nan)
-        messages: dict[int, str] = {}
-        cap = min(max(self._counts), learn.n_samples - 1, learn.n_variables)
+        cap = min(g, learn.n_samples - 1, learn.n_variables)
         if cap < 1:
             raise ValueError("learning fold too small for any component")
         mapping, mapped = fit_mapping(learn, projection=self.projection, n_components=cap)
@@ -368,32 +370,23 @@ class ComponentSweep:
         # Components whose training scores carry no energy cannot be
         # regressed on; they bound the usable prefix on rank-deficient folds.
         col2 = (scores_l**2).sum(axis=0)
-        floor = 1e-20 * max(1.0, float(col2.max(initial=0.0)))
+        floor = 1e-20 * float(np.vdot(learn.X, learn.X))
         usable = 0
         while usable < col2.size and col2[usable] > floor:
             usable += 1
         beta = scores_l[:, :usable].T @ learn.y / col2[:usable]
         pred_l = np.full(learn.n_samples, learn.y.mean())
         pred_v = np.full(valid.n_samples, learn.y.mean())
-        by_count = {c: i for i, c in enumerate(self._counts)}
-        scored, errs_v = [], []
-        for c in range(1, usable + 1):
-            pred_l = pred_l + scores_l[:, c - 1] * beta[c - 1]
-            pred_v = pred_v + scores_v[:, c - 1] * beta[c - 1]
-            i = by_count.get(c)
-            if i is None:
-                continue
-            nmse_l[i] = _plain_nmse(pred_l - learn.y, var_y)
-            scored.append(i)
+        errs_v = []
+        for c in range(usable):
+            pred_l = pred_l + scores_l[:, c] * beta[c]
+            pred_v = pred_v + scores_v[:, c] * beta[c]
+            nmse_l[c] = _plain_nmse(pred_l - learn.y, var_y)
             errs_v.append(pred_v - valid.y)
-        if scored:
-            nmse_v[scored] = _trimmed_nmse_rows(np.stack(errs_v), var_y)
-        for i, c in enumerate(self._counts):
-            if c > usable:
-                messages[i] = (
-                    f"only {usable} usable components on this learning fold"
-                )
-        return nmse_l, nmse_v, messages
+        if usable:
+            nmse_v[:usable] = _trimmed_nmse_rows(np.stack(errs_v), var_y)
+        message = f"only {usable} usable components on this learning fold"
+        return nmse_l, nmse_v, dict.fromkeys(range(usable, g), message)
 
 
 class RbfnSweep:
@@ -413,7 +406,7 @@ class RbfnSweep:
         self.seed = int(seed)
         ks = tuple(int(k) for k in centroid_counts)
         ws = tuple(float(w) for w in wsf_values)
-        self.grid = MetaGrid("rbfn", (("centroids", ks), ("wsf", ws)))
+        self.grid = MetaGrid((("centroids", ks), ("wsf", ws)))
         self._ks = ks
         self._ws = ws
 
@@ -470,7 +463,7 @@ class LssvmSweep:
         self.kind = "lssvm"
         sigmas = tuple(float(s) for s in sigma_values)
         gammas = tuple(float(g) for g in gamma_values)
-        self.grid = MetaGrid("lssvm", (("sigma", sigmas), ("gamma", gammas)))
+        self.grid = MetaGrid((("sigma", sigmas), ("gamma", gammas)))
         self._sigmas = sigmas
         self._gammas = np.asarray(gammas, dtype=np.float64)
 

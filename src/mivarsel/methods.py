@@ -11,7 +11,7 @@ columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -256,11 +256,15 @@ class MethodResult:
 
 @dataclass(frozen=True)
 class MethodFailure:
-    """A method that could not complete, with the reason."""
+    """A method that could not complete, with the reason; ``exception`` is not a field."""
 
     method: int
     label: str
     error: str
+    exception: InitVar[Exception | None] = None
+
+    def __post_init__(self, exception) -> None:
+        object.__setattr__(self, "exception", exception)
 
 
 def component_count_cv(
@@ -403,7 +407,7 @@ def reproduce(
         try:
             results.append(run_method(train, test, replace(cfg, method=m), _shared=shared))
         except (ValueError, ConfigError, DataError, NumericalError) as exc:
-            results.append(MethodFailure(m, METHOD_TABLE[m].label, str(exc)))
+            results.append(MethodFailure(m, METHOD_TABLE[m].label, str(exc), exc))
     return results
 
 

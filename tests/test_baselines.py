@@ -111,6 +111,16 @@ class TestPls:
         scores = transform(p, d)
         assert scores.X.shape == (30, 0)
 
+    @pytest.mark.parametrize(
+        "sx, sy", [(1e-7, 1.0), (1e-7, 1e-7), (1e-12, 1e-12), (1.0, 1e-12), (1e12, 1e12)]
+    )
+    def test_component_count_ignores_scale(self, sx, sy):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(45, 5))
+        y = x[:, 0] + 0.3 * x[:, 1] ** 2
+        assert fit_pls(Dataset(x, y), 5).n_components == 5
+        assert fit_pls(Dataset(sx * x, sy * y), 5).n_components == 5
+
     def test_rank_limited_data_stops_early(self):
         rng = np.random.default_rng(9)
         t = rng.normal(size=(25, 2))

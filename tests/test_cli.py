@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 import mivarsel
+from mivarsel import evaluation
 from mivarsel.cli import build_parser, main
 from mivarsel.dataset import Dataset, load_csv, save_csv
+from mivarsel.errors import NumericalError
 from mivarsel.evaluation import nmse
 from mivarsel.methods import MethodResult
 from mivarsel.models import load_pipeline
@@ -342,6 +344,7 @@ class TestRunMethod:
         ]) == 0
         plan = capsys.readouterr().out
         assert "65536 subsets (65535 non-empty)" in plan
+        assert "pool of 16 variables, grown to a larger greedy subset's size up to 20," in plan
         assert "nothing computed" in plan
         assert not out.exists()
 
@@ -459,7 +462,7 @@ class TestTestSetWidth:
         assert not (wide_test[2] / "custom" / f"method-{int(method):02d}").exists()
 
     def test_reproduce_renders_every_method_failed(self, wide_test, capsys):
-        assert main(["reproduce", *_args(wide_test), *_GRIDS]) == 0
+        assert main(["reproduce", *_args(wide_test), *_GRIDS]) == 3
         captured = capsys.readouterr()
         rows = captured.out.splitlines()[2:]
         assert len(rows) == 13
@@ -512,6 +515,19 @@ class TestExitCodes:
             "--out", str(tmp_path / "r"), "--method", "1", "--folds", "3",
         ])
         assert rc == 4
+
+    def test_every_rbfn_cell_failing_is_numerical_error(self, csvs, capsys, monkeypatch):
+        def failing(phi, y):
+            raise NumericalError("planted least-squares failure")
+
+        monkeypatch.setattr(evaluation, "_lstsq_with_bias", failing)
+        argv = [*_args(csvs), *_GRIDS, "--workers", "1"]
+        assert main(["run-method", *argv, "--method", "3"]) == 4
+        assert "numerical failure: every grid point failed" in capsys.readouterr().err
+        assert main(["reproduce", *argv]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        failed = {int(row[3:5]) for row in rows if "failed: every grid point failed" in row}
+        assert failed == {3, 4, 7, 8, 11}  # the RBFN methods; the others still score
 
     def test_overflowing_distances_are_numerical_error(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -196,7 +196,7 @@ class TestTestSetGuard:
 
 class TestMetaGrid:
     def test_point_order_first_axis_slowest(self):
-        g = MetaGrid("demo", (("a", (1.0, 2.0)), ("b", (10.0, 20.0, 30.0))))
+        g = MetaGrid((("a", (1.0, 2.0)), ("b", (10.0, 20.0, 30.0))))
         pts = g.points()
         assert len(g) == 6
         assert pts[0] == {"a": 1.0, "b": 10.0}
@@ -212,7 +212,7 @@ class TestMetaGrid:
         )
     )
     def test_point_is_the_points_entry(self, axes):
-        g = MetaGrid("demo", tuple((f"axis{k}", tuple(v)) for k, v in enumerate(axes)))
+        g = MetaGrid(tuple((f"axis{k}", tuple(v)) for k, v in enumerate(axes)))
         pts = g.points()
         for i in range(-len(g), len(g)):
             assert list(g.point(i).items()) == list(pts[i].items())
@@ -224,11 +224,11 @@ class TestMetaGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one axis"):
-            MetaGrid("demo", ())
+            MetaGrid(())
         with pytest.raises(ValueError, match="duplicate"):
-            MetaGrid("demo", (("a", (1.0,)), ("a", (2.0,))))
+            MetaGrid((("a", (1.0,)), ("a", (2.0,))))
         with pytest.raises(ValueError, match="no candidate"):
-            MetaGrid("demo", (("a", ()),))
+            MetaGrid((("a", ()),))
 
 
 class TestGridBuilders:
@@ -319,6 +319,24 @@ class TestSweepsAgainstCanonicalFits:
         assert np.all(np.isfinite(nl[:4])) and np.all(np.isnan(nl[4:]))
         assert set(msg) == {4, 5, 6}
         assert all("usable components" in m for m in msg.values())
+
+    def test_component_sweep_takes_only_the_counts_one_to_n(self):
+        assert len(ComponentSweep("pls", range(1, 4)).grid) == 3
+        for counts in ((1, 3), (2, 3), (2, 1), (0, 1, 2)):
+            with pytest.raises(ValueError, match="1..n"):
+                ComponentSweep("pca", counts)
+
+    @pytest.mark.parametrize("projection", ["pca", "pls"])
+    @pytest.mark.parametrize("value", [1.0, 0.1, 7.7, 1e-12, 1e12])
+    def test_identical_learning_rows_leave_no_usable_component(self, projection, value):
+        # Centering a column of 0.1s leaves rounding, not zeros, in every row.
+        d = Dataset(np.full((12, 4), value), np.random.default_rng(0).normal(size=12))
+        sweep = ComponentSweep(projection, range(1, 5))
+        nl, nv, msg = sweep.evaluate_fold(
+            d.take_rows(np.arange(9)), d.take_rows(np.arange(9, 12)), 1.0
+        )
+        assert np.all(np.isnan(nl)) and np.all(np.isnan(nv))
+        assert msg == dict.fromkeys(range(4), "only 0 usable components on this learning fold")
 
     def test_rbfn_sweep_bitwise_equals_plain_fit(self):
         rng = np.random.default_rng(4)
@@ -426,7 +444,7 @@ class TestCrossValidate:
     def test_row_error_is_the_first_failing_fold(self):
         class Scripted:
             kind = "linear"
-            grid = MetaGrid("linear", (("variant", ("a", "b")),))
+            grid = MetaGrid((("variant", ("a", "b")),))
             plan = iter([{1: "b0"}, {}, {0: "a2", 1: "b2"}, {}])
 
             def evaluate_fold(self, learn, valid, var_y):
@@ -577,6 +595,86 @@ class TestCrossValidate:
         assert report.var_y == var_y
         assert (report.n_train, report.n_test) == (30, 6)
         assert isinstance(report, CvReport)
+
+
+def _grid_cells(report) -> dict:
+    """{(grid index, fold): (nmse_l, nmse_v)} as the report's grid.csv text holds them."""
+    lines = "".join(grid_csv_blocks(report)).splitlines()[1:]
+    return {
+        (int(index), int(fold)): (nl, nv)
+        for index, _, fold, nl, nv in (line.split(",") for line in lines)
+    }
+
+
+class TestSweepCellFailures:
+    """A cell whose solve fails is recorded per fold; the other cells are still scored."""
+
+    def _check(self, report, failed: dict, message: str) -> None:
+        # failed maps each failing grid index to the one fold it fails on
+        cells = _grid_cells(report)
+        assert len(cells) == len(report.rows) * report.l
+        for (i, fold), (nl, nv) in cells.items():
+            if failed.get(i) == fold:
+                assert nl == nv == ""
+            else:
+                assert math.isfinite(float(nl)) and math.isfinite(float(nv))
+        errors = {r.index: r.error for r in report.rows if r.error is not None}
+        assert set(errors) == set(failed)
+        for i, fold in failed.items():
+            assert errors[i].startswith(f"fold {fold}: ") and message in errors[i]
+        assert report.winner_index not in failed
+
+    def test_rbfn_least_squares_failure_marks_one_cell(self, monkeypatch):
+        calls = []
+        solve = evaluation._lstsq_with_bias
+
+        def flaky(phi, y):
+            calls.append(phi.shape)
+            if len(calls) == 2:  # fold 0, centroids=2, wsf=2.0
+                raise NumericalError("planted least-squares failure")
+            return solve(phi, y)
+
+        monkeypatch.setattr(evaluation, "_lstsq_with_bias", flaky)
+        train, test = _split_linear(seed=11, n=60, n_test=12)
+        var_y = pooled_target_variance(train, test)
+        sweep = RbfnSweep((2, 3), (1.0, 2.0), seed=1)
+        report, _ = cross_validate(train, test, sweep, 3, 0, var_y)
+        self._check(report, {1: 0}, "planted least-squares failure")
+
+    def test_lssvm_eigh_failure_marks_a_whole_sigma_row(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def flaky(a):
+            calls.append(a.shape)
+            if len(calls) == 4:  # fold 1, sigma=2.0
+                raise np.linalg.LinAlgError("planted eigh failure")
+            return eigh(a)
+
+        monkeypatch.setattr(evaluation.np.linalg, "eigh", flaky)
+        train, test = _split_linear(seed=11, n=60, n_test=12)
+        var_y = pooled_target_variance(train, test)
+        sweep = LssvmSweep((0.5, 2.0), (1.0, 10.0, 100.0))
+        report, _ = cross_validate(train, test, sweep, 3, 0, var_y)
+        self._check(report, {3: 1, 4: 1, 5: 1}, "planted eigh failure")
+
+    def test_lssvm_non_finite_scores_mark_one_cell(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def singular_at_gamma_10(a):
+            calls.append(a.shape)
+            evals, vecs = eigh(a)
+            if len(calls) == 5:  # fold 2, sigma=0.5: evals + 1/gamma hits 0 at gamma=10
+                evals[0] = -(1.0 / 10.0)
+            return evals, vecs
+
+        monkeypatch.setattr(evaluation.np.linalg, "eigh", singular_at_gamma_10)
+        train, test = _split_linear(seed=11, n=60, n_test=12)
+        var_y = pooled_target_variance(train, test)
+        sweep = LssvmSweep((0.5, 2.0), (1.0, 10.0, 100.0))
+        report, _ = cross_validate(train, test, sweep, 3, 0, var_y)
+        self._check(report, {1: 2}, "dual solve left non-finite scores for sigma=0.5, gamma=10.0")
 
 
 def _eager_rows(train, sweep, l, seed, var_y) -> tuple:

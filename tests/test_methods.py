@@ -332,6 +332,23 @@ class TestComponentCountCv:
         assert n_pls <= n_pca
 
 
+class TestComponentCountScale:
+    """PCR and PLSR choose their component counts by a rule that no rescaling moves."""
+
+    @pytest.mark.parametrize(
+        "sx, sy",
+        [(1.0, 1.0), (1e-12, 1.0), (1e-11, 1.0), (1e-9, 1.0), (1e-7, 1.0), (1e-5, 1.0),
+         (1e5, 1.0), (1e7, 1.0), (1e12, 1.0), (1e-12, 1e-12), (1e-7, 1e-7), (1e12, 1e12)],
+    )
+    def test_pcr_and_plsr_choose_the_same_counts_at_any_scale(self, sx, sy):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(60, 5))
+        x, y = sx * x, sy * (x[:, 0] + 0.3 * x[:, 1] ** 2)
+        train, test = Dataset(x[:45], y[:45]), Dataset(x[45:], y[45:])
+        counts = [run_method(train, test, ExperimentConfig(method=m)).components for m in (1, 2)]
+        assert counts == [5, 4]  # the counts chosen on the unscaled data
+
+
 class TestRunMethod:
     def test_linear_method_reports_winning_count(self):
         train, test = _linear_split(rank=2)
