@@ -108,7 +108,8 @@ def fit_pls(train: Dataset, n_components: int) -> Projection:
     Components are ordered by extraction. Extraction stops early once the
     covariance norm falls to ``_PLS_COVARIANCE_TOL`` of its first value,
     which no rescaling of inputs or target moves; the returned projection
-    then has fewer components than requested.
+    then has fewer components than requested. An exactly constant target
+    gives none, whatever its mean's rounding leaves in ``y - mean``.
     """
     _check_component_count(train, n_components)
     xc, x_mean = _centered_inputs(train)
@@ -118,7 +119,7 @@ def fit_pls(train: Dataset, n_components: int) -> Projection:
     weights: list[np.ndarray] = []
     x_loadings: list[np.ndarray] = []
     stop = _PLS_COVARIANCE_TOL * float(np.linalg.norm(xc.T @ y_work))
-    for _ in range(n_components):
+    for _ in range(n_components if train.y.min() < train.y.max() else 0):
         w = x_work.T @ y_work
         cov_norm = float(np.linalg.norm(w))
         if cov_norm <= stop:

@@ -161,8 +161,9 @@ def _labels(train) -> tuple[str, ...]:
 
 
 def _train_only_variance(train) -> float:
+    """The training target's unbiased variance; DataError when the target is constant."""
     var = float(np.var(train.y, ddof=1))
-    if var <= 0.0:
+    if train.y.min() == train.y.max() or not var > 0.0:
         raise DataError("training target is constant; scores would be undefined")
     return var
 
@@ -274,10 +275,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     shared: dict = {}
     sweep, selection, _ = build_method_sweep(train, cfg, shared, var_y)
     _warn_if_uninformative(selection)
-    _, _, mat_l, mat_v, _ = sweep_folds(
+    _, _, mat_l, mat_v, messages = sweep_folds(
         train, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
     )
-    winner = select_winner(mat_l, mat_v)
+    winner = select_winner(mat_l, mat_v, messages)
     params = sweep.grid.point(winner)
     model = replace(
         sweep.fit(train, params), preprocessing=cfg.preprocessing, n_inputs=raw_width

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import product
@@ -98,11 +99,17 @@ def nmse(predictions, targets, var_y_all: float) -> float:
 
 
 def pooled_target_variance(train: Dataset, test: Dataset) -> float:
-    """Unbiased variance of the target over training and test rows pooled."""
+    """Unbiased variance of the target over training and test rows pooled.
+
+    A constant target is a DataError whatever its value: all-0.1 targets
+    give a variance of about 1e-33 from the rounding of their mean, not 0.
+    """
     pooled = np.concatenate([train.y, test.y])
     v = float(pooled.var(ddof=1))
-    if not v > 0.0:
-        raise DataError("pooled target variance is zero; nothing to normalize by")
+    if pooled.min() == pooled.max() or not v > 0.0:
+        raise DataError(
+            "pooled target is constant or its variance underflows; nothing to normalize by"
+        )
     return v
 
 
@@ -696,15 +703,26 @@ def sweep_folds(
     return folds, splits, mat_l, mat_v, [r[2] for r in fold_results]
 
 
-def select_winner(mat_l: np.ndarray, mat_v: np.ndarray) -> int:
+def select_winner(mat_l: np.ndarray, mat_v: np.ndarray, messages=None) -> int:
     """Grid index minimizing mean validation NMSE over folds.
 
     A point that failed on any fold is disqualified; exact ties resolve
-    to the earliest grid point.
+    to the earliest grid point. When every point fails, the error names
+    the most frequent of the points' first failure messages, taken from
+    ``messages`` (one {grid index: reason} dict per fold, as
+    :func:`sweep_folds` returns them), and how many points it covers.
     """
     usable = ~np.isnan(mat_v).any(axis=1) & ~np.isnan(mat_l).any(axis=1)
     if not usable.any():
-        raise NumericalError("every grid point failed on at least one fold")
+        first: dict[int, str] = {}
+        for fold_messages in messages or ():
+            for i, message in fold_messages.items():
+                first.setdefault(i, message)
+        reason = ""
+        if first:
+            message, count = Counter(first.values()).most_common(1)[0]
+            reason = f" ({count} of {len(usable)} points: {message})"
+        raise NumericalError(f"every grid point failed on at least one fold{reason}")
     means = np.where(usable, mat_v.mean(axis=1), np.inf)
     return int(np.argmin(means))
 
@@ -735,7 +753,7 @@ def cross_validate(
     folds, splits, mat_l, mat_v, messages = sweep_folds(
         train, sweep, l, seed, var_y, workers=workers
     )
-    winner_index = select_winner(mat_l, mat_v)
+    winner_index = select_winner(mat_l, mat_v, messages)
     winner_params = sweep.grid.point(winner_index)
 
     # The winner is re-fitted per fold through the canonical entry point,

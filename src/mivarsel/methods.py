@@ -273,10 +273,10 @@ def component_count_cv(
     """Cross-validated component count for a projection; never reads test data."""
     counts = default_component_counts(train.n_samples, train.n_variables, cfg.folds)
     sweep = ComponentSweep(projection, counts)
-    _, _, mat_l, mat_v, _ = sweep_folds(
+    _, _, mat_l, mat_v, messages = sweep_folds(
         train, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
     )
-    winner = select_winner(mat_l, mat_v)
+    winner = select_winner(mat_l, mat_v, messages)
     return int(sweep.grid.point(winner)["components"])
 
 

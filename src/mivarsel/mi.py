@@ -36,6 +36,16 @@ redone on its full row, so every value keeps its bits. This is the
 idea of the box-assisted neighbour search of Kraskov et al. (2004),
 with a sorted one-dimensional box.
 
+A one-column subset needs no full rows at all, as Kraskov et al. count
+marginal neighbours in sorted order for this case. With blocks of rows
+its X-distances are taken over the window only, for eps^2 and n_y, and
+n_x comes from the column sorted once: fl(x_l - x_i) does not decrease
+with x_l, the same argument as for the target, so the samples closer
+than eps_i in X are one run of that order around x_i. A bisection of
+fixed length finds the run's ends on the very predicate the full row
+tests (see :func:`_sorted_counts`), so each count is the full row's, ties
+and -0.0 included. Only a row that falls back gets its full X row.
+
 When one block holds every sample (N <= 181 by default), the window is
 the whole row and the squared distance matrices are symmetric bit for
 bit: fl(v - r) = -fl(r - v), and every entry sums its columns in the
@@ -137,6 +147,51 @@ def _sq_diffs(rows: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarr
     out[...] = values
     np.subtract(out, rows[:, None], out=out)
     return np.square(out, out=out)
+
+
+def _sorted_counts(
+    ordered: np.ndarray, groups: np.ndarray, values: np.ndarray, eps2: np.ndarray
+) -> np.ndarray:
+    """Full-row counts of squared differences below eps^2, found in sorted order.
+
+    ``ordered`` is G x N, each row one column's samples in ascending
+    order. Entry q of the result is the number of l with
+    fl((ordered[groups[q], l] - values[q])^2) < eps2[q]: for a sample
+    ``values[q]`` of that column, the count ``np.less`` gives along its
+    row of :func:`_sq_diffs`, bit for bit.
+
+    fl(x_l - v) does not decrease with x_l, so neither does the signed
+    square s_l = copysign(fl((x_l - v)^2), x_l - v), and the count is
+    #{s_l < eps^2} - #{s_l <= -eps^2}, or 0 when eps^2 = 0. Both terms
+    are lower bounds in the sorted order, found together by a branchless
+    bisection on the exact predicate whose ceil(log2 N) + 1 probes
+    depend on N alone and never leave the column.
+    """
+    n = ordered.shape[1]
+    flat = ordered.reshape(-1)
+    values = np.stack([values, values])
+    # Row 0 counts the s_l below eps^2, row 1 those at or below -eps^2.
+    bounds = np.stack([eps2, np.nextafter(-eps2, np.inf)])
+    base = np.tile(groups * n, (2, 1))
+    probe = np.empty_like(base)
+    diff, square = np.empty(base.shape), np.empty(base.shape)
+    below = np.empty(base.shape, dtype=bool)
+    size = n
+    while True:
+        # The answer lies in [base, base + size]; probe base + size // 2.
+        half = size // 2
+        np.add(base, half, out=probe)
+        flat.take(probe, out=diff, mode="clip")
+        np.subtract(diff, values, out=diff)
+        np.square(diff, out=square)
+        np.copysign(square, diff, out=square)
+        np.less(square, bounds, out=below)
+        if size == 1:
+            break
+        base += below * half
+        size -= half
+    base += below
+    return np.maximum(base[0] - base[1], 0)
 
 
 def _sharing_plan(chunk: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int, int]]:
@@ -247,6 +302,16 @@ class MiSession:
     with duplicate joint points (some eps^2 = 0) the value of a second
     session over jittered copies of its columns and the target.
 
+    With blocks of rows (N > 181), a one-column subset whose column the
+    next subset of the chunk does not reuse (every subset of a ranking)
+    makes no full X rows: its distances to the block's window give eps^2
+    and n_y, and its n_x comes from :func:`_sorted_counts` over its
+    column, sorted once per chunk. Its rows wait, with their eps^2, until
+    about N of them, from any blocks and such subsets, are searched
+    together (:meth:`_sorted_rows`). Such a row that falls back makes its
+    full X row in the joint-distance buffer. When the chunk's highest
+    column is in no other subset, its buffer is not computed.
+
     Memory, in B x N buffers made on first use: one prefix per depth a
     chunk keeps, the highest column, one column's scratch, the target
     window, the joint distances, a boolean mask (1/8) and the chunk's
@@ -256,7 +321,11 @@ class MiSession:
     most P - 1 prefixes, P + 6 1/8 in all; the first row that falls back
     adds one for the target's full rows. The jittered session works
     inside these buffers. At N <= 181 they are N x N, and the one-block
-    counts use no buffer more.
+    counts use no buffer more. A chunk with one-column subsets searched
+    in sorted order also holds their sorted columns, N floats each (at
+    most _CHUNK_BLOCKS B x N, in a ranking's chunk of 2B), and the
+    waiting rows' eps^2 and the bisection's state, a few arrays of about
+    2N; their window distances are a view of the first prefix buffer.
 
     The shared buffers make a session non-reentrant: give each thread
     or process its own. A pickled copy carries the sorted columns and
@@ -404,21 +473,69 @@ class MiSession:
         for first in range(0, len(subsets), size):
             chunk = subsets[first : first + size]
             plan = _sharing_plan(chunk)
+            # With blocks of rows, the one-column subsets whose column the
+            # next subset does not reuse take n_x from their sorted columns.
+            single = [
+                i for i, (subset, _, kept) in enumerate(plan)
+                if len(subset) == 1 and not kept and self.block < self.n_samples
+            ]
+            ordered = self._columns[[chunk[i][0] for i in single]]
+            ordered.sort(axis=1)
+            row_of = {i: row for row, i in enumerate(single)}  # plan index -> row of ordered
             high = max(subset[-1] for subset in chunk)
-            top = self._columns[high]
+            # The highest column's full rows, unless only such a subset has it.
+            top = self._columns[high] if any(
+                chunk[i][-1] == high for i in range(len(chunk)) if i not in row_of
+            ) else None
+            pending: list[tuple[int, int, np.ndarray]] = []
+            waiting = 0  # rows in pending
             for start in range(0, self.n_samples, self.block):
                 stop = min(self.n_samples, start + self.block)
-                highest = _sq_diffs(top[start:stop], top, self._buffer("highest", stop - start))
+                highest = None
+                if top is not None:
+                    highest = _sq_diffs(top[start:stop], top, self._buffer("highest", stop - start))
                 window = self._target(start, stop)
+                lo, hi = window[:2]
+                searched = row_of if hi - lo < self.n_samples else {}
                 for i, (subset, shared, kept) in enumerate(plan):
-                    dx2 = self._distances(subset, shared, kept, high, highest, start, stop)
-                    tied[first + i] |= self._count_rows(
-                        dx2, start, window, index[0, i, start:stop], index[1, i, start:stop]
+                    column = self._columns[subset[0]] if i in searched else None
+                    if column is None:
+                        dx2 = self._distances(subset, shared, kept, high, highest, start, stop)
+                    else:
+                        out = self._buffer(("prefix", 0), stop - start, hi - lo)
+                        dx2 = _sq_diffs(column[start:stop], column[lo:hi], out)
+                    eps2 = self._count_rows(
+                        dx2, start, window, index[0, i, start:stop], index[1, i, start:stop], column
                     )
+                    tied[first + i] |= not eps2.all()
+                    if column is not None:
+                        pending.append((i, start, eps2))
+                        waiting += stop - start
+                        # Their rows are searched together, about N at a time.
+                        if waiting >= self.n_samples:
+                            self._sorted_rows(ordered, row_of, chunk, pending, index[0])
+                            pending, waiting = [], 0
+            if pending:
+                self._sorted_rows(ordered, row_of, chunk, pending, index[0])
             for i in range(0, len(chunk), self.block):
                 rows = min(self.block, len(chunk) - i)
                 values[first + i : first + i + rows] = self._reduce(index[:, i : i + rows])
         return values, tied
+
+    def _sorted_rows(self, ordered, row_of, chunk, pending, index_x) -> None:
+        """n_x + 1 of one-column subsets' rows from their sorted columns, into ``index_x``.
+
+        ``pending`` holds (plan index, first row, eps^2) of block rows
+        :meth:`_count_rows` left without n_x; ``row_of`` maps a plan index
+        to its column's row of ``ordered``.
+        """
+        lengths = [len(eps2) for _, _, eps2 in pending]
+        groups = np.repeat([row_of[i] for i, _, _ in pending], lengths)
+        rows = np.concatenate([self._columns[chunk[i][0], s : s + len(e)] for i, s, e in pending])
+        eps2 = np.concatenate([eps2 for _, _, eps2 in pending])
+        counts = _sorted_counts(ordered, groups, rows, eps2) + (eps2 == 0.0)
+        for (i, start, _), part in zip(pending, np.split(counts, np.cumsum(lengths[:-1]))):
+            index_x[i, start : start + len(part)] = part
 
     def _distances(self, subset, shared, kept, high, highest, start, stop) -> np.ndarray:
         """Squared X-distances of rows start .. stop - 1 over ``subset``, summed in column order.
@@ -434,7 +551,7 @@ class MiSession:
         total = self._buffer(("prefix", shared - 1), rows) if shared else None
         for depth in range(shared, len(subset)):
             j = subset[depth]
-            if j == high:
+            if j == high and highest is not None:
                 term = highest
             else:
                 out = self._buffer("column" if depth else ("prefix", 0), rows)
@@ -449,18 +566,26 @@ class MiSession:
         return total
 
     def _count_rows(
-        self, dx2: np.ndarray, start: int, window: tuple, index_x: np.ndarray, index_y: np.ndarray
-    ) -> bool:
-        """Digamma indices n_x + 1 and n_y + 1 of one block's samples; True if some eps^2 is 0.
+        self,
+        dx2: np.ndarray,
+        start: int,
+        window: tuple,
+        index_x: np.ndarray,
+        index_y: np.ndarray,
+        column: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Digamma indices n_x + 1 and n_y + 1 of one block's samples, and their eps^2.
 
         ``dx2`` holds the squared X-distances of samples start,
         start + 1, ... to every sample, and ``window`` is the block's
-        :meth:`_target`; neither is modified. Comparisons stay in the
-        squared domain: squaring is monotone on nonnegative distances,
-        so strict inequalities are preserved. The counts take
-        in the sample's own distance 0, which is below any positive
-        eps^2, so they are n + 1 as they stand; a sample with eps^2 = 0
-        has no such hit and gets one added.
+        :meth:`_target`; neither is modified. Given a one-column subset's
+        ``column``, ``dx2`` holds the distances to the window's samples
+        only, and ``index_x`` is left for :func:`_sorted_counts`.
+        Comparisons stay in the squared domain: squaring is monotone on
+        nonnegative distances, so strict inequalities are preserved. The
+        counts take in the sample's own distance 0, which is below any
+        positive eps^2, so they are n + 1 as they stand; a sample with
+        eps^2 = 0 has no such hit and gets one added.
 
         A block of fewer than N rows partitions its window rows for
         eps^2 and counts along rows, against eps^2 broadcast as a column.
@@ -471,41 +596,43 @@ class MiSession:
         faster than partition and gives the same k-th order statistic,
         writes eps^2 along every row of the joint-distance buffer (no new
         buffer), and counts down the columns of two contiguous
-        comparisons, with no broadcast.
+        comparisons, with no broadcast. Either way the counts are summed
+        in the narrowest type that holds N, which makes the reduction
+        about twice as fast as 32 or 64 bits.
         """
         rows, k = dx2.shape[0], self.k
         lo, hi, dy2, edges = window
-        dz2 = np.maximum(dx2[:, lo:hi], dy2, out=self._buffer("dz2", rows, hi - lo))
+        near = dx2 if column is not None else dx2[:, lo:hi]
+        dz2 = np.maximum(near, dy2, out=self._buffer("dz2", rows, hi - lo))
         # Each sample's own entry, (i, start + i), is not a neighbour.
         dz2.reshape(-1)[start - lo :: hi - lo + 1] = np.inf
-        # Counts never exceed N, so they are summed in the narrowest type
-        # that holds N (one block) or in 32 bits; a narrow accumulator
-        # makes the reduction about twice as fast as the default 64 bits.
+        counts = np.min_scalar_type(self.n_samples)
         if rows == self.n_samples:
             dz2.sort(axis=1)
             eps2 = dz2[:, k - 1].copy()
             dz2[...] = eps2  # dz2[j, i] = eps2[i]: column i bounds sample i
-            bound, axis, counts = dz2, 0, np.min_scalar_type(rows)
+            bound, axis = dz2, 0
         else:
             dz2.partition(k - 1, axis=1)
             eps2 = dz2[:, k - 1].copy()
-            bound, axis, counts = eps2[:, None], 1, np.int32
+            bound, axis = eps2[:, None], 1
         mask = self._buffer("mask", rows, hi - lo)
         np.less(dy2, bound, out=mask)
         np.add.reduce(mask.view(np.uint8), axis=axis, dtype=counts, out=index_y)
         if edges is not None:
-            failed = np.flatnonzero(eps2 > edges)
-            if failed.size:
-                self._full_rows(dx2, start, failed, eps2, index_y)
-        mask = self._buffer("mask", rows)
-        np.less(dx2, bound, out=mask)
-        np.add.reduce(mask.view(np.uint8), axis=axis, dtype=counts, out=index_x)
-        if eps2.all():
-            return False
-        no_self_hit = eps2 == 0.0
-        index_x += no_self_hit
-        index_y += no_self_hit
-        return True
+            beyond = eps2 > edges
+            if beyond.any():
+                self._full_rows(dx2, start, np.flatnonzero(beyond), eps2, index_y, column)
+        if column is None:
+            mask = self._buffer("mask", rows)
+            np.less(dx2, bound, out=mask)
+            np.add.reduce(mask.view(np.uint8), axis=axis, dtype=counts, out=index_x)
+        if not eps2.all():
+            no_self_hit = eps2 == 0.0
+            index_y += no_self_hit
+            if column is None:
+                index_x += no_self_hit
+        return eps2
 
     def _full_rows(
         self,
@@ -514,23 +641,29 @@ class MiSession:
         failed: np.ndarray,
         eps2: np.ndarray,
         index_y: np.ndarray,
+        column: np.ndarray | None = None,
     ) -> None:
         """eps^2 and n_y + 1 of the block's rows ``failed`` from their full rows, in place.
 
         The target's full rows go to the "target" buffer, apart from the
-        block's window.
+        block's window. When ``dx2`` covers only the window, the full X
+        rows are made from ``column`` in the joint-distance buffer.
         """
         count, k = len(failed), self.k
         samples = start + failed
         dy2 = _sq_diffs(self._y[samples], self._y, self._buffer("target", count))
-        dz2 = np.take(dx2, failed, axis=0, out=self._buffer("dz2", count), mode="clip")
+        if column is None:
+            dz2 = np.take(dx2, failed, axis=0, out=self._buffer("dz2", count), mode="clip")
+        else:
+            dz2 = _sq_diffs(column[samples], column, self._buffer("dz2", count))
         np.maximum(dz2, dy2, out=dz2)
         dz2[np.arange(count), samples] = np.inf
         dz2.partition(k - 1, axis=1)
         eps2[failed] = dz2[:, k - 1]
         mask = self._buffer("mask", count)
         np.less(dy2, eps2[failed, None], out=mask)
-        index_y[failed] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+        counts = np.min_scalar_type(self.n_samples)
+        index_y[failed] = np.add.reduce(mask.view(np.uint8), axis=1, dtype=counts)
 
     def _reduce(self, index: np.ndarray) -> np.ndarray:
         """MI of each of S <= B subsets from their digamma indices, 2 x S x N.

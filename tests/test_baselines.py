@@ -111,6 +111,14 @@ class TestPls:
         scores = transform(p, d)
         assert scores.X.shape == (30, 0)
 
+    def test_constant_target_whose_mean_rounds_gives_no_component(self):
+        # y - mean(y) is about 1e-17 everywhere for all-0.1 targets, not 0.
+        x = np.random.default_rng(8).normal(size=(45, 5))
+        y = np.full(45, 0.1)
+        assert (y - y.mean()).any()
+        p = fit_pls(Dataset(x, y), 5)
+        assert p.n_components == 0 and p.y_center == y.mean()
+
     @pytest.mark.parametrize(
         "sx, sy", [(1e-7, 1.0), (1e-7, 1e-7), (1e-12, 1e-12), (1.0, 1e-12), (1e12, 1e12)]
     )

@@ -494,6 +494,19 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, csvs):
         assert main(["estimate", "--train", "/nonexistent.csv", "--out", str(csvs[2])]) == 3
 
+    @pytest.mark.parametrize("command", ["run-method", "train"])
+    def test_constant_target_whose_mean_rounds_is_data_error(self, tmp_path, capsys, command):
+        # All-0.1 targets leave a variance of about 1e-33 from the rounding of their mean.
+        rng = np.random.default_rng(0)
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        save_csv(Dataset(rng.normal(size=(60, 5)), np.full(60, 0.1)), train)
+        save_csv(Dataset(rng.normal(size=(20, 5)), np.full(20, 0.1)), test)
+        argv = [command, *_args((train, test, tmp_path / "r")), "--method", "1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and "constant" in captured.err
+        assert "NMSE_T" not in captured.out
+
     def test_missing_named_dataset_is_data_error(self, csvs, monkeypatch):
         monkeypatch.setenv("MIVARSEL_DATA_DIR", str(csvs[2] / "empty"))
         assert main(["estimate", "--dataset", "tecator", "--out", str(csvs[2])]) == 3
@@ -528,6 +541,16 @@ class TestExitCodes:
         rows = capsys.readouterr().out.splitlines()[2:]
         failed = {int(row[3:5]) for row in rows if "failed: every grid point failed" in row}
         assert failed == {3, 4, 7, 8, 11}  # the RBFN methods; the others still score
+
+    def test_train_with_every_point_failing_names_the_reason(self, csvs, capsys, monkeypatch):
+        def failing(self, learn, valid, var_y):
+            raise NumericalError("planted fold failure")
+
+        monkeypatch.setattr(evaluation.ComponentSweep, "evaluate_fold", failing)
+        assert main(["train", *_args(csvs), "--method", "1", "--workers", "1"]) == 4
+        err = capsys.readouterr().err
+        assert "every grid point failed on at least one fold (" in err
+        assert " points: planted fold failure)" in err
 
     def test_overflowing_distances_are_numerical_error(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -39,6 +39,7 @@ from mivarsel.evaluation import (
     median_pairwise_distance,
     nmse,
     pooled_target_variance,
+    select_winner,
     sweep_folds,
     trim_outliers,
 )
@@ -79,6 +80,14 @@ class TestNmse:
         a = Dataset(np.zeros((3, 1)), np.full(3, 2.0))
         with pytest.raises(DataError, match="variance"):
             pooled_target_variance(a, a)
+
+    def test_pooled_variance_rejects_a_constant_target_whose_mean_rounds(self):
+        a = Dataset(np.zeros((60, 1)), np.full(60, 0.1))
+        b = Dataset(np.zeros((20, 1)), np.full(20, 0.1))
+        pooled = np.concatenate([a.y, b.y])
+        assert pooled.var(ddof=1) > 0.0  # the rounding of the mean, about 1e-33
+        with pytest.raises(DataError, match="constant"):
+            pooled_target_variance(a, b)
 
 
 class TestKfoldSplit:
@@ -431,6 +440,28 @@ class TestCrossValidate:
         sweep = PipelineSweep(LinearSweep(), "linear", whiten=True)
         with pytest.raises(NumericalError, match="every grid point failed"):
             cross_validate(d, d, sweep, 3, 0, 1.0)
+
+    def test_all_failures_name_the_most_frequent_reason(self):
+        d = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
+        sweep = ComponentSweep("pca", (1, 2))
+        with pytest.raises(NumericalError) as caught:
+            cross_validate(d, d, sweep, 2, 0, 1.0)
+        assert str(caught.value) == (
+            "every grid point failed on at least one fold "
+            "(2 of 2 points: learning fold too small for any component)"
+        )
+
+    def test_select_winner_counts_each_points_first_failure(self):
+        failed = np.full((3, 2), np.nan)
+        messages = [{0: "a", 1: "b"}, {1: "c", 2: "b"}]
+        reason = r"failed on at least one fold \(2 of 3 points: b\)$"
+        with pytest.raises(NumericalError, match=reason):
+            select_winner(failed, failed, messages)
+        # Without messages, or with none recorded, the reason is left out.
+        with pytest.raises(NumericalError, match="failed on at least one fold$"):
+            select_winner(failed, failed)
+        with pytest.raises(NumericalError, match="failed on at least one fold$"):
+            select_winner(failed, failed, [{}, {}])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_whole_fold_failure_marks_every_point_of_that_fold(self, workers):

@@ -18,10 +18,12 @@ from mivarsel.dataset import (
 from mivarsel import dataset as dataset_module
 from mivarsel import methods as methods_module
 from mivarsel import models
-from mivarsel.errors import ConfigError, DataError
+from mivarsel.errors import ConfigError, DataError, NumericalError
 from mivarsel.evaluation import (
+    ComponentSweep,
     LinearSweep,
     RbfnSweep,
+    default_component_counts,
     nmse,
     pooled_target_variance,
     sweep_folds,
@@ -309,6 +311,19 @@ class TestPipelineSweep:
 
 
 class TestComponentCountCv:
+    def test_every_point_failing_names_the_reason(self, monkeypatch):
+        def failing(self, learn, valid, var_y):
+            raise NumericalError("planted fold failure")
+
+        monkeypatch.setattr(ComponentSweep, "evaluate_fold", failing)
+        train, _ = _linear_split(rank=2)
+        cfg = ExperimentConfig(method=1, workers=1, **SMALL)
+        n_points = len(default_component_counts(train.n_samples, train.n_variables, cfg.folds))
+        with pytest.raises(NumericalError) as caught:
+            component_count_cv(train, "pls", cfg, 1.0)
+        reason = f"({n_points} of {n_points} points: planted fold failure)"
+        assert str(caught.value).endswith(reason)
+
     def test_recovers_planted_rank(self):
         train, _ = _linear_split(rank=2)
         cfg = ExperimentConfig(method=1, **SMALL)

@@ -377,6 +377,14 @@ def _blocked_case(n: int, kind: str, m: int = 4) -> tuple[np.ndarray, np.ndarray
     return x, x[:, 0] + x[:, 2] + rng.integers(0, 2, size=n)
 
 
+def _one_columns_match_whole_matrices(x: np.ndarray, y: np.ndarray, seed: int = 0) -> None:
+    """Every one-column subset, evaluated together as a ranking does, at k = 1 and 6."""
+    columns = [(j,) for j in range(x.shape[1])]
+    for k in (1, 6):
+        values = MiSession(x, y, k=k, jitter_seed=seed).values(columns)
+        assert values == [full_matrix_mi(x[:, c], y, k, seed) for c in columns], k
+
+
 class TestRowBlocks:
     """MiSession in blocks of rows against the whole-matrix estimator."""
 
@@ -409,6 +417,7 @@ class TestRowBlocks:
         assert (session.block == n) if elements else (session.block < n)
         for subset in ((0,), (3,), (0, 1), (1, 3), (0, 2, 3), (0, 1, 2, 3)):
             assert session.mi(subset) == full_matrix_mi(x[:, subset], y, 6)
+        _one_columns_match_whole_matrices(x, y)
 
     @pytest.mark.parametrize("elements", [1, 150, 420, 1000])
     def test_any_block_size_gives_the_same_bits(self, monkeypatch, elements):
@@ -485,6 +494,10 @@ class TestRowBlocks:
         assert peak <= 8 * block + x.nbytes
 
 
+# Target and column values whose squared differences tie, vanish or span the float range.
+_AWKWARD = [-0.0, 0.0, 1e-300, -2.5, 0.1, 0.3, 1 / 3, 7.0, 1e8, -1e-8]
+
+
 def _count_fallbacks(monkeypatch) -> dict:
     """Count the rows MiSession redoes on their full rows, and the rows it evaluates."""
     seen = {"rows": 0, "fell_back": 0}
@@ -513,8 +526,7 @@ class TestTargetWindows:
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
-            st.sampled_from([-0.0, 0.0, 1e-300, -2.5, 0.1, 0.3, 1 / 3, 7.0, 1e8, -1e-8]),
-            min_size=1, max_size=30,
+            st.sampled_from(_AWKWARD), min_size=1, max_size=30,
         ).flatmap(lambda ys: st.tuples(
             st.just(ys), st.integers(0, len(ys) - 1), st.sampled_from(ys + [0.0, 1e-17, 4.0])
         ))
@@ -531,6 +543,68 @@ class TestTargetWindows:
         inside = np.flatnonzero(row < e * e)
         assert inside.size == 0 or inside.size == inside[-1] - inside[0] + 1
         assert inside.size == 0 or inside[0] <= i <= inside[-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 30).flatmap(lambda n: st.tuples(
+            st.lists(
+                st.lists(st.sampled_from(_AWKWARD), min_size=n, max_size=n), min_size=1, max_size=3
+            ),
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=6),
+            st.lists(
+                st.one_of(
+                    st.integers(0, n - 1),
+                    st.sampled_from([0.0, 1e-300, 1e-17, 0.1, 4.0, 1e16, math.inf]),
+                ),
+                min_size=6, max_size=6,
+            ),
+        ))
+    )
+    def test_sorted_search_counts_equal_full_row_counts(self, case):
+        # The bounds are the awkward values, or a squared distance in the row
+        # itself, as eps^2 is: then samples sit exactly on the bound.
+        columns, picks, bounds = case
+        columns = np.array(columns)
+        rows = columns[:, picks]
+        eps2 = np.empty(rows.shape)
+        expected = np.empty(rows.shape, dtype=int)
+        for g, column in enumerate(columns):
+            full = sq_diffs(column)[picks]
+            for r, bound in enumerate(bounds[: len(picks)]):
+                eps2[g, r] = full[r, bound] if isinstance(bound, int) else bound
+            expected[g] = np.less(full, eps2[g][:, None]).sum(axis=1)
+        groups = np.repeat(np.arange(len(columns)), len(picks))
+        ordered = np.sort(columns, axis=1)
+        got = mi._sorted_counts(ordered, groups, rows.reshape(-1), eps2.reshape(-1))
+        assert got.tolist() == expected.reshape(-1).tolist()
+
+    def test_one_column_subsets_take_n_x_from_the_sorted_column(self, monkeypatch):
+        # Every row of a one-column subset is searched, unless the next subset
+        # reuses its column's distances: (0,) before (0, 1) keeps its full rows.
+        searched = []
+        sorted_counts = mi._sorted_counts
+
+        def counted(ordered, groups, rows, eps2):
+            searched.append(rows.size)
+            return sorted_counts(ordered, groups, rows, eps2)
+
+        monkeypatch.setattr(mi, "_sorted_counts", counted)
+        n = 1000
+        x, y = _blocked_case(n, "continuous")
+        subsets = [(0,), (0, 1), (1,), (2, 3), (3,)]
+        expected = [full_matrix_mi(x[:, s], y, 6) for s in subsets]
+        assert MiSession(x, y, k=6).evaluate(subsets).tolist() == expected
+        assert sum(searched) == 2 * n
+        # The chunk's highest column in a one-column subset only: none of its full rows are made.
+        session = MiSession(x, y, k=6)
+        assert session.evaluate([(0, 1), (3,)]).tolist() == [expected[1], expected[4]]
+        assert "highest" not in session._buffers
+        # At N = 255 (blocks of 128 rows) nine one-column subsets are searched
+        # a few at a time, each search holding fewer than N + 128 rows.
+        searched.clear()
+        x, y = _blocked_case(255, "tied", m=9)
+        _one_columns_match_whole_matrices(x, y)
+        assert 2 * 128 <= max(searched) < 255 + 128
 
     @pytest.mark.parametrize("n", [182, 255, 361, 1000])
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
@@ -549,6 +623,7 @@ class TestTargetWindows:
         assert seen["fell_back"] < seen["rows"]
         if share == 0.0:
             assert seen["fell_back"] > 0
+        _one_columns_match_whole_matrices(x, y, seed=n)
 
     def test_default_window_serves_most_rows(self, monkeypatch):
         seen = _count_fallbacks(monkeypatch)
