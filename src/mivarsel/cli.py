@@ -12,32 +12,26 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple
 from pathlib import Path
 
-import numpy as np
-
-from ._blas import blas_threads
+from . import blas_threads
 from .dataset import TECATOR_URL, fetch_tecator, load_csv, load_input_rows
 from .errors import ConfigError, DataError, NumericalError
-from .evaluation import (
-    default_centroid_counts,
-    default_component_counts,
-    grid_csv_blocks,
-    select_winner,
-    sweep_folds,
-)
+from .evaluation import grid_csv_blocks
 from .methods import (
     METHOD_TABLE,
     ExperimentConfig,
     MethodResult,
     best_methods,
-    build_method_sweep,
+    plan_lines,
     reproduce,
     run_method,
+    train_method,
 )
+from .mi import MiSession
 from .models import PREPROCESSINGS, encode, load_pipeline, preprocess, save_pipeline
-from .selector import MAX_POOL_SIZE, _ranking, individual_mis, select_variables
+from .selector import individual_mis, rank_by_individual_mi, select_variables
 
 __all__ = ["main", "DATA_DIR_ENV"]
 
@@ -58,16 +52,13 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _warn_if_uninformative(selection) -> None:
-    """A stderr warning when the selected subset's MI is <= 0.0 (see select_variables)."""
-    if selection is None or selection.best_mi.value > 0.0:
-        return
-    est = selection.best_mi
-    _progress(
-        f"warning: the selected subset's MI is {est.value!r} nats at k={est.k}, "
-        f"N={est.n_samples}; no subset carries measurable information at this k, "
-        f"so the choice is only the tie-break"
-    )
+def _warn_if_uninformative(value: float, k: int, n: int) -> None:
+    """A stderr warning when the highest MI found is <= 0.0 (see select_variables)."""
+    if value <= 0.0:
+        _progress(
+            f"warning: the highest MI is {value!r} nats at k={k}, N={n}; nothing carries "
+            f"measurable information at this k, so only the tie rule decides"
+        )
 
 
 def _parallelism(workers: int) -> str:
@@ -156,56 +147,6 @@ def _out_dir(cfg: ExperimentConfig, *parts: str) -> Path:
     return path
 
 
-def _labels(train) -> tuple[str, ...]:
-    return train.labels or tuple(f"x{j}" for j in range(train.n_variables))
-
-
-def _train_only_variance(train) -> float:
-    """The training target's unbiased variance; DataError when the target is constant."""
-    var = float(np.var(train.y, ddof=1))
-    if train.y.min() == train.y.max() or not var > 0.0:
-        raise DataError("training target is constant; scores would be undefined")
-    return var
-
-
-# ---------------------------------------------------------------------------
-# Dry-run planning
-
-
-def _grid_size_line(spec, n_train: int, n_variables: int, cfg: ExperimentConfig) -> str:
-    if spec.sweeps_components:
-        counts = default_component_counts(n_train, n_variables, cfg.folds)
-        return f"component grid: {len(counts)} points"
-    if spec.model == "rbfn":
-        k_counts = default_centroid_counts(n_train, cfg.folds, cfg.max_centroids)
-        return (
-            f"model grid: {len(k_counts)} centroid counts x {cfg.wsf_count} "
-            f"width factors = {len(k_counts) * cfg.wsf_count} points"
-        )
-    if spec.model == "lssvm":
-        return (
-            f"model grid: {cfg.sigma_count} kernel widths x {cfg.gamma_count} "
-            f"regularizations = {cfg.sigma_count * cfg.gamma_count} points"
-        )
-    return "model grid: 1 point (ordinary least squares)"
-
-
-def _plan_lines(train, cfg: ExperimentConfig, methods) -> list[str]:
-    n, m = train.n_samples, train.n_variables
-    lines = [f"plan: train {n}x{m}, {cfg.folds} folds, seed {cfg.seed}"]
-    if any(METHOD_TABLE[i].uses_selection for i in methods):
-        p = min(cfg.pool_size, m)
-        lines.append(
-            f"variable selection: pool of {p} variables, grown to a larger greedy subset's size "
-            f"up to {MAX_POOL_SIZE}, searching at least {2 ** p} subsets ({2 ** p - 1} non-empty)"
-        )
-    for i in methods:
-        spec = METHOD_TABLE[i]
-        lines.append(f"method {i} ({spec.label}): {_grid_size_line(spec, n, m, cfg)}")
-    lines.append("nothing computed (dry run)")
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -223,14 +164,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, _ = _load_data(cfg, need_test=False)
     train = preprocess(train, cfg.preprocessing)
-    labels = _labels(train)
+    labels = train.variable_labels
     _progress(f"estimating MI for {train.n_variables} variables (k={cfg.k})")
-    mis = individual_mis(train, cfg.k, cfg.seed)
+    session = MiSession(train.X, train.y, k=cfg.k, jitter_seed=cfg.seed)
+    mis = individual_mis(train, session=session)
+    ranking = rank_by_individual_mi(train, session=session)
+    _warn_if_uninformative(float(mis.max()), cfg.k, train.n_samples)
     out = _out_dir(cfg) / "mi.csv"
     with open(out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("variable", "label", "mi_nats"))
-        writer.writerows((j, labels[j], float(mis[j])) for j in _ranking(mis, len(mis)))
+        writer.writerows((j, labels[j], float(mis[j])) for j in ranking)
     _progress(f"wrote {out}")
     return 0
 
@@ -239,19 +183,15 @@ def cmd_select(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, _ = _load_data(cfg, need_test=False)
     train = preprocess(train, cfg.preprocessing)
-    labels = _labels(train)
+    labels = train.variable_labels
     _progress(
         f"selecting variables (k={cfg.k}, pool up to {cfg.pool_size}, "
         f"{_parallelism(cfg.workers)})"
     )
     result = select_variables(
-        train,
-        k=cfg.k,
-        pool_size=cfg.pool_size,
-        jitter_seed=cfg.seed,
-        workers=cfg.workers,
+        train, k=cfg.k, pool_size=cfg.pool_size, jitter_seed=cfg.seed, workers=cfg.workers
     )
-    _warn_if_uninformative(result)
+    _warn_if_uninformative(*astuple(result.best_mi))
     out = _out_dir(cfg)
     doc = {"config": cfg.to_dict(), "selection": result.to_dict(labels)}
     _write_json(out / "selection.json", doc)
@@ -266,43 +206,31 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, _ = _load_data(cfg, need_test=False)
-    raw_width = train.n_variables
-    train = preprocess(train, cfg.preprocessing)
-    labels = _labels(train)
-    var_y = _train_only_variance(train)
     spec = METHOD_TABLE[cfg.method]
     _progress(f"training method {cfg.method} ({spec.label})")
-    shared: dict = {}
-    sweep, selection, _ = build_method_sweep(train, cfg, shared, var_y)
-    _warn_if_uninformative(selection)
-    _, _, mat_l, mat_v, messages = sweep_folds(
-        train, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
-    )
-    winner = select_winner(mat_l, mat_v, messages)
-    params = sweep.grid.point(winner)
-    model = replace(
-        sweep.fit(train, params), preprocessing=cfg.preprocessing, n_inputs=raw_width
-    )
+    result = train_method(train, cfg)
+    if result.selection is not None:
+        _warn_if_uninformative(*astuple(result.selection.best_mi))
 
     out = _out_dir(cfg, f"method-{cfg.method:02d}", f"seed-{cfg.seed}")
-    save_pipeline(model, out / "model.json")
+    save_pipeline(result.model, out / "model.json")
     summary = {
         "config": cfg.to_dict(),
-        "kind": sweep.kind,
-        "winner_params": params,
-        "mean_nmse_l": float(np.mean(mat_l[winner])),
-        "mean_nmse_v": float(np.mean(mat_v[winner])),
-        "grid_points": len(sweep.grid),
+        "kind": result.kind,
+        "winner_params": result.winner_params,
+        "mean_nmse_l": result.mean_nmse_l,
+        "mean_nmse_v": result.mean_nmse_v,
+        "grid_points": result.grid_points,
     }
     _write_json(out / "train.json", summary)
-    if selection is not None:
-        doc = {"config": cfg.to_dict(), "selection": selection.to_dict(labels)}
+    if result.selection is not None:
+        doc = {"config": cfg.to_dict(), "selection": result.selection.to_dict(result.labels)}
         _write_json(out / "selection.json", doc)
-        _write_json(out / "trace.json", encode(selection.trace))
+        _write_json(out / "trace.json", encode(result.selection.trace))
     _progress(f"wrote {out / 'model.json'}")
     print(
-        f"method {cfg.method} ({spec.label}): winner {params}, "
-        f"validation NMSE {summary['mean_nmse_v']:.2E}"
+        f"method {cfg.method} ({spec.label}): winner {result.winner_params}, "
+        f"validation NMSE {result.mean_nmse_v:.2E}"
     )
     return 0
 
@@ -351,15 +279,15 @@ def cmd_run_method(args: argparse.Namespace) -> int:
     train, test = _load_data(cfg, need_test=True)
     shown = preprocess(train, cfg.preprocessing)
     if args.dry_run:
-        print("\n".join(_plan_lines(shown, cfg, [cfg.method])))
+        print("\n".join(plan_lines(shown, cfg, [cfg.method])))
         return 0
     spec = METHOD_TABLE[cfg.method]
     _progress(f"running method {cfg.method} ({spec.label}), {_parallelism(cfg.workers)}")
     result = run_method(train, test, cfg)
-    _warn_if_uninformative(result.selection)
-    labels = _labels(shown)
+    if result.selection is not None:
+        _warn_if_uninformative(*astuple(result.selection.best_mi))
     out = _out_dir(cfg, f"method-{cfg.method:02d}", f"seed-{cfg.seed}")
-    _write_method_artifacts(out, cfg, result, labels)
+    _write_method_artifacts(out, cfg, result, shown.variable_labels)
     _progress(f"wrote {out / 'report.json'}")
     print(
         f"method {cfg.method} ({spec.label}): NMSE_T = {result.nmse_t:.2E} "
@@ -390,15 +318,16 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     methods = sorted(METHOD_TABLE)
     shown = preprocess(train, cfg.preprocessing)
     if args.dry_run:
-        print("\n".join(_plan_lines(shown, cfg, methods)))
+        print("\n".join(plan_lines(shown, cfg, methods)))
         return 0
     _progress(f"running all {len(methods)} methods, {_parallelism(cfg.workers)}")
     results = reproduce(train, test, cfg)
     # Methods 11-13 share one selection; warn about it once.
     selections = [r.selection for r in results if isinstance(r, MethodResult) and r.selection]
-    _warn_if_uninformative(selections[0] if selections else None)
+    if selections:
+        _warn_if_uninformative(*astuple(selections[0].best_mi))
     best = best_methods(results)
-    labels = _labels(shown)
+    labels = shown.variable_labels
 
     out = _out_dir(cfg, f"seed-{cfg.seed}")
     method_docs = []

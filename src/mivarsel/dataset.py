@@ -100,6 +100,11 @@ class Dataset:
     def n_variables(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def variable_labels(self) -> tuple[str, ...]:
+        """The labels, or x0, x1, ... for a dataset without them."""
+        return self.labels or tuple(f"x{j}" for j in range(self.n_variables))
+
     def take_rows(self, indices) -> "Dataset":
         """New Dataset restricted to the given sample rows."""
         idx = np.asarray(indices, dtype=int)
@@ -297,7 +302,7 @@ def save_csv(d: Dataset, path: str | Path, target_label: str = "target") -> None
     with surrounding whitespace, a variable labelled ``target_label``,
     or labels that all parse as numbers.
     """
-    labels = d.labels or tuple(f"x{j}" for j in range(d.n_variables))
+    labels = d.variable_labels
     header = [*labels, target_label]
     for j, label in enumerate(header):
         if label != label.strip():

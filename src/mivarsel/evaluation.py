@@ -98,18 +98,22 @@ def nmse(predictions, targets, var_y_all: float) -> float:
     return _plain_nmse(p - t, var_y_all)
 
 
-def pooled_target_variance(train: Dataset, test: Dataset) -> float:
-    """Unbiased variance of the target over training and test rows pooled.
+def pooled_target_variance(*datasets: Dataset) -> float:
+    """Unbiased variance of the target over the rows of ``datasets`` pooled.
 
-    A constant target is a DataError whatever its value: all-0.1 targets
-    give a variance of about 1e-33 from the rounding of their mean, not 0.
+    An experiment pools its training and test rows; training alone
+    passes one dataset. A constant target is a DataError whatever its
+    value: all-0.1 targets give a variance of about 1e-33 from the
+    rounding of their mean, not 0. A variance that overflows float64 is
+    a NumericalError, as every score would be NaN.
     """
-    pooled = np.concatenate([train.y, test.y])
-    v = float(pooled.var(ddof=1))
-    if pooled.min() == pooled.max() or not v > 0.0:
-        raise DataError(
-            "pooled target is constant or its variance underflows; nothing to normalize by"
-        )
+    pooled = np.concatenate([d.y for d in datasets])
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(pooled.var(ddof=1))
+    if pooled.min() == pooled.max() or v == 0.0:
+        raise DataError("target is constant or its variance underflows; nothing to normalize by")
+    if not math.isfinite(v):
+        raise NumericalError("the target's variance overflows float64; rescale the target")
     return v
 
 

@@ -56,8 +56,11 @@ __all__ = [
     "PipelineSweep",
     "MethodResult",
     "MethodFailure",
+    "TrainResult",
     "component_count_cv",
+    "plan_lines",
     "build_method_sweep",
+    "train_method",
     "run_method",
     "reproduce",
     "best_methods",
@@ -267,16 +270,35 @@ class MethodFailure:
         object.__setattr__(self, "exception", exception)
 
 
+@dataclass(frozen=True)
+class TrainResult:
+    """One method cross-validated on training rows alone; ``labels`` name its input columns."""
+
+    kind: str
+    winner_params: dict
+    mean_nmse_l: float
+    mean_nmse_v: float
+    grid_points: int
+    labels: tuple[str, ...]
+    selection: SelectionResult | None
+    model: PipelineModel
+
+
+def _cv_winner(train: Dataset, sweep, cfg: ExperimentConfig, var_y: float):
+    """(winner index, mat_l, mat_v) of ``sweep`` cross-validated on the training rows alone."""
+    _, _, mat_l, mat_v, messages = sweep_folds(
+        train, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
+    )
+    return select_winner(mat_l, mat_v, messages), mat_l, mat_v
+
+
 def component_count_cv(
     train: Dataset, projection: str, cfg: ExperimentConfig, var_y: float
 ) -> int:
     """Cross-validated component count for a projection; never reads test data."""
     counts = default_component_counts(train.n_samples, train.n_variables, cfg.folds)
     sweep = ComponentSweep(projection, counts)
-    _, _, mat_l, mat_v, messages = sweep_folds(
-        train, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
-    )
-    winner = select_winner(mat_l, mat_v, messages)
+    winner, _, _ = _cv_winner(train, sweep, cfg, var_y)
     return int(sweep.grid.point(winner)["components"])
 
 
@@ -297,23 +319,36 @@ def _model_sweep(kind: str, features: np.ndarray, n_train: int, cfg: ExperimentC
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _shared_components(train, spec, cfg, var_y, shared: dict) -> int:
-    key = ("components", spec.projection)
-    if key not in shared:
-        shared[key] = component_count_cv(train, spec.projection, cfg, var_y)
-    return shared[key]
+def _grid_line(spec: MethodSpec, n_train: int, n_variables: int, cfg: ExperimentConfig) -> str:
+    """The size of the grid ``build_method_sweep`` gives ``spec`` on n_train x n_variables rows."""
+    if spec.sweeps_components:
+        counts = default_component_counts(n_train, n_variables, cfg.folds)
+        return f"component grid: {len(counts)} points"
+    if spec.model == "linear":
+        return "model grid: 1 point (ordinary least squares)"
+    if spec.model == "rbfn":
+        a = len(default_centroid_counts(n_train, cfg.folds, cfg.max_centroids))
+        a_name, b, b_name = "centroid counts", cfg.wsf_count, "width factors"
+    else:
+        a, a_name, b, b_name = cfg.sigma_count, "kernel widths", cfg.gamma_count, "regularizations"
+    return f"model grid: {a} {a_name} x {b} {b_name} = {a * b} points"
 
 
-def _shared_selection(train, cfg, shared: dict) -> SelectionResult:
-    if "selection" not in shared:
-        shared["selection"] = select_variables(
-            train,
-            k=cfg.k,
-            pool_size=cfg.pool_size,
-            jitter_seed=cfg.seed,
-            workers=cfg.workers,
+def plan_lines(train: Dataset, cfg: ExperimentConfig, methods) -> list[str]:
+    """What running ``methods`` on the preprocessed ``train`` would search, computing nothing."""
+    n, m = train.n_samples, train.n_variables
+    lines = [f"plan: train {n}x{m}, {cfg.folds} folds, seed {cfg.seed}"]
+    if any(METHOD_TABLE[i].uses_selection for i in methods):
+        p = min(cfg.pool_size, m)
+        lines.append(
+            f"variable selection: pool of {p} variables, grown to a larger greedy subset's size "
+            f"up to {MAX_POOL_SIZE}, searching at least {2 ** p} subsets ({2 ** p - 1} non-empty)"
         )
-    return shared["selection"]
+    for i in methods:
+        spec = METHOD_TABLE[i]
+        lines.append(f"method {i} ({spec.label}): {_grid_line(spec, n, m, cfg)}")
+    lines.append("nothing computed (dry run)")
+    return lines
 
 
 def build_method_sweep(
@@ -330,24 +365,51 @@ def build_method_sweep(
         counts = default_component_counts(train.n_samples, train.n_variables, cfg.folds)
         return ComponentSweep(spec.projection, counts), None, None
     if spec.projection is not None:
-        components = _shared_components(train, spec, cfg, var_y, shared)
+        key = ("components", spec.projection)
+        if key not in shared:
+            shared[key] = component_count_cv(train, spec.projection, cfg, var_y)
+        components = shared[key]
         _, features = fit_mapping(
             train, projection=spec.projection, n_components=components, whiten=spec.whiten
         )
         inner = _model_sweep(spec.model, features.X, train.n_samples, cfg)
         kind = f"{spec.projection}{'+whiten' if spec.whiten else ''}+{spec.model}"
         sweep = PipelineSweep(
-            inner,
-            kind,
-            projection=spec.projection,
-            n_components=components,
-            whiten=spec.whiten,
+            inner, kind, projection=spec.projection, n_components=components, whiten=spec.whiten
         )
         return sweep, None, components
-    selection = _shared_selection(train, cfg, shared)
+    if "selection" not in shared:
+        shared["selection"] = select_variables(
+            train, k=cfg.k, pool_size=cfg.pool_size, jitter_seed=cfg.seed, workers=cfg.workers
+        )
+    selection = shared["selection"]
     chosen = selection.best.sorted_indices()
     inner = _model_sweep(spec.model, train.X[:, list(chosen)], train.n_samples, cfg)
     return PipelineSweep(inner, f"mi+{spec.model}", variables=chosen), selection, None
+
+
+def train_method(train: Dataset, cfg: ExperimentConfig) -> TrainResult:
+    """cfg.method cross-validated on the raw ``train`` rows alone, its winner refit on them all.
+
+    Scores are normalized by the training target's variance; no test set is read.
+    """
+    raw_width = train.n_variables
+    train = preprocess(train, cfg.preprocessing)
+    var_y = pooled_target_variance(train)
+    sweep, selection, _ = build_method_sweep(train, cfg, {}, var_y)
+    winner, mat_l, mat_v = _cv_winner(train, sweep, cfg, var_y)
+    params = sweep.grid.point(winner)
+    fitted = sweep.fit(train, params)
+    return TrainResult(
+        kind=sweep.kind,
+        winner_params=params,
+        mean_nmse_l=float(np.mean(mat_l[winner])),
+        mean_nmse_v=float(np.mean(mat_v[winner])),
+        grid_points=len(sweep.grid),
+        labels=train.variable_labels,
+        selection=selection,
+        model=replace(fitted, preprocessing=cfg.preprocessing, n_inputs=raw_width),
+    )
 
 
 def run_method(
@@ -371,15 +433,11 @@ def run_method(
         # methods 1 and 2 fix the count their dependents reuse
         shared.setdefault(("components", spec.projection), components)
 
-    if selection is not None:
-        n_inputs = len(selection.best)
-    else:
-        n_inputs = int(components)
     return MethodResult(
         method=spec.number,
         label=spec.label,
         preprocessing=cfg.preprocessing,
-        n_inputs=n_inputs,
+        n_inputs=len(selection.best) if selection is not None else int(components),
         components=components,
         selection=selection,
         report=report,

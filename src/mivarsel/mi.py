@@ -65,7 +65,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 DEFAULT_K = 6
 
@@ -429,8 +429,9 @@ class MiSession:
         """MI of each subset, not memoised; each a sorted tuple of distinct column indices.
 
         Subsets in lexicographic order share the most work (see the
-        class docstring). The scale check takes the union of the
-        subsets' columns first: when it passes, so does every subset.
+        class docstring). A constant target shares no information with
+        anything and is a DataError. The scale check takes the union of
+        the subsets' columns first: when it passes, so does every subset.
         """
         union = sorted(set().union(*subsets))
         if not all(s and all(map(operator.lt, s, s[1:])) for s in subsets) or (
@@ -439,6 +440,8 @@ class MiSession:
             raise ValueError(
                 f"subsets must be non-empty ascending tuples of indices below {self.n_variables}"
             )
+        if self._y[0] == self._y[-1]:
+            raise DataError("the target is constant; no variable carries information about it")
         try:
             _check_ranges([self._ranges[j] for j in union], f"variables {union}")
         except NumericalError:

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._blas import map_tasks
 from .dataset import Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .mi import DEFAULT_K, MiEstimate, MiSession, _subset_indices, _validate_subset, _variable_index
 from .models import encode
 
@@ -391,8 +391,8 @@ def select_variables(
     greedy subset holds more variables than the pool, the pool grows
     to the greedy size, as long as that is at most ``MAX_POOL_SIZE``;
     past it a ConfigError names both sizes. A constant target carries
-    no information to select on and raises DataError before any
-    estimate is made.
+    no information to select on: the first estimate raises DataError
+    (see :meth:`MiSession.evaluate`).
 
     Degenerate k: a winner with MI <= 0.0 means no subset carries
     measurable information at this k. With k = N - 1 (N = 7 and k = 6,
@@ -402,8 +402,6 @@ def select_variables(
     ``train``, ``run-method``, ``reproduce``) warn on stderr, naming k
     and N.
     """
-    if d.y.min() == d.y.max():
-        raise DataError("the target is constant; there is nothing to select variables for")
     session = MiSession(d.X, d.y, k=k, jitter_seed=jitter_seed)
     values = individual_mis(d, k, jitter_seed, session)
     ranking = _ranking(values, d.n_variables)

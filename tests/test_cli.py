@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import itertools
 import json
 import multiprocessing
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -21,8 +23,8 @@ from mivarsel import evaluation
 from mivarsel.cli import build_parser, main
 from mivarsel.dataset import Dataset, load_csv, save_csv
 from mivarsel.errors import NumericalError
-from mivarsel.evaluation import nmse
-from mivarsel.methods import MethodResult
+from mivarsel.evaluation import nmse, pooled_target_variance
+from mivarsel.methods import ExperimentConfig, MethodResult, build_method_sweep
 from mivarsel.models import load_pipeline
 from mivarsel.selector import individual_mis, rank_by_individual_mi
 
@@ -375,6 +377,19 @@ class TestDegenerateK:
         assert main([*args, "--k", "2"]) == 0
         assert "warning" not in capsys.readouterr().err
 
+    def test_estimate_warns_on_stderr(self, seven, capsys):
+        train, _, out = seven
+        args = ["estimate", "--train", str(train), "--out", str(out)]
+        assert main([*args, "--k", "6"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("warning") == 1 and "k=6" in captured.err and "N=7" in captured.err
+        assert "warning" not in captured.out
+        rows = (out / "custom" / "mi.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["0.0"] * 3
+        assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]  # the tie rule's order
+        assert main([*args, "--k", "2"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_run_method_warns_on_stderr(self, seven, capsys):
         train, test, out = seven
         assert main([
@@ -436,6 +451,23 @@ class TestReproduce:
             assert f"method {i} (" in plan
         assert "8 subsets (7 non-empty)" in plan  # pool of 3
 
+    @pytest.mark.parametrize("method", range(1, 14))
+    def test_dry_run_point_count_is_the_built_sweeps(self, csvs, capsys, method):
+        argv = ["run-method", *_args(csvs), *_GRIDS, "--method", str(method), "--workers", "1"]
+        assert main([*argv, "--dry-run"]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(f"method {method} (")
+        )
+        planned = int(re.findall(r"(\d+) points?\b", line)[-1])
+        train = load_csv(csvs[0])
+        cfg = ExperimentConfig(
+            method=method, pool_size=3, folds=3, gamma_count=6, sigma_count=4, wsf_count=2,
+            max_centroids=4,
+        )
+        sweep, _, _ = build_method_sweep(train, cfg, {}, pooled_target_variance(train))
+        assert planned == len(sweep.grid)
+
 
 @pytest.fixture()
 def wide_test(tmp_path):
@@ -477,6 +509,96 @@ class TestTestSetWidth:
             assert sorted(m) == ["error", "label", "method"]
             assert "rows have 6" in m["error"]
         assert sorted(p.name for p in out.iterdir()) == ["benchmark.json"]
+
+
+def _awkward_split(kind: str):
+    """40 training and 12 test rows (x, y, xt, yt) of one awkward input, 4 variables wide."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(52, 4))
+    y = x[:, 0] + x[:, 1] ** 2 + 0.1 * rng.normal(size=52)
+    n = 40
+    if kind == "constant-target":
+        y = np.full(52, 0.1)
+    elif kind == "duplicated-rows":
+        x, y = np.repeat(x[:26], 2, axis=0), np.repeat(y[:26], 2)
+    elif kind == "constant-column":
+        x[:, 2] = 3.0
+    elif kind == "one-variable":
+        x = x[:, :1]
+    elif kind == "8-training-rows":
+        n = 8
+    elif kind == "binary-target":
+        y = (y > np.median(y)).astype(float)
+    elif kind == "rounded-inputs":
+        x = np.round(x, 1)
+    elif kind == "nan-cell":
+        x[2, 1] = np.nan
+    elif kind == "x-1e150":
+        x = x * 1e150
+    elif kind == "x-1e-160":
+        x = x * 1e-160
+    elif kind == "y-1e200":
+        y = y * 1e200
+    return x[:n], y[:n], x[n:], y[n:]
+
+
+def _write_rows(path: Path, x, y, header) -> None:
+    rows = [",".join(map(repr, row)) for row in np.column_stack([x, y]).tolist()]
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
+
+
+_OK = (0, "wrote ")
+# input -> (expected where the command estimates MI, expected where it does not),
+# each an (exit code, stderr substring) pair
+_AWKWARD = {
+    "constant-target": ((3, "constant"), (3, "constant")),
+    "duplicated-rows": (_OK, _OK),
+    "constant-column": (_OK, _OK),
+    "one-variable": (_OK, _OK),
+    "8-training-rows": (_OK, _OK),
+    "binary-target": (_OK, _OK),
+    "rounded-inputs": (_OK, _OK),
+    "nan-cell": ((3, "non-finite value 'nan'"), (3, "non-finite value 'nan'")),
+    # The max norm lets inputs at 1e150 drown the target: no variable carries measurable MI.
+    "x-1e150": ((0, "warning: the highest MI is 0.0 nats"), _OK),
+    "x-1e-160": ((4, "underflow"), _OK),
+    "y-1e200": ((4, "overflow"), (4, "the target's variance overflows")),
+    "numeric-header": ((3, "no header row"), (3, "no header row")),
+}
+# command -> (argv, artifact written on success, whether it estimates MI)
+_MATRIX_COMMANDS = {
+    "estimate": (["estimate"], "mi.csv", True),
+    "select": (["select"], "selection.json", True),
+    **{
+        f"run-method-{m}": (
+            ["run-method", "--method", str(m), *_GRIDS],
+            f"method-{m:02d}/seed-0/report.json",
+            m == 12,
+        )
+        for m in (1, 3, 5, 12)
+    },
+}
+
+
+class TestAwkwardInputs:
+    """Legal but awkward inputs give an answer or a typed error, never a silent wrong number."""
+
+    @pytest.mark.parametrize(
+        "kind, command", list(itertools.product(_AWKWARD, _MATRIX_COMMANDS))
+    )
+    def test_exit_code_and_message(self, tmp_path, capsys, kind, command):
+        x, y, xt, yt = _awkward_split(kind)
+        header = [f"x{j}" for j in range(x.shape[1])] + ["target"]
+        if kind == "numeric-header":
+            header = [str(j) for j in range(len(header))]
+        train, test, out = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "r"
+        _write_rows(train, x, y, header)
+        _write_rows(test, xt, yt, header)
+        argv, artifact, estimates_mi = _MATRIX_COMMANDS[command]
+        code, message = _AWKWARD[kind][0 if estimates_mi else 1]
+        assert main([*argv, *_args((train, test, out)), "--workers", "1"]) == code
+        assert message in capsys.readouterr().err
+        assert (out / "custom" / artifact).exists() == (code == 0)
 
 
 def _pipeline_document(**fields) -> dict:

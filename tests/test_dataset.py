@@ -62,6 +62,11 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.zeros((2, 2)), np.zeros(2), labels=("a",))
 
+    def test_variable_labels_default_to_positions(self):
+        assert Dataset(np.zeros((2, 3)), np.zeros(2)).variable_labels == ("x0", "x1", "x2")
+        named = Dataset(np.zeros((2, 2)), np.zeros(2), labels=("a", "b"))
+        assert named.variable_labels == ("a", "b")
+
     def test_take_rows_and_variables(self):
         d = Dataset(np.arange(12.0).reshape(4, 3), np.arange(4.0), ("a", "b", "c"))
         rows = d.take_rows([0, 2])

@@ -81,6 +81,18 @@ class TestNmse:
         with pytest.raises(DataError, match="variance"):
             pooled_target_variance(a, a)
 
+    def test_pooled_variance_of_one_dataset_is_its_own(self):
+        y = np.random.default_rng(2).normal(size=30)
+        d = Dataset(np.zeros((30, 1)), y)
+        assert pooled_target_variance(d) == float(np.var(y, ddof=1))
+        with pytest.raises(DataError, match="constant"):
+            pooled_target_variance(Dataset(np.zeros((30, 1)), np.full(30, 0.1)))
+
+    def test_pooled_variance_that_overflows_is_numerical_error(self):
+        d = Dataset(np.zeros((20, 1)), 1e200 * np.random.default_rng(3).normal(size=20))
+        with pytest.raises(NumericalError, match="overflows"):
+            pooled_target_variance(d, d)
+
     def test_pooled_variance_rejects_a_constant_target_whose_mean_rounds(self):
         a = Dataset(np.zeros((60, 1)), np.full(60, 0.1))
         b = Dataset(np.zeros((20, 1)), np.full(20, 0.1))

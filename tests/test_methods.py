@@ -39,6 +39,7 @@ from mivarsel.methods import (
     component_count_cv,
     reproduce,
     run_method,
+    train_method,
 )
 from mivarsel.models import (
     PipelineModel,
@@ -345,6 +346,23 @@ class TestComponentCountCv:
         n_pca = component_count_cv(train, "pca", cfg, var_y)
         n_pls = component_count_cv(train, "pls", cfg, var_y)
         assert n_pls <= n_pca
+
+
+class TestTrainMethod:
+    def test_shares_the_component_counts_pick(self):
+        train, _ = _linear_split(rank=2)
+        cfg = ExperimentConfig(method=1, **SMALL)
+        result = train_method(train, cfg)
+        picked = component_count_cv(train, "pca", cfg, pooled_target_variance(train))
+        assert result.winner_params == {"components": picked}
+        assert result.kind == "pcr" and result.selection is None
+        assert result.model.n_inputs == train.n_variables
+        assert result.labels == tuple(f"x{j}" for j in range(train.n_variables))
+
+    def test_constant_target_is_data_error(self):
+        train, _ = _linear_split(rank=2)
+        with pytest.raises(DataError, match="constant"):
+            train_method(Dataset(train.X, np.full(train.n_samples, 0.1)), ExperimentConfig(**SMALL))
 
 
 class TestComponentCountScale:

@@ -783,6 +783,22 @@ class TestSelectionPipeline:
         with pytest.raises(DataError, match="constant"):
             select_variables(d, k=4, pool_size=3)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda d: estimate_mi(d, (0, 2)),
+            lambda d: individual_mis(d),
+            lambda d: exhaustive_search(d, (0, 1, 2)),
+            lambda d: MiSession(d.X, d.y).evaluate([(0,), (0, 1)]),
+        ],
+        ids=["estimate_mi", "individual_mis", "exhaustive_search", "evaluate"],
+    )
+    def test_every_estimate_of_a_constant_target_is_data_error(self, entry):
+        # All-0.1 targets: a variance test would see 1e-33 from the rounding of the mean.
+        d = Dataset(np.random.default_rng(1).normal(size=(40, 3)), np.full(40, 0.1))
+        with pytest.raises(DataError, match="constant"):
+            entry(d)
+
     @staticmethod
     def _wide_signal_dataset() -> Dataset:
         rng = np.random.default_rng(8)
