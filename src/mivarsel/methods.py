@@ -412,60 +412,57 @@ def train_method(train: Dataset, cfg: ExperimentConfig) -> TrainResult:
     )
 
 
-def run_method(
-    train: Dataset, test: Dataset, cfg: ExperimentConfig, _shared: dict | None = None
-) -> MethodResult:
-    """Execute one benchmark method end to end on a train/test split."""
-    spec = METHOD_TABLE[cfg.method]
-    shared = {} if _shared is None else _shared
-    raw_width = train.n_variables
-    train = preprocess(train, cfg.preprocessing)
-    test = preprocess(test, cfg.preprocessing)
-    var_y = pooled_target_variance(train, test)
-
-    sweep, selection, components = build_method_sweep(train, cfg, shared, var_y)
-    report, fitted = cross_validate(
-        train, test, sweep, cfg.folds, cfg.seed, var_y, workers=cfg.workers
-    )
-    model = replace(fitted, preprocessing=cfg.preprocessing, n_inputs=raw_width)
-    if spec.sweeps_components:
-        components = int(report.winner_params["components"])
-        # methods 1 and 2 fix the count their dependents reuse
-        shared.setdefault(("components", spec.projection), components)
-
-    return MethodResult(
-        method=spec.number,
-        label=spec.label,
-        preprocessing=cfg.preprocessing,
-        n_inputs=len(selection.best) if selection is not None else int(components),
-        components=components,
-        selection=selection,
-        report=report,
-        model=model,
-    )
+def run_method(train: Dataset, test: Dataset, cfg: ExperimentConfig) -> MethodResult:
+    """Execute cfg.method end to end on a train/test split: ``reproduce`` of that one method."""
+    (result,) = reproduce(train, test, cfg, [cfg.method])
+    if isinstance(result, MethodFailure):
+        raise result.exception
+    return result
 
 
 def reproduce(
-    train: Dataset,
-    test: Dataset,
-    cfg: ExperimentConfig,
-    methods=None,
+    train: Dataset, test: Dataset, cfg: ExperimentConfig, methods=None
 ) -> list[MethodResult | MethodFailure]:
-    """Run the whole benchmark, sharing component counts and the selection.
+    """Run ``methods`` (all thirteen by default) on one train/test split.
 
-    A failing method is recorded and the remaining methods still run.
+    The split is preprocessed and its pooled target variance taken once;
+    the selection and the component counts are shared across methods. A
+    failing method is recorded and the remaining methods still run; a
+    failed preparation is tried again by each, so each records its reason.
     """
-    chosen = list(methods) if methods is not None else sorted(METHOD_TABLE)
-    for m in chosen:
-        if m not in METHOD_TABLE:
-            raise ConfigError(f"method must be 1..13, got {m}")
+    chosen = sorted(METHOD_TABLE) if methods is None else methods
+    configs = [replace(cfg, method=m) for m in chosen]
+    raw_width = train.n_variables
+    split = None
     shared: dict = {}
     results: list[MethodResult | MethodFailure] = []
-    for m in chosen:
+    for c in configs:
+        spec = METHOD_TABLE[c.method]
         try:
-            results.append(run_method(train, test, replace(cfg, method=m), _shared=shared))
+            if split is None:
+                tr, te = preprocess(train, cfg.preprocessing), preprocess(test, cfg.preprocessing)
+                split = tr, te, pooled_target_variance(tr, te)
+            tr, te, var_y = split
+            sweep, selection, components = build_method_sweep(tr, c, shared, var_y)
+            report, fitted = cross_validate(
+                tr, te, sweep, c.folds, c.seed, var_y, workers=c.workers
+            )
+            if spec.sweeps_components:
+                components = int(report.winner_params["components"])
+                # methods 1 and 2 fix the count their dependents reuse
+                shared.setdefault(("components", spec.projection), components)
+            results.append(MethodResult(
+                method=spec.number,
+                label=spec.label,
+                preprocessing=c.preprocessing,
+                n_inputs=len(selection.best) if selection is not None else int(components),
+                components=components,
+                selection=selection,
+                report=report,
+                model=replace(fitted, preprocessing=c.preprocessing, n_inputs=raw_width),
+            ))
         except (ValueError, ConfigError, DataError, NumericalError) as exc:
-            results.append(MethodFailure(m, METHOD_TABLE[m].label, str(exc), exc))
+            results.append(MethodFailure(c.method, spec.label, str(exc), exc))
     return results
 
 

@@ -850,6 +850,24 @@ class TestWorkersIndependence:
             docs.append(doc)
         assert docs[0] == docs[1]
 
+    def test_benchmark_identical_across_worker_counts(self, csvs):
+        train, test, out = csvs
+        runs = []
+        for workers, tag in ((1, "a"), (3, "b")):
+            assert main([
+                "reproduce", "--train", str(train), "--test", str(test),
+                "--out", str(out / tag), "--p", "3", "--folds", "3", *_GRIDS,
+                "--workers", str(workers),
+            ]) == 0
+            run = out / tag / "custom" / "seed-0"
+            paths = ["benchmark.json", *(f"method-{m:02d}/report.json" for m in range(1, 14))]
+            docs = {p: json.loads((run / p).read_text()) for p in paths}
+            for doc in docs.values():
+                doc["config"]["workers"] = None
+                doc["config"]["out_dir"] = None
+            runs.append(docs)
+        assert runs[0] == runs[1]
+
 
 def _synth():
     """perfbench's seeded synthetic spectra, imported from the benchmark's own file."""

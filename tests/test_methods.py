@@ -404,12 +404,11 @@ class TestRunMethod:
 
     def test_projection_methods_inherit_shared_count(self):
         train, test = _nonlinear_split(seed=14)
-        cfg = ExperimentConfig(method=4, **SMALL)
-        shared = {("components", "pca"): 2}
-        r = run_method(train, test, cfg, _shared=shared)
-        assert r.components == 2 and r.n_inputs == 2
+        r1, r = reproduce(train, test, ExperimentConfig(**SMALL), methods=(1, 4))
+        count = r1.components
+        assert r.components == count and r.n_inputs == count
         assert r.report.kind == "pca+whiten+rbfn"
-        assert r.model.projection.n_components == 2
+        assert r.model.projection.n_components == count
         assert r.model.whitener is not None
 
     def test_normalized_pipeline_scores_raw_rows_identically(self, monkeypatch):
@@ -496,17 +495,44 @@ class TestReproduce:
         with pytest.raises(ConfigError, match="1..13"):
             reproduce(train, test, ExperimentConfig(**SMALL), methods=(1, 99))
 
-    def test_failures_recorded_without_aborting(self):
+    @pytest.mark.parametrize("where", ["train", "test"])
+    def test_failures_recorded_without_aborting(self, where):
         rng = np.random.default_rng(21)
-        x = rng.normal(size=(40, 6))
-        x[3] = 2.5  # constant spectrum breaks row normalization
-        train = Dataset(x, rng.normal(size=40))
-        test = Dataset(rng.normal(size=(10, 6)), rng.normal(size=10))
+        x, xt = rng.normal(size=(40, 6)), rng.normal(size=(10, 6))
+        (x if where == "train" else xt)[3] = 2.5  # constant spectrum breaks row normalization
+        train, test = Dataset(x, rng.normal(size=40)), Dataset(xt, rng.normal(size=10))
         cfg = ExperimentConfig(preprocessing="spectrum-normalize", **SMALL)
         results = reproduce(train, test, cfg, methods=(1, 2, 13))
         assert [r.method for r in results] == [1, 2, 13]
         assert all(isinstance(r, MethodFailure) for r in results)
         assert all("row 3" in r.error for r in results)
+        # run_method raises the error reproduce records
+        with pytest.raises(DataError) as raised:
+            run_method(train, test, replace(cfg, method=1))
+        assert type(raised.value) is type(results[0].exception)
+        assert str(raised.value) == results[0].error
+
+    def test_split_prepared_once(self, monkeypatch):
+        # 13 methods normalize the training rows, then the test rows, once
+        # each, and pool their target variance once.
+        normalized, pooled = [], []
+
+        def counted_normalize(d):
+            normalized.append(d)
+            return normalize_spectra(d)
+
+        def counted_variance(*datasets):
+            pooled.append(datasets)
+            return pooled_target_variance(*datasets)
+
+        monkeypatch.setattr(models, "normalize_spectra", counted_normalize)
+        monkeypatch.setattr(methods_module, "pooled_target_variance", counted_variance)
+        train, test = _nonlinear_split(seed=23, n=50, n_test=12, m=6)
+        cfg = ExperimentConfig(preprocessing="spectrum-normalize", **SMALL)
+        results = reproduce(train, test, cfg)
+        assert all(isinstance(r, MethodResult) for r in results)
+        assert len(normalized) == 2 and normalized[0] is train and normalized[1] is test
+        assert len(pooled) == 1
 
 
 class TestBestMethods:
