@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from . import blas_threads
@@ -59,6 +59,13 @@ def _warn_if_uninformative(value: float, k: int, n: int) -> None:
             f"warning: the highest MI is {value!r} nats at k={k}, N={n}; nothing carries "
             f"measurable information at this k, so only the tie rule decides"
         )
+
+
+def _warn_if_worse_than_mean(r: MethodResult) -> None:
+    """A stderr warning when a method's test error exceeds the pooled target variance."""
+    if r.nmse_t > 1.0:
+        _progress(f"warning: method {r.method} ({r.label}) has NMSE_T = {r.nmse_t:.2E} > 1.0, "
+                  "worse than predicting the mean on the test set")
 
 
 def _parallelism(workers: int) -> str:
@@ -112,7 +119,7 @@ def _resolve_paths(cfg: ExperimentConfig, need_test: bool):
         train_name, test_name, target = _DATASETS[cfg.dataset]
         base = data_dir()
         train_path, test_path = base / train_name, base / test_name
-        missing = [p for p in (train_path, test_path) if not p.exists()]
+        missing = [p for p in (train_path, test_path)[: 1 + need_test] if not p.exists()]
         if missing:
             raise DataError(
                 f"missing {', '.join(str(p) for p in missing)}; run `mivarsel fetch-data` "
@@ -164,7 +171,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, _ = _load_data(cfg, need_test=False)
     train = preprocess(train, cfg.preprocessing)
-    labels = train.variable_labels
     _progress(f"estimating MI for {train.n_variables} variables (k={cfg.k})")
     session = MiSession(train.X, train.y, k=cfg.k, jitter_seed=cfg.seed)
     mis = individual_mis(train, session=session)
@@ -174,7 +180,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     with open(out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("variable", "label", "mi_nats"))
-        writer.writerows((j, labels[j], float(mis[j])) for j in ranking)
+        writer.writerows((j, train.labels[j], float(mis[j])) for j in ranking)
     _progress(f"wrote {out}")
     return 0
 
@@ -183,7 +189,6 @@ def cmd_select(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, _ = _load_data(cfg, need_test=False)
     train = preprocess(train, cfg.preprocessing)
-    labels = train.variable_labels
     _progress(
         f"selecting variables (k={cfg.k}, pool up to {cfg.pool_size}, "
         f"{_parallelism(cfg.workers)})"
@@ -193,13 +198,13 @@ def cmd_select(args: argparse.Namespace) -> int:
     )
     _warn_if_uninformative(*astuple(result.best_mi))
     out = _out_dir(cfg)
-    doc = {"config": cfg.to_dict(), "selection": result.to_dict(labels)}
+    doc = {"config": cfg.to_dict(), "selection": result.to_dict(train.labels)}
     _write_json(out / "selection.json", doc)
     _write_json(out / "trace.json", encode(result.trace))
     _progress(f"wrote {out / 'selection.json'}")
     _progress(f"wrote {out / 'trace.json'}")
     chosen = result.best.sorted_indices()
-    print(f"{len(chosen)} variables selected: " + ", ".join(labels[j] for j in chosen))
+    print(f"{len(chosen)} variables selected: " + ", ".join(train.labels[j] for j in chosen))
     return 0
 
 
@@ -287,8 +292,9 @@ def cmd_run_method(args: argparse.Namespace) -> int:
     if result.selection is not None:
         _warn_if_uninformative(*astuple(result.selection.best_mi))
     out = _out_dir(cfg, f"method-{cfg.method:02d}", f"seed-{cfg.seed}")
-    _write_method_artifacts(out, cfg, result, shown.variable_labels)
+    _write_method_artifacts(out, cfg, result, shown.labels)
     _progress(f"wrote {out / 'report.json'}")
+    _warn_if_worse_than_mean(result)
     print(
         f"method {cfg.method} ({spec.label}): NMSE_T = {result.nmse_t:.2E} "
         f"({result.n_inputs} inputs)"
@@ -315,27 +321,26 @@ def _benchmark_table(results, best: list[int]) -> str:
 def cmd_reproduce(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, test = _load_data(cfg, need_test=True)
-    methods = sorted(METHOD_TABLE)
     shown = preprocess(train, cfg.preprocessing)
     if args.dry_run:
-        print("\n".join(plan_lines(shown, cfg, methods)))
+        print("\n".join(plan_lines(shown, cfg, sorted(METHOD_TABLE))))
         return 0
-    _progress(f"running all {len(methods)} methods, {_parallelism(cfg.workers)}")
+    _progress(f"running all {len(METHOD_TABLE)} methods, {_parallelism(cfg.workers)}")
     results = reproduce(train, test, cfg)
     # Methods 11-13 share one selection; warn about it once.
     selections = [r.selection for r in results if isinstance(r, MethodResult) and r.selection]
     if selections:
         _warn_if_uninformative(*astuple(selections[0].best_mi))
     best = best_methods(results)
-    labels = shown.variable_labels
 
     out = _out_dir(cfg, f"seed-{cfg.seed}")
     method_docs = []
     for r in results:
         if isinstance(r, MethodResult):
-            sub = out / f"method-{r.method:02d}"
-            sub.mkdir(parents=True, exist_ok=True)
-            method_docs.append(_write_method_artifacts(sub, cfg, r, labels))
+            sub = _out_dir(cfg, f"seed-{cfg.seed}", f"method-{r.method:02d}")
+            method_cfg = replace(cfg, method=r.method)  # each report names the method it ran
+            method_docs.append(_write_method_artifacts(sub, method_cfg, r, shown.labels))
+            _warn_if_worse_than_mean(r)
         else:
             _progress(f"method {r.method} ({r.label}) failed: {r.error}")
             method_docs.append(encode(r))
@@ -352,7 +357,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *, grids: bool = False) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--dataset", help="named dataset: tecator or juice")
     p.add_argument("--train", dest="train_path", help="training CSV path")
@@ -373,14 +378,6 @@ def _add_config_flags(p: argparse.ArgumentParser, *, grids: bool = False) -> Non
         "--workers", type=int, help="parallel workers (default: machine parallelism)"
     )
     p.add_argument("--out", dest="out_dir", help="output root directory (default reports)")
-    if grids:
-        p.add_argument("--method", type=int, help="benchmark method id, 1..13")
-        p.add_argument("--gamma-count", dest="gamma_count", type=int, help=argparse.SUPPRESS)
-        p.add_argument("--sigma-count", dest="sigma_count", type=int, help=argparse.SUPPRESS)
-        p.add_argument("--wsf-count", dest="wsf_count", type=int, help=argparse.SUPPRESS)
-        p.add_argument(
-            "--max-centroids", dest="max_centroids", type=int, help=argparse.SUPPRESS
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("train", help="cross-validate one method and save the model")
-    _add_config_flags(p, grids=True)
+    _add_config_flags(p)
+    p.add_argument("--method", type=int, help="benchmark method id, 1..13 (default 12)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="apply a saved model to new rows")
@@ -418,12 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("run-method", help="train and evaluate one benchmark method")
-    _add_config_flags(p, grids=True)
+    _add_config_flags(p)
+    p.add_argument("--method", type=int, help="benchmark method id, 1..13 (default 12)")
     p.add_argument("--dry-run", action="store_true", help="print the plan, compute nothing")
     p.set_defaults(func=cmd_run_method)
 
     p = sub.add_parser("reproduce", help="run all 13 benchmark methods")
-    _add_config_flags(p, grids=True)
+    _add_config_flags(p)
     p.add_argument("--dry-run", action="store_true", help="print the plan, compute nothing")
     p.set_defaults(func=cmd_reproduce)
 

@@ -1,7 +1,8 @@
 """Loading, validation and preprocessing of spectrometric datasets.
 
 A :class:`Dataset` is an immutable (samples x variables) matrix plus a
-scalar target per sample and optional per-variable labels (wavelengths).
+scalar target per sample and one label per variable: the given ones
+(wavelengths, header names), or else ``x0 ... x{M-1}``.
 CSV is the canonical interchange format: comma separator, '.' decimal
 point, UTF-8, with an optional first header row carrying the labels.
 Rows containing any non-numeric cell abort the load; silently dropping
@@ -65,7 +66,7 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None = None  # None labels the columns x0, x1, ...
 
     def __post_init__(self) -> None:
         X = _frozen(self.X)
@@ -82,13 +83,13 @@ class Dataset:
             raise DataError("X contains NaN or infinite entries")
         if not np.all(np.isfinite(y)):
             raise DataError("y contains NaN or infinite entries")
-        if self.labels is not None:
-            labels = tuple(str(tag) for tag in self.labels)
-            if len(labels) != X.shape[1]:
-                raise DataError(
-                    f"{len(labels)} labels for {X.shape[1]} variables"
-                )
-            object.__setattr__(self, "labels", labels)
+        labels = (
+            tuple(f"x{j}" for j in range(X.shape[1])) if self.labels is None
+            else tuple(str(tag) for tag in self.labels)
+        )
+        if len(labels) != X.shape[1]:
+            raise DataError(f"{len(labels)} labels for {X.shape[1]} variables")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -100,11 +101,6 @@ class Dataset:
     def n_variables(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def variable_labels(self) -> tuple[str, ...]:
-        """The labels, or x0, x1, ... for a dataset without them."""
-        return self.labels or tuple(f"x{j}" for j in range(self.n_variables))
-
     def take_rows(self, indices) -> "Dataset":
         """New Dataset restricted to the given sample rows."""
         idx = np.asarray(indices, dtype=int)
@@ -113,9 +109,7 @@ class Dataset:
     def take_variables(self, indices) -> "Dataset":
         """New Dataset restricted to the given variable columns."""
         idx = np.asarray(indices, dtype=int)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in idx)
+        labels = tuple(self.labels[i] for i in idx)
         # take builds the columns in row order; X[:, idx] would need a second copy.
         return Dataset(_sealed(self.X.take(idx, axis=1)), self.y, labels)
 
@@ -269,9 +263,7 @@ def load_csv(path: str | Path, target_column: str | int = "target") -> Dataset:
     keep = [j for j in range(width) if j != target_idx]
     if not keep:
         raise DataError("dataset has no input variables besides the target")
-    labels = None
-    if header is not None:
-        labels = tuple(header[j] for j in keep)
+    labels = None if header is None else tuple(header[j] for j in keep)
     return Dataset(_sealed(matrix.take(keep, axis=1)), matrix[:, target_idx], labels)
 
 
@@ -302,7 +294,7 @@ def save_csv(d: Dataset, path: str | Path, target_label: str = "target") -> None
     with surrounding whitespace, a variable labelled ``target_label``,
     or labels that all parse as numbers.
     """
-    labels = d.variable_labels
+    labels = d.labels
     header = [*labels, target_label]
     for j, label in enumerate(header):
         if label != label.strip():
@@ -376,10 +368,7 @@ def normalize_spectra(d: Dataset) -> Dataset:
     the sample (N-1) convention.
     """
     out = normalize_spectrum_rows(d.X)
-    labels = None
-    if d.labels is not None:
-        labels = d.labels + ("row_mean", "row_std")
-    return Dataset(_sealed(out), d.y, labels)
+    return Dataset(_sealed(out), d.y, d.labels + ("row_mean", "row_std"))
 
 
 @dataclass(frozen=True)

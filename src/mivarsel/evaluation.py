@@ -296,16 +296,16 @@ def default_component_counts(n_train: int, n_variables: int, l: int) -> tuple[in
     return tuple(range(1, limit + 1))
 
 
-def default_centroid_counts(n_train: int, l: int, limit: int = 30) -> tuple[int, ...]:
+def default_centroid_counts(n_train: int, l: int, limit: int) -> tuple[int, ...]:
     cap = min(limit, _min_fold_learn_size(n_train, l))
     return tuple(range(1, cap + 1))
 
 
-def default_wsf_values(count: int = 15) -> tuple[float, ...]:
+def default_wsf_values(count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.geomspace(0.1, 10.0, count))
 
 
-def default_sigma_values(x: np.ndarray, count: int = 100) -> tuple[float, ...]:
+def default_sigma_values(x: np.ndarray, count: int) -> tuple[float, ...]:
     """Kernel widths log-spaced two decades around the median pair distance."""
     scale = median_pairwise_distance(x)
     if scale <= 0.0:
@@ -313,7 +313,7 @@ def default_sigma_values(x: np.ndarray, count: int = 100) -> tuple[float, ...]:
     return tuple(float(v) for v in np.geomspace(0.01 * scale, 100.0 * scale, count))
 
 
-def default_gamma_values(count: int = 300) -> tuple[float, ...]:
+def default_gamma_values(count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.geomspace(1e-3, 1e6, count))
 
 

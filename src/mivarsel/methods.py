@@ -122,7 +122,8 @@ class ExperimentConfig:
     """Everything one benchmark run depends on besides the data itself.
 
     The grid-geometry fields exist so small studies and tests can shrink
-    the search; their defaults reproduce the full benchmark grids.
+    the search (the CLI sets them through ``--config``); their defaults
+    are the paper's grids.
     """
 
     method: int = 12
@@ -406,7 +407,7 @@ def train_method(train: Dataset, cfg: ExperimentConfig) -> TrainResult:
         mean_nmse_l=float(np.mean(mat_l[winner])),
         mean_nmse_v=float(np.mean(mat_v[winner])),
         grid_points=len(sweep.grid),
-        labels=train.variable_labels,
+        labels=train.labels,
         selection=selection,
         model=replace(fitted, preprocessing=cfg.preprocessing, n_inputs=raw_width),
     )

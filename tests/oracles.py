@@ -391,10 +391,9 @@ def kkt_residual(m, train) -> float:
 
 def csv_module_save(d, path, target_label: str = "target") -> None:
     """``dataset.save_csv`` as the csv module writes it, one ``writerow`` per sample."""
-    labels = d.labels or tuple(f"x{j}" for j in range(d.n_variables))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(list(labels) + [target_label])
+        writer.writerow(list(d.labels) + [target_label])
         for i in range(d.n_samples):
             writer.writerow(
                 [repr(float(v)) for v in d.X[i]] + [repr(float(d.y[i]))]

@@ -50,10 +50,8 @@ def _args(csvs, *extra):
     ]
 
 
-_GRIDS = [
-    "--gamma-count", "6", "--sigma-count", "4", "--wsf-count", "2",
-    "--max-centroids", "4",
-]
+# Small model grids: 6 gammas, 4 sigmas, 2 width factors, at most 4 centroids.
+_GRIDS = ["--config", str(Path(__file__).with_name("grids.json"))]
 
 
 class TestEstimate:
@@ -130,6 +128,38 @@ class TestSelect:
         doc = json.loads((csvs[2] / "custom" / "selection.json").read_text())
         best = set(doc["selection"]["best"]["indices"])
         assert {0, 1} <= best
+
+
+class TestHeaderlessLabels:
+    """Without a header the inputs are x0, x1, ...; normalization appends row_mean and row_std."""
+
+    @pytest.fixture()
+    def headerless(self, tmp_path):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(60, 6)) + 3.0 * rng.normal(size=(60, 1))  # rows shifted apart
+        y = x.mean(axis=1) + 0.05 * rng.normal(size=60)
+        path, out = tmp_path / "headerless.csv", tmp_path / "r"
+        rows = np.column_stack([x, y]).tolist()
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        argv = ["--train", str(path), "--target-column", "6", "--out", str(out),
+                "--p", "3", "--preprocessing", "spectrum-normalize"]
+        return argv, out / "custom"
+
+    def test_estimate_names_the_row_statistics(self, headerless):
+        argv, out = headerless
+        assert main(["estimate", *argv]) == 0
+        rows = (out / "mi.csv").read_text().splitlines()[1:]
+        named = {int(row.split(",")[0]): row.split(",")[1] for row in rows}
+        assert named == {**{j: f"x{j}" for j in range(6)}, 6: "row_mean", 7: "row_std"}
+
+    def test_select_names_the_row_statistics(self, headerless, capsys):
+        argv, out = headerless
+        assert main(["select", *argv]) == 0
+        printed = capsys.readouterr().out
+        doc = json.loads((out / "selection.json").read_text())
+        best = doc["selection"]["best"]
+        assert 6 in best["indices"] and "row_mean" in best["labels"]
+        assert "row_mean" in printed and "x6" not in printed and "x7" not in printed
 
 
 class TestTrainPredict:
@@ -407,8 +437,10 @@ class TestDegenerateK:
             *command, "--train", str(train), "--test", str(test), "--out", str(out),
             "--p", "3", "--k", "6", "--folds", "2", *_GRIDS,
         ]) == 0
+        # Test-score warnings name NMSE_T; of the others, the shared selection gives one.
         err = capsys.readouterr().err
-        assert err.count("warning") == 1 and "k=6" in err and "N=7" in err
+        warnings = [w for w in err.splitlines() if "warning" in w and "NMSE_T" not in w]
+        assert len(warnings) == 1 and "k=6" in warnings[0] and "N=7" in warnings[0]
 
 
 class TestReproduce:
@@ -424,6 +456,13 @@ class TestReproduce:
         table = capsys.readouterr().out
         assert table.count("\n") >= 14  # header, rule, thirteen rows
         assert "*" in table  # best methods marked
+
+    def test_each_report_records_the_method_it_ran(self, csvs):
+        assert main(["reproduce", *_args(csvs), *_GRIDS]) == 0
+        out = csvs[2] / "custom" / "seed-0"
+        for i in range(1, 14):
+            doc = json.loads((out / f"method-{i:02d}" / "report.json").read_text())
+            assert doc["config"]["method"] == doc["result"]["method"] == i
 
     def test_each_report_encoded_once(self, csvs, monkeypatch):
         encoded = []
@@ -601,6 +640,38 @@ class TestAwkwardInputs:
         assert (out / "custom" / artifact).exists() == (code == 0)
 
 
+class TestWorseThanMean:
+    """A test score above 1.0, worse than predicting the mean, draws a stderr warning."""
+
+    @pytest.fixture()
+    def eight(self, tmp_path):
+        x, y, xt, yt = _awkward_split("8-training-rows")
+        header = [f"x{j}" for j in range(x.shape[1])] + ["target"]
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        _write_rows(train, x, y, header)
+        _write_rows(test, xt, yt, header)
+        return train, test, tmp_path / "r"
+
+    @pytest.mark.parametrize("method, warns", [(3, True), (1, False)])
+    def test_run_method(self, eight, capsys, method, warns):
+        assert main(["run-method", *_args(eight), *_GRIDS, "--method", str(method),
+                     "--workers", "1"]) == 0
+        report = eight[2] / "custom" / f"method-{method:02d}" / "seed-0" / "report.json"
+        nmse_t = json.loads(report.read_text())["result"]["report"]["nmse_t"]
+        assert (nmse_t > 1.0) == warns
+        err = capsys.readouterr().err
+        assert (f"warning: method {method} (" in err) == warns
+        assert (f"NMSE_T = {nmse_t:.2E} > 1.0" in err) == warns
+
+    def test_reproduce_warns_once_for_each_method_above_one(self, eight, capsys):
+        assert main(["reproduce", *_args(eight), *_GRIDS, "--workers", "1"]) == 0
+        doc = json.loads((eight[2] / "custom" / "seed-0" / "benchmark.json").read_text())
+        worse = [m["method"] for m in doc["methods"] if m["report"]["nmse_t"] > 1.0]
+        warned = re.findall(r"^warning: method (\d+) \(.*NMSE_T", capsys.readouterr().err, re.M)
+        assert [int(m) for m in warned] == worse
+        assert 3 in worse and 1 not in worse
+
+
 def _pipeline_document(**fields) -> dict:
     """A pipeline document around a two-input linear model, with ``fields`` set as given."""
     model = {"format": "mivarsel-model", "version": 1, "kind": "linear",
@@ -632,6 +703,34 @@ class TestExitCodes:
     def test_missing_named_dataset_is_data_error(self, csvs, monkeypatch):
         monkeypatch.setenv("MIVARSEL_DATA_DIR", str(csvs[2] / "empty"))
         assert main(["estimate", "--dataset", "tecator", "--out", str(csvs[2])]) == 3
+
+    @pytest.mark.parametrize("command", [["estimate"], ["select"], ["train", "--method", "13"]])
+    def test_named_dataset_needs_only_the_training_file(self, tmp_path, monkeypatch, capsys, command):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 4))
+        fat = x[:, 0] + 0.1 * rng.normal(size=40)
+        save_csv(Dataset(x, fat), tmp_path / "tecator_train.csv", target_label="fat")
+        monkeypatch.setenv("MIVARSEL_DATA_DIR", str(tmp_path))
+        argv = ["--dataset", "tecator", "--p", "3", "--folds", "3", "--out", str(tmp_path / "r")]
+        assert main([*command, *argv, *_GRIDS]) == 0
+        capsys.readouterr()
+        assert main(["run-method", *argv]) == 3  # it scores the test file, which is missing
+        err = capsys.readouterr().err
+        assert "missing " + str(tmp_path / "tecator_test.csv") + ";" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["reproduce", "--method", "5"]] + [
+            ["run-method", flag, "6"]
+            for flag in ("--gamma-count", "--sigma-count", "--wsf-count", "--max-centroids")
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_removed_flags_are_usage_errors(self, csvs, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *_args(csvs)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
     def test_unknown_dataset_is_config_error(self, csvs):
         assert main(["estimate", "--dataset", "wine", "--out", str(csvs[2])]) == 2
@@ -903,12 +1002,14 @@ class TestBlasThreads:
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         save_csv(Dataset(x, y, synth.LABELS), train)
         save_csv(Dataset(xt, yt, synth.LABELS), test)
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"sigma_count": 5, "gamma_count": 10}))
         src = str(Path(mivarsel.__file__).resolve().parents[1])
         argv = [
             sys.executable, "-m", "mivarsel.cli", "run-method",
             "--train", str(train), "--test", str(test), "--out", str(tmp_path / "r"),
             "--method", "5", "--preprocessing", "spectrum-normalize",
-            "--sigma-count", "5", "--gamma-count", "10", "--workers", "1",
+            "--config", str(grids), "--workers", "1",
         ]
         report = tmp_path / "r" / "custom" / "method-05" / "seed-0" / "report.json"
         reports = []

@@ -63,9 +63,14 @@ class TestDataset:
             Dataset(np.zeros((2, 2)), np.zeros(2), labels=("a",))
 
     def test_variable_labels_default_to_positions(self):
-        assert Dataset(np.zeros((2, 3)), np.zeros(2)).variable_labels == ("x0", "x1", "x2")
+        assert Dataset(np.zeros((2, 3)), np.zeros(2)).labels == ("x0", "x1", "x2")
         named = Dataset(np.zeros((2, 2)), np.zeros(2), labels=("a", "b"))
-        assert named.variable_labels == ("a", "b")
+        assert named.labels == ("a", "b")
+
+    def test_taken_variables_keep_their_original_positions(self):
+        d = Dataset(np.arange(8.0).reshape(2, 4), np.zeros(2))
+        assert d.take_variables([3, 1]).labels == ("x3", "x1")
+        assert d.take_variables([3, 1]).take_variables([1]).labels == ("x1",)
 
     def test_take_rows_and_variables(self):
         d = Dataset(np.arange(12.0).reshape(4, 3), np.arange(4.0), ("a", "b", "c"))
@@ -182,7 +187,7 @@ class TestCsvIo:
         path = tmp_path / "d.csv"
         path.write_text("850,852,854,0\n1.0,2.0,3.0,4.5\n")  # wavelengths, not a header
         d = load_csv(path, 3)
-        assert d.labels is None
+        assert d.labels == ("x0", "x1", "x2")
         assert d.X.tolist() == [[850.0, 852.0, 854.0], [1.0, 2.0, 3.0]]
         assert d.y.tolist() == [0.0, 4.5]
 
@@ -202,7 +207,7 @@ class TestByteOrderMark:
         path = tmp_path / "d.csv"
         path.write_bytes(self.BOM + b"0.5,1.5\n2.0,3.0\n4.0,5.0\n6.0,7.0\n")
         d = load_csv(path, -1)
-        assert d.labels is None
+        assert d.labels == ("x0",)
         assert d.X.tolist() == [[0.5], [2.0], [4.0], [6.0]]
         assert d.y.tolist() == [1.5, 3.0, 5.0, 7.0]
         assert load_input_rows(path).tolist() == [[0.5, 1.5], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]
@@ -505,6 +510,8 @@ class TestNormalizeSpectra:
         d = Dataset(np.array([[1.0, 2.0]]), np.zeros(1), ("850", "852"))
         out = normalize_spectra(d)
         assert out.labels == ("850", "852", "row_mean", "row_std")
+        plain = normalize_spectra(Dataset(np.array([[1.0, 2.0]]), np.zeros(1)))
+        assert plain.labels == ("x0", "x1", "row_mean", "row_std")
 
     def test_constant_row_rejected_by_number(self):
         d = Dataset(np.array([[1.0, 2.0], [5.0, 5.0]]), np.zeros(2))

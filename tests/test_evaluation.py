@@ -43,7 +43,7 @@ from mivarsel.evaluation import (
     sweep_folds,
     trim_outliers,
 )
-from mivarsel.methods import PipelineSweep
+from mivarsel.methods import ExperimentConfig, PipelineSweep
 from mivarsel.models import encode, fit_linear, fit_lssvm, fit_rbfn
 from mivarsel.evaluation import _kept
 from oracles import kept_by_numpy, lssvm_sweep_fold, rbfn_sweep_fold
@@ -253,6 +253,8 @@ class TestMetaGrid:
 
 
 class TestGridBuilders:
+    """The paper's grid sizes are ExperimentConfig's defaults; the builders take a count."""
+
     def test_median_pairwise_distance_hand_example(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
         # pair distances: 5, 10, 5
@@ -264,24 +266,25 @@ class TestGridBuilders:
         assert default_component_counts(20, 50, 4) == tuple(range(1, 15))
 
     def test_centroid_counts(self):
-        assert default_centroid_counts(172, 4) == tuple(range(1, 31))
-        assert default_centroid_counts(20, 4) == tuple(range(1, 16))
+        limit = ExperimentConfig().max_centroids
+        assert default_centroid_counts(172, 4, limit) == tuple(range(1, 31))
+        assert default_centroid_counts(20, 4, limit) == tuple(range(1, 16))
 
     def test_wsf_axis(self):
-        w = default_wsf_values()
+        w = default_wsf_values(ExperimentConfig().wsf_count)
         assert len(w) == 15
         assert w[0] == pytest.approx(0.1) and w[-1] == pytest.approx(10.0)
 
     def test_sigma_axis_anchored_to_data_scale(self):
         x = np.random.default_rng(0).normal(size=(25, 3))
         scale = median_pairwise_distance(x)
-        s = default_sigma_values(x)
+        s = default_sigma_values(x, ExperimentConfig().sigma_count)
         assert len(s) == 100
         assert s[0] == pytest.approx(0.01 * scale)
         assert s[-1] == pytest.approx(100.0 * scale)
 
     def test_gamma_axis(self):
-        g = default_gamma_values()
+        g = default_gamma_values(ExperimentConfig().gamma_count)
         assert len(g) == 300
         assert g[0] == pytest.approx(1e-3) and g[-1] == pytest.approx(1e6)
 
