@@ -83,9 +83,6 @@ def data_dir() -> Path:
 # Configuration assembly
 
 
-_CONFIG_FIELDS = tuple(ExperimentConfig.__dataclass_fields__)
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     doc: dict = {}
     config_path = getattr(args, "config", None)
@@ -99,7 +96,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
         doc = loaded
-    for name in _CONFIG_FIELDS:
+    for name in ExperimentConfig.__dataclass_fields__:
         value = getattr(args, name, None)
         if value is not None:  # flags override config-file fields
             doc[name] = value
@@ -198,13 +195,13 @@ def cmd_select(args: argparse.Namespace) -> int:
     )
     _warn_if_uninformative(*astuple(result.best_mi))
     out = _out_dir(cfg)
-    doc = {"config": cfg.to_dict(), "selection": result.to_dict(train.labels)}
+    doc = {"config": cfg.to_dict(), "selection": result.to_dict()}
     _write_json(out / "selection.json", doc)
     _write_json(out / "trace.json", encode(result.trace))
     _progress(f"wrote {out / 'selection.json'}")
     _progress(f"wrote {out / 'trace.json'}")
     chosen = result.best.sorted_indices()
-    print(f"{len(chosen)} variables selected: " + ", ".join(train.labels[j] for j in chosen))
+    print(f"{len(chosen)} variables selected: " + ", ".join(result.labels[j] for j in chosen))
     return 0
 
 
@@ -229,7 +226,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     _write_json(out / "train.json", summary)
     if result.selection is not None:
-        doc = {"config": cfg.to_dict(), "selection": result.selection.to_dict(result.labels)}
+        doc = {"config": cfg.to_dict(), "selection": result.selection.to_dict()}
         _write_json(out / "selection.json", doc)
         _write_json(out / "trace.json", encode(result.selection.trace))
     _progress(f"wrote {out / 'model.json'}")
@@ -241,9 +238,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
     model = load_pipeline(args.model)
-    rows = load_input_rows(args.data, cfg.target_column)
+    rows = load_input_rows(args.data, args.target_column)
     _progress(f"predicting {rows.shape[0]} rows with {args.model}")
     predictions = model.predict(rows)
     lines = "prediction\n" + "".join(f"{v!r}\n" for v in predictions.tolist())
@@ -263,13 +259,13 @@ def _write_json(path: Path, doc) -> None:
         handle.write("\n")
 
 
-def _write_method_artifacts(out: Path, cfg: ExperimentConfig, result, labels) -> dict:
+def _write_method_artifacts(out: Path, cfg: ExperimentConfig, result) -> dict:
     """Write one method's artifacts and return the encoded result that report.json holds.
 
     The JSON documents and the grid go to their files piece by piece, so
     neither file's whole text is held in memory.
     """
-    encoded = result.to_dict(labels)
+    encoded = result.to_dict()
     _write_json(out / "report.json", {"config": cfg.to_dict(), "result": encoded})
     with open(out / "grid.csv", "w") as handle:
         handle.writelines(grid_csv_blocks(result.report))
@@ -282,9 +278,8 @@ def _write_method_artifacts(out: Path, cfg: ExperimentConfig, result, labels) ->
 def cmd_run_method(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, test = _load_data(cfg, need_test=True)
-    shown = preprocess(train, cfg.preprocessing)
     if args.dry_run:
-        print("\n".join(plan_lines(shown, cfg, [cfg.method])))
+        print("\n".join(plan_lines(preprocess(train, cfg.preprocessing), cfg, [cfg.method])))
         return 0
     spec = METHOD_TABLE[cfg.method]
     _progress(f"running method {cfg.method} ({spec.label}), {_parallelism(cfg.workers)}")
@@ -292,7 +287,7 @@ def cmd_run_method(args: argparse.Namespace) -> int:
     if result.selection is not None:
         _warn_if_uninformative(*astuple(result.selection.best_mi))
     out = _out_dir(cfg, f"method-{cfg.method:02d}", f"seed-{cfg.seed}")
-    _write_method_artifacts(out, cfg, result, shown.labels)
+    _write_method_artifacts(out, cfg, result)
     _progress(f"wrote {out / 'report.json'}")
     _warn_if_worse_than_mean(result)
     print(
@@ -321,9 +316,8 @@ def _benchmark_table(results, best: list[int]) -> str:
 def cmd_reproduce(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     train, test = _load_data(cfg, need_test=True)
-    shown = preprocess(train, cfg.preprocessing)
     if args.dry_run:
-        print("\n".join(plan_lines(shown, cfg, sorted(METHOD_TABLE))))
+        print("\n".join(plan_lines(preprocess(train, cfg.preprocessing), cfg, list(METHOD_TABLE))))
         return 0
     _progress(f"running all {len(METHOD_TABLE)} methods, {_parallelism(cfg.workers)}")
     results = reproduce(train, test, cfg)
@@ -339,12 +333,13 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         if isinstance(r, MethodResult):
             sub = _out_dir(cfg, f"seed-{cfg.seed}", f"method-{r.method:02d}")
             method_cfg = replace(cfg, method=r.method)  # each report names the method it ran
-            method_docs.append(_write_method_artifacts(sub, method_cfg, r, shown.labels))
+            method_docs.append(_write_method_artifacts(sub, method_cfg, r))
             _warn_if_worse_than_mean(r)
         else:
             _progress(f"method {r.method} ({r.label}) failed: {r.error}")
             method_docs.append(encode(r))
     doc = {"config": cfg.to_dict(), "best": best, "methods": method_docs}
+    del doc["config"]["method"]  # the methods that ran are its "methods" entries
     _write_json(out / "benchmark.json", doc)
     _progress(f"wrote {out / 'benchmark.json'}")
     print(_benchmark_table(results, best))
@@ -410,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV of input rows")
     p.add_argument("--out", default=None, help="predictions CSV (default: stdout)")
     p.add_argument(
-        "--target-column", dest="target_column",
-        help="target column to drop: header name or 0-based position",
+        "--target-column", dest="target_column", default="target",
+        help="target column to drop: header name or 0-based position (default: %(default)s)",
     )
     p.set_defaults(func=cmd_predict)
 

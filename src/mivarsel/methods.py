@@ -249,11 +249,11 @@ class MethodResult:
     def nmse_t(self) -> float:
         return self.report.nmse_t
 
-    def to_dict(self, labels=None) -> dict:
+    def to_dict(self) -> dict:
         # selection and report carry keys of their own, so they are encoded apart
         doc = encode(replace(self, selection=None, report=None))
         if self.selection is not None:
-            doc["selection"] = self.selection.to_dict(labels)
+            doc["selection"] = self.selection.to_dict()
         doc["report"] = self.report.to_dict()
         return doc
 
@@ -273,14 +273,13 @@ class MethodFailure:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """One method cross-validated on training rows alone; ``labels`` name its input columns."""
+    """One method cross-validated on training rows alone."""
 
     kind: str
     winner_params: dict
     mean_nmse_l: float
     mean_nmse_v: float
     grid_points: int
-    labels: tuple[str, ...]
     selection: SelectionResult | None
     model: PipelineModel
 
@@ -407,7 +406,6 @@ def train_method(train: Dataset, cfg: ExperimentConfig) -> TrainResult:
         mean_nmse_l=float(np.mean(mat_l[winner])),
         mean_nmse_v=float(np.mean(mat_v[winner])),
         grid_points=len(sweep.grid),
-        labels=train.labels,
         selection=selection,
         model=replace(fitted, preprocessing=cfg.preprocessing, n_inputs=raw_width),
     )

@@ -22,7 +22,7 @@ entry points exposed in :mod:`mivarsel.mi`, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -353,7 +353,7 @@ def exhaustive_search(
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Everything the full selection pipeline produced."""
+    """Everything the selection produced; ``labels``, not a field, name the dataset's columns."""
 
     ranking: VariableSubset
     ranking_mis: tuple[float, ...]
@@ -362,13 +362,16 @@ class SelectionResult:
     best: VariableSubset
     best_mi: MiEstimate
     trace: SelectionTrace
+    labels: InitVar[Sequence[str] | None] = None
 
-    def to_dict(self, labels: Sequence[str] | None = None) -> dict:
-        """The encoded fields; ``labels`` adds each subset's variable names."""
+    def __post_init__(self, labels) -> None:
+        object.__setattr__(self, "labels", labels)
+
+    def to_dict(self) -> dict:
+        """The encoded fields, each subset with its variables' labels."""
         doc = encode(self)
-        if labels is not None:
-            for key in ("ranking", "greedy", "pool", "best"):
-                doc[key]["labels"] = [labels[j] for j in getattr(self, key).indices]
+        for key in ("ranking", "greedy", "pool", "best"):
+            doc[key]["labels"] = [self.labels[j] for j in getattr(self, key).indices]
         return doc
 
 
@@ -424,4 +427,5 @@ def select_variables(
         pool=pool,
         best=VariableSubset(best, "exhaustive"),
         best_mi=MiEstimate(value, k, d.n_samples),
+        labels=d.labels,
     )

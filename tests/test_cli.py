@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 import mivarsel
-from mivarsel import evaluation
+from mivarsel import evaluation, models
 from mivarsel.cli import build_parser, main
-from mivarsel.dataset import Dataset, load_csv, save_csv
+from mivarsel.dataset import Dataset, load_csv, normalize_spectra, save_csv
 from mivarsel.errors import NumericalError
 from mivarsel.evaluation import nmse, pooled_target_variance
-from mivarsel.methods import ExperimentConfig, MethodResult, build_method_sweep
+from mivarsel.methods import ExperimentConfig, MethodResult, build_method_sweep, plan_lines
 from mivarsel.models import load_pipeline
 from mivarsel.selector import individual_mis, rank_by_individual_mi
 
@@ -255,6 +255,27 @@ class TestTrainPredict:
         assert main(argv) == 3  # without the flag every column is an input
         assert "trained on 3 input columns, rows have 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target, code",
+        [(None, 0), ("target", 0), ("0", 0), ("-4", 0), ("", 3), ("nope", 3)],
+        ids=["default", "name", "position", "from-the-right", "empty", "absent"],
+    )
+    def test_predict_drops_the_target_column_it_names(self, tmp_path, capsys, target, code):
+        data = Path(__file__).parent / "data"
+        header, *rows = (data / "rows.csv").read_text().splitlines()
+        with_target = tmp_path / "with-target.csv"
+        with_target.write_text(f"target,{header}\n" + "".join(f"0.0,{row}\n" for row in rows))
+        model = data / "pipeline-mi-normalize.json"
+        argv = ["predict", "--model", str(model), "--data", str(with_target)]
+        if target is not None:
+            argv += ["--target-column", target]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out == (data / "pipeline-mi-normalize.predictions.csv").read_text()
+        else:  # a value that names no column drops none
+            assert "trained on 3 input columns, rows have 4" in captured.err
+
     def test_train_and_predict_agree_on_a_positional_target(self, csvs, tmp_path, capsys):
         train, test, out = csvs
         headerless = []
@@ -444,13 +465,27 @@ class TestDegenerateK:
 
 
 class TestReproduce:
+    @pytest.fixture()
+    def normalized(self, monkeypatch):
+        """The row count of each dataset spectrum normalization is applied to, in call order."""
+        counts = []
+        inner = models.normalize_spectra
+
+        def counted(d):
+            counts.append(d.n_samples)
+            return inner(d)
+
+        monkeypatch.setattr(models, "normalize_spectra", counted)
+        return counts
+
     def test_benchmark_artifacts(self, csvs, capsys):
         assert main(["reproduce", *_args(csvs), *_GRIDS, "--seed", "2"]) == 0
         out = csvs[2] / "custom" / "seed-2"
         doc = json.loads((out / "benchmark.json").read_text())
-        assert len(doc["methods"]) == 13
+        assert [m["method"] for m in doc["methods"]] == list(range(1, 14))
         assert len(doc["best"]) == 2
         assert doc["config"]["seed"] == 2
+        assert "method" not in doc["config"]  # the methods entries say what ran
         for i in range(1, 14):
             assert (out / f"method-{i:02d}" / "report.json").exists()
         table = capsys.readouterr().out
@@ -468,9 +503,9 @@ class TestReproduce:
         encoded = []
         inner = MethodResult.to_dict
 
-        def counted(self, labels=None):
+        def counted(self):
             encoded.append(self.method)
-            return inner(self, labels)
+            return inner(self)
 
         monkeypatch.setattr(MethodResult, "to_dict", counted)
         assert main(["reproduce", *_args(csvs), *_GRIDS, "--seed", "2"]) == 0
@@ -482,6 +517,41 @@ class TestReproduce:
             if "error" not in doc:
                 report = out / f"method-{doc['method']:02d}" / "report.json"
                 assert json.loads(report.read_text())["result"] == doc
+
+    def test_normalizes_each_set_once_and_names_the_normalized_columns(self, csvs, normalized):
+        argv = ["reproduce", *_args(csvs), *_GRIDS, "--preprocessing", "spectrum-normalize"]
+        assert main(argv) == 0
+        assert sorted(normalized) == [20, 60]  # the test rows once, the training rows once
+        report = csvs[2] / "custom" / "seed-0" / "method-12" / "report.json"
+        best = json.loads(report.read_text())["result"]["selection"]["best"]
+        names = ("x0", "x1", "x2", "x3", "x4", "x5", "row_mean", "row_std")
+        assert best["labels"] == [names[j] for j in best["indices"]]
+
+    @pytest.mark.parametrize("command", ["reproduce", "run-method"])
+    def test_dry_run_plans_the_normalized_training_rows(self, csvs, capsys, normalized, command):
+        argv = [command, *_args(csvs), "--preprocessing", "spectrum-normalize", "--dry-run"]
+        assert main(argv) == 0
+        plan = capsys.readouterr().out.splitlines()
+        cfg = ExperimentConfig(preprocessing="spectrum-normalize", pool_size=3, folds=3)
+        methods = list(range(1, 14)) if command == "reproduce" else [12]
+        assert plan == plan_lines(normalize_spectra(load_csv(csvs[0])), cfg, methods)
+        assert plan[0] == "plan: train 60x8, 3 folds, seed 0"
+        assert normalized == [60] and not csvs[2].exists()
+
+    def test_training_row_that_cannot_be_normalized_fails_every_method(self, csvs, capsys):
+        train, _, out = csvs
+        d = load_csv(train)
+        x = d.X.copy()
+        x[3] = 0.5  # row 3's spectrum is constant, so it cannot be normalized
+        save_csv(Dataset(x, d.y), train)
+        argv = [*_args(csvs), *_GRIDS, "--preprocessing", "spectrum-normalize"]
+        assert main(["reproduce", *argv]) == 3
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 13 and all("failed: row 3 has a constant spectrum" in r for r in rows)
+        doc = json.loads((out / "custom" / "seed-0" / "benchmark.json").read_text())
+        assert doc["best"] == [] and [m["method"] for m in doc["methods"]] == list(range(1, 14))
+        assert main(["run-method", *argv, "--method", "1"]) == 3
+        assert "data error: row 3 has a constant spectrum" in capsys.readouterr().err
 
     def test_dry_run_plans_all_methods(self, csvs, capsys):
         assert main(["reproduce", *_args(csvs), "--dry-run"]) == 0

@@ -357,7 +357,12 @@ class TestTrainMethod:
         assert result.winner_params == {"components": picked}
         assert result.kind == "pcr" and result.selection is None
         assert result.model.n_inputs == train.n_variables
-        assert result.labels == tuple(f"x{j}" for j in range(train.n_variables))
+
+    def test_selection_names_the_preprocessed_columns(self):
+        train, _ = _nonlinear_split(seed=18)
+        cfg = ExperimentConfig(method=13, preprocessing="spectrum-normalize", **SMALL)
+        result = train_method(train, cfg)
+        assert result.selection.labels == train.labels + ("row_mean", "row_std")
 
     def test_constant_target_is_data_error(self):
         train, _ = _linear_split(rank=2)
@@ -441,7 +446,7 @@ class TestRunMethod:
         r = run_method(train, test, ExperimentConfig(method=13, **SMALL))
         doc = r.to_dict()
         assert doc["method"] == 13
-        assert doc["selection"] is not None
+        assert doc["selection"]["best"]["labels"] == [f"x{j}" for j in r.selection.best.indices]
         assert doc["model"]["kind"] == "pipeline"
         assert doc["report"]["nmse_t"] == r.nmse_t
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 
 import mivarsel
 from mivarsel import mi, selector
-from mivarsel.dataset import Dataset
+from mivarsel.dataset import Dataset, normalize_spectra
 from mivarsel.errors import ConfigError, DataError
 from mivarsel.mi import MiEstimate, MiSession, block_rows, estimate_mi
 from mivarsel.models import encode
@@ -851,11 +852,31 @@ class TestSelectionPipeline:
 
     def test_result_serializes(self):
         d = _additive_dataset(n=100, decoys=2, seed=5)
+        d = Dataset(d.X, d.y, tuple(f"w{j}" for j in range(d.n_variables)))
         result = select_variables(d, k=4, pool_size=4)
-        doc = result.to_dict(labels=[f"w{j}" for j in range(d.n_variables)])
+        doc = result.to_dict()
         assert doc["best"]["indices"] == list(result.best.indices)
         assert doc["best"]["labels"] == [f"w{j}" for j in result.best.indices]
         assert len(doc["trace"]["steps"]) == len(result.trace.steps)
+
+    def test_headerless_normalized_labels_name_the_row_statistics(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(100, 4)) + 3.0 * rng.normal(size=(100, 1))  # rows shifted apart
+        d = normalize_spectra(Dataset(x, x.mean(axis=1) + 0.05 * rng.normal(size=100)))
+        doc = select_variables(d, k=4, pool_size=4).to_dict()
+        for key in ("ranking", "greedy", "pool", "best"):
+            assert doc[key]["labels"] == [d.labels[j] for j in doc[key]["indices"]]
+            assert not {"x4", "x5"} & set(doc[key]["labels"])
+        assert {"row_mean", "row_std"} <= set(doc["ranking"]["labels"])
+
+    def test_labels_are_not_a_field(self):
+        # A result rebuilt from its fields alone, as perfbench's replay builds one, is equal.
+        d = _additive_dataset(n=100, decoys=2, seed=5)
+        result = select_variables(d, k=4, pool_size=4)
+        bare = SelectionResult(**{f.name: getattr(result, f.name) for f in fields(result)})
+        assert result.labels == d.labels and bare.labels is None
+        assert bare == result and hash(bare) == hash(result)
+        assert encode(bare) == encode(result)
 
 
 class TestTraceSerialization:
@@ -877,9 +898,10 @@ class TestTraceSerialization:
             best=s,
             best_mi=MiEstimate(0.4, 1, 10),
             trace=SelectionTrace(()),
+            labels=("a", "b", "c"),
         )
         assert encode(s) == {"indices": [2, 0], "provenance": "exhaustive"}
-        doc = result.to_dict(labels=("a", "b", "c"))["best"]
+        doc = result.to_dict()["best"]
         assert doc == {
             "indices": [2, 0],
             "provenance": "exhaustive",
